@@ -1,24 +1,10 @@
-"""Select the sparse-multiplication kernel at import time.
+"""The sparse-multiplication kernel every product in the package calls.
 
-Preference order: the compiled extension ``_kernel_cy`` if it built, else
-the pure-Python ``_kernel_py``.  Setting ``COBORD_PURE=1`` in the
-environment forces the pure kernel (useful for benchmarking and for
-verifying that the two implementations agree).
+Callers reach the kernel through this module's attributes rather than
+importing ``_kernel_py`` directly, so one binding point names the
+kernel in use (``KERNEL_IMPL``) and can be wrapped for call counting.
 """
 
-import os
+from ._kernel_py import iadd_terms, merge_parts, mul_into, mul_terms
 
-if os.environ.get("COBORD_PURE"):
-    from . import _kernel_py as _impl
-else:
-    try:
-        from . import _kernel_cy as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
-
-KERNEL_IMPL = _impl.__name__.rsplit(".", 1)[-1]
-
-merge_parts = _impl.merge_parts
-iadd_terms = _impl.iadd_terms
-mul_into = _impl.mul_into
-mul_terms = _impl.mul_terms
+KERNEL_IMPL = "_kernel_py"

@@ -2,12 +2,11 @@
 
 A term dict maps a partition key (non-increasing tuple of positive ints)
 to a nonzero arbitrary-precision integer coefficient.  Every polynomial
-and power-series product in the package funnels through ``mul_into``, so
-this module has a compiled twin in ``_kernel_cy.pyx`` with identical
-semantics; ``cobord._backend`` picks whichever is importable.
+and power-series product in the package funnels through ``mul_into``;
+callers reach it through ``cobord._backend``.
 
 Coefficients stay Python ints: binomial and p-power factors overflow any
-fixed width, so no C integer fast path is attempted even in the twin.
+fixed width.
 """
 
 

@@ -36,7 +36,12 @@ def _emit(obj, fmt, table_lines):
 
 def _trunc_default() -> int:
     env = os.environ.get("COBORD_TRUNC")
-    return int(env) if env else DEFAULT_TRUNCATION
+    if not env:
+        return DEFAULT_TRUNCATION
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"COBORD_TRUNC must be an integer, got {env!r}") from None
 
 
 def _parse_group(args) -> actions_mod.GroupDescriptor:
@@ -409,14 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.trunc is None:
-        args.trunc = _trunc_default()
     try:
+        if args.trunc is None:
+            args.trunc = _trunc_default()
+        if args.trunc < 0:
+            raise ValueError(f"truncation must be >= 0, got {args.trunc}")
         return args.func(args)
-    except geometry.TruncationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, lazard.NotInLazardImage) as e:
+    except ValueError as e:
+        # TruncationError and NotInLazardImage are ValueErrors too
         print(f"error: {e}", file=sys.stderr)
         return 1
 

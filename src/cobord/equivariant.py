@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import fgl
-from .geometry import Proj, evaluate
+from .geometry import CheckReport, Proj, evaluate
 from .lazard import CobordismClass, in_landweber_ideal, reduce_mod_landweber
 from .series import BPoly, TruncSeries, DEFAULT_TRUNCATION
 
@@ -35,7 +35,8 @@ def is_trivial(g: Character) -> bool:
 
 
 class MPoly:
-    """Polynomial in the a[i, g] with coefficients in Z[b].
+    """Polynomial in the a[i, g] with coefficients in Z[b] (``BPoly``) or
+    in the Chow ring of a bundle's base (``TruncSeries``).
 
     ``kind`` distinguishes the raw a-variables from the pushforward
     generators p[i, g] used for the change of basis; the two kinds never
@@ -189,45 +190,13 @@ class SplitBundleDescriptor:
                 raise ValueError("summands must carry nontrivial characters")
 
 
-class ChowMPoly:
-    """Intermediate: a-polynomial with coefficients in the base's Chow ring."""
-
-    __slots__ = ("terms", "base", "trunc")
-
-    def __init__(self, terms, base, trunc):
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-        self.base = base
-        self.trunc = trunc
-
-    def __mul__(self, other):
-        if self.base != other.base:
-            raise ValueError("different bases")
-        out = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                key = tuple(sorted(ka + kb))
-                prod = va * vb
-                if prod.is_zero():
-                    continue
-                acc = out.get(key)
-                acc = prod if acc is None else acc + prod
-                out[key] = acc
-        return ChowMPoly(out, self.base, self.trunc)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChowMPoly)
-            and self.base == other.base
-            and self.terms == other.terms
-        )
-
-
-def q_class(E: SplitBundleDescriptor, trunc: int = DEFAULT_TRUNCATION) -> ChowMPoly:
-    """Multiplicative class of the bundle in the Chow ring of its base."""
+def q_class(E: SplitBundleDescriptor, trunc: int = DEFAULT_TRUNCATION) -> MPoly:
+    """Multiplicative class of the bundle: an a-polynomial whose
+    coefficients lie in the Chow ring of its base."""
     caps = E.base
     names = tuple(f"h{i}" for i in range(len(caps)))
     chow_zero = TruncSeries.zero(names, caps, sum(caps), trunc=trunc)
-    unit = ChowMPoly({(): chow_zero.constant(1)}, E.base, trunc)
+    unit = MPoly({(): chow_zero.constant(1)}, "a", trunc)
     result = unit
     for multidegree, g in E.summands:
         c1 = chow_zero.constant(0)
@@ -249,7 +218,7 @@ def q_class(E: SplitBundleDescriptor, trunc: int = DEFAULT_TRUNCATION) -> ChowMP
             if i > sum(caps):
                 break
             power = power * c1
-        result = result * ChowMPoly(terms, E.base, trunc)
+        result = result * MPoly(terms, "a", trunc)
     return result
 
 
@@ -318,30 +287,9 @@ def p_to_a(poly: MPoly, trunc: int = DEFAULT_TRUNCATION) -> MPoly:
 # -- desk verification of the quotient model ------------------------------
 
 
-@dataclass
-class PresentationReport:
-    entries: list
-
-    @property
-    def ok(self):
-        return all(ok for _, ok, _ in self.entries)
-
-    def __bool__(self):
-        return self.ok
-
-    def to_obj(self):
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": name, "ok": ok, "detail": detail}
-                for name, ok, detail in self.entries
-            ],
-        }
-
-
 def verify_presentation(
     p: int, cases, trunc: int = DEFAULT_TRUNCATION
-) -> PresentationReport:
+) -> CheckReport:
     """Leading-term identities for multiplication by prime powers.
 
     For each case (a, n) with q = p^a: modulo the n-th Landweber ideal,
@@ -384,4 +332,4 @@ def verify_presentation(
             for u_m in ctx.landweber_coeffs(p)[: p ** n - 1]
         )
         entries.append((f"{label}: u_m membership below v_{n}", mem_ok, ""))
-    return PresentationReport(entries)
+    return CheckReport(entries)

@@ -132,8 +132,26 @@ class Scaled:
 VarietyExpr = Union[Point, Proj, Hyp, CompInt, Milnor, Product, DisjointUnion, Scaled]
 
 
+def _int(x) -> int:
+    # bool is a subclass of int, but JSON true/false is not an integer
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _array(key, val, length=None) -> list:
+    if not isinstance(val, list) or (length is not None and len(val) != length):
+        shape = "an array" if length is None else f"an array of {length}"
+        raise ValueError(f"{key!r} needs {shape}, got {val!r}")
+    return val
+
+
 def parse_expr(obj) -> VarietyExpr:
-    """Parse the compact JSON grammar; raises ValueError on malformed input."""
+    """Parse the compact JSON grammar; raises ValueError on malformed input.
+
+    Integer fields accept only JSON integers, and the array-valued
+    constructors only JSON arrays, so nothing is silently coerced.
+    """
     if obj == "point":
         return Point()
     if not isinstance(obj, dict) or len(obj) != 1:
@@ -142,23 +160,23 @@ def parse_expr(obj) -> VarietyExpr:
     if key == "point":
         return Point()
     if key == "proj":
-        return Proj(int(val))
+        return Proj(_int(val))
     if key == "hyp":
-        d, n = val
-        return Hyp(int(d), int(n))
+        d, n = _array(key, val, 2)
+        return Hyp(_int(d), _int(n))
     if key == "milnor":
-        m, n = val
-        return Milnor(int(m), int(n))
+        m, n = _array(key, val, 2)
+        return Milnor(_int(m), _int(n))
     if key in ("ci", "compint"):
-        degs, n = val
-        return CompInt(tuple(int(d) for d in degs), int(n))
+        degs, n = _array(key, val, 2)
+        return CompInt(tuple(_int(d) for d in _array(key, degs)), _int(n))
     if key == "prod":
-        return Product(tuple(parse_expr(v) for v in val))
+        return Product(tuple(parse_expr(v) for v in _array(key, val)))
     if key == "disj":
-        return DisjointUnion(tuple(parse_expr(v) for v in val))
+        return DisjointUnion(tuple(parse_expr(v) for v in _array(key, val)))
     if key == "scale":
-        k, e = val
-        return Scaled(int(k), parse_expr(e))
+        k, e = _array(key, val, 2)
+        return Scaled(_int(k), parse_expr(e))
     raise ValueError(f"unknown constructor {key!r}")
 
 

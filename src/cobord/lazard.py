@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import fgl
+from . import _backend, fgl
 from .partitions import Partition, full_key, make, partitions_of, pi_q
 from .series import BPoly, DEFAULT_TRUNCATION
 
@@ -332,20 +332,21 @@ def adapted_basis(p: int, r: int, trunc: int = DEFAULT_TRUNCATION) -> GeneratorB
     Those members are v_i - sign * p^(p^i - 1) * l_{p^i - 1}: both summands
     have all coefficients divisible by p, and the top Chern functional
     evaluates to p(p^n - 1) - p^n * p = -p, so the family still generates.
+    Degrees above ``trunc`` are left unreplaced, so every rank is accepted:
+    an ideal member of degree <= trunc only involves generators of degree
+    <= trunc, hence I_p(r) agrees with I_p(r') there for every large r'.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("adapted bases need r >= 1")
-    if p ** (r - 1) - 1 > trunc:
-        raise ValueError(
-            f"adapted basis for r={r} needs degree {p**(r-1)-1} <= truncation {trunc}"
-        )
     base = base_basis(trunc)
     ctx = fgl.context(trunc)
     gens = dict(base.gens)
     for i in range(1, r):
         n = p ** i - 1
+        if n > trunc:
+            break
         ell = base.gens[n]
         sigma = 1 if ell.c_alpha((n,)) > 0 else -1
         v_i = CobordismClass(ctx.v(p, i), dim=n)
@@ -400,8 +401,6 @@ class GenPoly:
         return GenPoly(out, self.modulus, self.basis)
 
     def __mul__(self, other):
-        from . import _backend
-
         self._check(other)
         terms = _backend.mul_terms(
             self.coeffs, other.coeffs, self.basis.trunc, self.modulus

@@ -99,9 +99,6 @@ class BPoly:
     def weights(self) -> set[int]:
         return {sum(k) for k in self.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.weights()) <= 1
-
     def homogeneous_weight(self):
         """The common weight of all terms, None for 0, error if mixed."""
         ws = self.weights()
@@ -110,13 +107,6 @@ class BPoly:
         if len(ws) > 1:
             raise ValueError(f"not homogeneous, weights {sorted(ws)}")
         return ws.pop()
-
-    def homogeneous_part(self, n: int) -> "BPoly":
-        return BPoly._raw(
-            {k: v for k, v in self.terms.items() if sum(k) == n},
-            self.modulus,
-            self.trunc,
-        )
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -217,11 +207,6 @@ class BPoly:
 
     def divisible_by(self, k: int) -> bool:
         return all(v % k == 0 for v in self.terms.values())
-
-    def map_coeffs(self, fn) -> "BPoly":
-        return BPoly(
-            {k: fn(v) for k, v in self.terms.items()}, self.modulus, self.trunc
-        )
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -443,14 +428,6 @@ class TruncSeries:
             if sum(exps) <= k:
                 s.coeffs[exps] = c
         return s
-
-    def map_coeffs(self, fn) -> "TruncSeries":
-        out = {}
-        for exps, c in self.coeffs.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[exps] = v
-        return self._shell(out)
 
     def substitute(self, values: list["TruncSeries"]) -> "TruncSeries":
         """Evaluate at the given series, one per variable.

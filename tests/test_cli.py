@@ -135,3 +135,41 @@ def test_verify_presentation_suite(capsys):
     code, out, _ = run(["verify", "presentation", "--p", "3", "--trunc", "10"], capsys)
     assert code == 0
     assert "verify: OK" in out
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ['{"prod":5}', '{"hyp":[true,2]}', '{"scale":[2.5,"point"]}', '{"proj":"3"}'],
+)
+def test_malformed_expression_is_a_one_line_error(expr):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["class", expr])
+    msg = exc.value.code
+    assert isinstance(msg, str) and msg.startswith("error:")
+    assert "\n" not in msg
+
+
+def test_negative_truncation_is_an_error(capsys):
+    code, out, err = run(["verify", "fgl", "--trunc", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "truncation" in err
+
+
+def test_trunc_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("COBORD_TRUNC", "abc")
+    code, _, err = run(["class", "point"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "COBORD_TRUNC" in err
+
+
+def test_bound_accepts_rank_beyond_truncation(capsys):
+    # rank 5 adds v_4 in degree 15 > 12, which no class of degree <= 12 sees
+    argv = ["bound", '{"hyp":[3,4]}', "--p", "2", "--group"]
+    code, out, _ = run(argv + ["1,1,1,1,1"], capsys)
+    assert code == 0
+    rank5 = json.loads(out)
+    code, out, _ = run(argv + ["1,1,1,1"], capsys)
+    rank4 = json.loads(out)
+    assert rank5["lower_bound"] == rank4["lower_bound"] == 0
+    assert rank5["in_ideal"] == rank4["in_ideal"]

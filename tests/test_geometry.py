@@ -141,7 +141,16 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in [42, {"proj": 1, "hyp": [1, 2]}, {"sphere": 3}, []]:
+    for bad in [
+        42,
+        {"proj": 1, "hyp": [1, 2]},
+        {"sphere": 3},
+        [],
+        {"prod": 5},
+        {"hyp": [True, 2]},
+        {"scale": [2.5, "point"]},
+        {"proj": "3"},
+    ]:
         with pytest.raises(ValueError):
             geo.parse_expr(bad)
 

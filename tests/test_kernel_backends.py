@@ -1,29 +1,17 @@
-"""The compiled kernel and the pure fallback must agree exactly."""
+"""The sparse kernel and the binding every caller reaches it through."""
 
 import random
 
-import pytest
-
-from cobord import _kernel_py
-
-try:
-    from cobord import _kernel_cy
-except ImportError:
-    _kernel_cy = None
-
+import cobord
+from cobord import _backend, _kernel_py
 from cobord.partitions import partitions_upto
 
-needs_compiled = pytest.mark.skipif(
-    _kernel_cy is None, reason="compiled kernel not built"
-)
 
-
-def random_terms(rng, size, max_weight):
-    pool = partitions_upto(max_weight)
-    return {
-        alpha: rng.randint(-10 ** 12, 10 ** 12)
-        for alpha in rng.sample(pool, min(size, len(pool)))
-    }
+def test_backend_binds_the_pure_kernel():
+    # perfbench's probe prints KERNEL_IMPL and its tracer wraps these names
+    for name in ("mul_into", "mul_terms", "iadd_terms"):
+        assert getattr(_backend, name) is getattr(_kernel_py, name)
+    assert cobord.KERNEL_IMPL == "_kernel_py"
 
 
 def test_merge_parts_matches_sorted_concat():
@@ -34,38 +22,9 @@ def test_merge_parts_matches_sorted_concat():
         b = rng.choice(pool)
         expect = tuple(sorted(a + b, reverse=True))
         assert _kernel_py.merge_parts(a, b) == expect
-        if _kernel_cy is not None:
-            assert _kernel_cy.merge_parts(a, b) == expect
-
-
-@needs_compiled
-def test_backends_agree_on_products():
-    rng = random.Random(11)
-    for trial in range(40):
-        x = random_terms(rng, 12, 8)
-        y = random_terms(rng, 12, 8)
-        for mod in (None, 2, 3, 97):
-            trunc = rng.randint(0, 12)
-            a = _kernel_py.mul_terms(dict(x), dict(y), trunc, mod)
-            b = _kernel_cy.mul_terms(dict(x), dict(y), trunc, mod)
-            assert a == b
-
-
-@needs_compiled
-def test_backends_agree_on_iadd():
-    rng = random.Random(13)
-    for _ in range(40):
-        x = random_terms(rng, 10, 8)
-        y = random_terms(rng, 10, 8)
-        for mod in (None, 5):
-            a = _kernel_py.iadd_terms(dict(x), y, mod)
-            b = _kernel_cy.iadd_terms(dict(x), y, mod)
-            assert a == b
 
 
 def test_cancellation_removes_keys():
-    kernels = [_kernel_py] + ([_kernel_cy] if _kernel_cy is not None else [])
-    for kernel in kernels:
-        acc = kernel.mul_into({(2, 1): 7, (1, 1): -1}, {(1,): 1}, {(1,): 1}, 12, None)
-        assert (1, 1) not in acc
-        assert acc[(2, 1)] == 7
+    acc = _kernel_py.mul_into({(2, 1): 7, (1, 1): -1}, {(1,): 1}, {(1,): 1}, 12, None)
+    assert (1, 1) not in acc
+    assert acc[(2, 1)] == 7
