@@ -274,11 +274,10 @@ def _suite_ideals(p, max_n, trunc):
 
 
 def _suite_presentation(p, trunc):
-    cases = [(1, 1)]
-    if p == 2:
-        cases.append((2, 1))
-        if 2 ** 2 - 1 <= trunc:
-            cases.append((1, 2))
+    # case (a, n) reads the t^(p^(a n)) coefficient of [p^a](t), of weight
+    # p^(a n) - 1; a case beyond the truncation cannot run, so it is skipped
+    cases = [(1, 1), (2, 1), (1, 2)] if p == 2 else [(1, 1)]
+    cases = [(a, n) for a, n in cases if p ** (a * n) - 1 <= trunc]
     report = equivariant.verify_presentation(p, cases, trunc)
     return [(name, ok) for name, ok, _ in report.entries]
 

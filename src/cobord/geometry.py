@@ -1,24 +1,37 @@
 """Cobordism classes of standard varieties.
 
-Each constructor has a tangent bundle that restricts from split bundles
-over (products of) projective spaces, so its full Chern-number package
-can be computed inside a truncated Chow ring Z[h]/h^(m+1): the total
-class of a line bundle is sum_i c_1^i b_i, virtual classes invert the
-series, and the degree map pairs against the pushforward of the
-fundamental class (d*h for a degree-d hypersurface, h_1 + h_2 for the
-(1,1)-divisor defining a Milnor hypersurface).
+Each constructor has a tangent bundle that restricts from sums of line
+bundles over (products of) projective spaces, so its full Chern-number
+package is a coefficient of one variable h, the hyperplane class.  The
+total class of O(d) is L(d h) with L(x) = sum_i b_i x^i (b_0 = 1), so
+everything is read off the rows [h^j] A^k of A = L(h)^(-1): row j has
+weight exactly j and needs no truncation beyond the partition weight.
+Miller's recurrence for powers of a power series (Knuth, TAOCP vol. 2,
+4.7) builds the rows of each A^k by one-part merges and an exact
+division, cached per (k, truncation).  Products of rows go through the
+sparse kernel.
+
+- P^n is [A^(n+1)]_n.
+- A complete intersection of degrees d_1..d_c in P^(n+c) is
+  (prod d_i) sum_k [prod_i L(d_i h)]_k [A^(n+c+1)]_(n-k); a hypersurface
+  is the case c = 1.
+- A Milnor hypersurface, a (1,1)-divisor in P^m x P^n, pairs rows of
+  A^(m+1) and A^(n+1) through the expansion of L(h_1 + h_2).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Union
 
+from . import _backend
+from ._backend import merge_parts
 from .lazard import CobordismClass
 from .partitions import _sub_multisets
-from .series import BPoly, TruncSeries, DEFAULT_TRUNCATION
+from .series import BPoly, DEFAULT_TRUNCATION
 
 
 class TruncationError(ValueError):
@@ -180,75 +193,88 @@ def parse_expr(obj) -> VarietyExpr:
     raise ValueError(f"unknown constructor {key!r}")
 
 
-# -- Chow-ring helpers ---------------------------------------------------
+# -- graded Chow engine --------------------------------------------------
 
 
-def _chow(caps, trunc):
-    names = tuple(f"h{i}" for i in range(len(caps)))
-    return TruncSeries.zero(names, tuple(caps), sum(caps), trunc=trunc)
+def _merged(triples) -> dict:
+    """The term dict of sum c * b_i * row over (i, c, row) triples.
 
-
-def _line_total_class(chow: TruncSeries, multidegree, trunc: int) -> TruncSeries:
-    """sum_i c_1(O(k))^i b_i with c_1 = sum_j k_j h_j, inside the Chow ring."""
-    c1 = chow.constant(0)
-    for j, k in enumerate(multidegree):
-        if k:
-            var = TruncSeries.variable(
-                chow.vars[j], chow.vars, chow.caps, chow.total_cap, trunc=trunc
-            )
-            c1 = c1 + var * k
-    total = chow.constant(1)
-    power = chow.constant(1)
-    for i in range(1, min(chow.total_cap, trunc) + 1):
-        power = power * c1
-        if power.is_zero():
-            break
-        total = total + power * BPoly.gen(i, trunc=trunc)
-    return total
+    b_0 is the unit, so each product with b_i is a one-part merge of keys.
+    """
+    out = {}
+    for i, c, row in triples:
+        part = (i,) if i else ()
+        for key, v in row.items():
+            kk = merge_parts(part, key)
+            acc = out.get(kk, 0) + c * v
+            if acc:
+                out[kk] = acc
+            else:
+                out.pop(kk, None)
+    return out
 
 
 @lru_cache(maxsize=None)
+def _power_rows(k: int, trunc: int) -> tuple:
+    """The term dicts [h^j] A^k for j <= min(k - 1, trunc).
+
+    Row j of A^k = (sum_i b_i h^i)^(-k) has weight exactly j.  Miller's
+    recurrence j Q_j = sum_{i=1..j} ((1 - k) i - j) b_i Q_{j-i} builds each
+    row from the ones below it; the division by j is exact.  The cached
+    rows are shared by every caller, so they are read only.
+    """
+    rows = [{(): 1}]
+    for j in range(1, min(k - 1, trunc) + 1):
+        acc = _merged(((i, (1 - k) * i - j, rows[j - i]) for i in range(1, j + 1)))
+        row = {}
+        for key, v in acc.items():
+            q, r = divmod(v, j)
+            if r:
+                raise ArithmeticError(f"row {j} of A^{k} is not divisible by {j}")
+            row[key] = q
+        rows.append(row)
+    return tuple(rows)
+
+
 def _proj_image(n: int, trunc: int) -> BPoly:
-    chow = _chow((n,), trunc)
-    total = _line_total_class(chow, (1,), trunc)
-    return (total.inverse() ** (n + 1)).coeff((n,))
+    return BPoly._raw(dict(_power_rows(n + 1, trunc)[n]), None, trunc)
 
 
-@lru_cache(maxsize=None)
-def _hyp_image(d: int, n: int, trunc: int) -> BPoly:
-    # Ambient P^(n+1); the fundamental class pushes to d*h.
-    chow = _chow((n + 1,), trunc)
-    ample = _line_total_class(chow, (1,), trunc)
-    s = (ample.inverse() ** (n + 2)) * _line_total_class(chow, (d,), trunc)
-    return s.coeff((n,)).scaled(d)
-
-
-@lru_cache(maxsize=None)
 def _ci_image(degrees: tuple, n: int, trunc: int) -> BPoly:
-    c = len(degrees)
-    chow = _chow((n + c,), trunc)
-    ample = _line_total_class(chow, (1,), trunc)
-    s = ample.inverse() ** (n + c + 1)
-    mult = 1
+    # Ambient P^(n+c); the fundamental class pushes to (prod d_i) h^c, and
+    # the normal bundle sum O(d_i) contributes prod_i L(d_i h) with
+    # L(x) = sum_i b_i x^i.  ``lines`` holds the rows of (prod d_i) times
+    # that product, built by one-part merges.
+    lines = [{(): math.prod(degrees)}] + [{} for _ in range(n)]
     for d in degrees:
-        s = s * _line_total_class(chow, (d,), trunc)
-        mult *= d
-    return s.coeff((n,)).scaled(mult)
+        lines = [
+            _merged(((t, d ** t, lines[j - t]) for t in range(j + 1)))
+            for j in range(n + 1)
+        ]
+    rows = _power_rows(n + len(degrees) + 1, trunc)
+    out = {}
+    for j, line in enumerate(lines):
+        _backend.mul_into(out, line, rows[n - j], trunc, None)
+    return BPoly._raw(out, None, trunc)
 
 
-@lru_cache(maxsize=None)
 def _milnor_image(m: int, n: int, trunc: int) -> BPoly:
-    # A (1,1)-divisor in P^m x P^n; multiplying by h_1 + h_2 before taking
-    # the top bidegree coefficient implements the pushforward.
-    chow = _chow((m, n), trunc)
-    p1 = _line_total_class(chow, (1, 0), trunc)
-    p2 = _line_total_class(chow, (0, 1), trunc)
-    diag = _line_total_class(chow, (1, 1), trunc)
-    s = (p1.inverse() ** (m + 1)) * (p2.inverse() ** (n + 1)) * diag
-    img = s.coeff((m, n - 1))
-    if m >= 1:
-        img = img + s.coeff((m - 1, n))
-    return img
+    # A (1,1)-divisor in P^m x P^n: the pushforward multiplies by h_1 + h_2,
+    # so the image is [h_1^m h_2^(n-1) + h_1^(m-1) h_2^n] of
+    # A(h_1)^(m+1) A(h_2)^(n+1) L(h_1 + h_2).  Expanding L(h_1 + h_2) and
+    # folding the two coefficients by Pascal's rule pairs row a of A^(m+1)
+    # with row c of A^(n+1) and b_k C(k+1, m-a), where k = m+n-1-a-c.
+    rows_m = _power_rows(m + 1, trunc)
+    rows_n = _power_rows(n + 1, trunc)
+    top = m + n - 1
+    out = {}
+    for a in range(m + 1):
+        partner = _merged(
+            (top - a - c, math.comb(top - a - c + 1, m - a), rows_n[c])
+            for c in range(min(n, top - a) + 1)
+        )
+        _backend.mul_into(out, rows_m[a], partner, trunc, None)
+    return BPoly._raw(out, None, trunc)
 
 
 # -- evaluation ----------------------------------------------------------
@@ -271,7 +297,7 @@ def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismCla
     if isinstance(expr, Hyp):
         if expr.d < 1 or expr.n < 0:
             raise ValueError("hypersurface needs degree >= 1 and n >= 0")
-        return CobordismClass(_hyp_image(expr.d, expr.n, trunc), dim=expr.n)
+        return CobordismClass(_ci_image((expr.d,), expr.n, trunc), dim=expr.n)
     if isinstance(expr, CompInt):
         if not expr.degrees or any(d < 1 for d in expr.degrees):
             raise ValueError("complete intersection needs degrees >= 1")

@@ -173,3 +173,18 @@ def test_bound_accepts_rank_beyond_truncation(capsys):
     rank4 = json.loads(out)
     assert rank5["lower_bound"] == rank4["lower_bound"] == 0
     assert rank5["in_ideal"] == rank4["in_ideal"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "presentation", "--p", "2", "--trunc", "2"],
+        ["verify", "all", "--p", "2", "--trunc", "0"],
+        ["verify", "all", "--p", "3", "--trunc", "1"],
+    ],
+)
+def test_verify_skips_presentation_cases_beyond_the_truncation(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert "FAIL" not in out
+    assert out.endswith("verify: OK\n")

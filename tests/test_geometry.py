@@ -1,9 +1,12 @@
 import math
+import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobord import geometry as geo
-from cobord.series import BPoly
+from cobord.series import BPoly, TruncSeries
 
 TRUNC = 12
 
@@ -162,3 +165,228 @@ def test_constructor_validation():
         geo.evaluate(geo.Milnor(3, 2), TRUNC)
     with pytest.raises(ValueError):
         geo.evaluate(geo.CompInt((), 2), TRUNC)
+
+
+# -- an independent reference: the bivariate Chow ring of the ambient space --
+
+
+def _ref_line_class(caps, multidegree, trunc):
+    """sum_i c_1(O(k))^i b_i in the truncated Chow ring Z[b][h_j]/(h_j^(caps_j + 1)).
+
+    The reference inverts and raises these classes as bivariate series, a
+    route independent of geometry's univariate rows.
+    """
+    names = tuple(f"h{j}" for j in range(len(caps)))
+    total_cap = sum(caps)
+
+    def var(j):
+        return TruncSeries.variable(names[j], names, caps, total_cap, trunc=trunc)
+
+    c1 = TruncSeries.zero(names, caps, total_cap, trunc=trunc)
+    for j, k in enumerate(multidegree):
+        c1 = c1 + var(j) * k
+    total = c1.constant(1)
+    power = c1.constant(1)
+    for i in range(1, min(total_cap, trunc) + 1):
+        power = power * c1
+        total = total + power * BPoly.gen(i, trunc=trunc)
+    return total
+
+
+def _ref_image(expr, trunc):
+    if isinstance(expr, geo.Proj):
+        expr = geo.CompInt((), expr.n)
+    if isinstance(expr, geo.Hyp):
+        expr = geo.CompInt((expr.d,), expr.n)
+    if isinstance(expr, geo.CompInt):
+        n, degrees = expr.n, expr.degrees
+        caps = (n + len(degrees),)
+        s = _ref_line_class(caps, (1,), trunc).inverse() ** (n + len(degrees) + 1)
+        for d in degrees:
+            s = s * _ref_line_class(caps, (d,), trunc)
+        return s.coeff((n,)).scaled(math.prod(degrees))
+    m, n = expr.m, expr.n
+    caps = (m, n)
+    s = (
+        (_ref_line_class(caps, (1, 0), trunc).inverse() ** (m + 1))
+        * (_ref_line_class(caps, (0, 1), trunc).inverse() ** (n + 1))
+        * _ref_line_class(caps, (1, 1), trunc)
+    )
+    img = s.coeff((m, n - 1))
+    if m >= 1:
+        img = img + s.coeff((m - 1, n))
+    return img
+
+
+def _image(expr, trunc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Milnor(1, n) warns
+        return geo.evaluate(expr, trunc).image
+
+
+REF_N = 10
+CI_DEGREES = [(2,), (3, 2), (1, 2, 2), (2, 1, 3, 2)]
+
+
+def test_every_chern_number_matches_the_bivariate_reference():
+    exprs = [geo.Proj(n) for n in range(REF_N + 1)]
+    exprs += [geo.Hyp(d, n) for d in (1, 2, 3, 5) for n in range(REF_N + 1)]
+    exprs += [geo.CompInt(ds, n) for ds in CI_DEGREES for n in range(REF_N + 1)]
+    exprs += [
+        geo.Milnor(m, n)
+        for n in range(1, REF_N + 2)
+        for m in range(n + 1)
+        if m + n - 1 <= REF_N
+    ]
+    for e in exprs:
+        assert _image(e, REF_N) == _ref_image(e, REF_N), e
+
+
+@pytest.mark.parametrize("degrees", [(2, 3), (1, 4, 2, 3)])
+def test_complete_intersection_needs_powers_beyond_the_truncation(degrees):
+    # A^(n+c+1) with n = trunc = 12: k = 15 and 17, past trunc + 2
+    e = geo.CompInt(degrees, 12)
+    assert _image(e, 12) == _ref_image(e, 12)
+
+
+def test_zero_dimensional_constructors():
+    assert _image(geo.Proj(0), TRUNC) == BPoly.one(trunc=TRUNC)
+    for d in (1, 2, 5):
+        assert _image(geo.Hyp(d, 0), TRUNC) == BPoly.const(d, trunc=TRUNC)
+
+
+def test_power_rows_invert_powers_of_the_line_class():
+    # rows of A^k times L^k, L = sum_i b_i h^i, is 1 + O(h^k)
+    for k in range(1, 7):
+        rows = [BPoly(r, trunc=TRUNC) for r in geo._power_rows(k, TRUNC)]
+        assert len(rows) == k
+        line = [BPoly.gen(i, trunc=TRUNC) for i in range(k)]
+        power = [BPoly.one(trunc=TRUNC)] + [BPoly.zero(trunc=TRUNC)] * (k - 1)
+        for _ in range(k):
+            power = [
+                sum((power[j - i] * line[i] for i in range(j + 1)),
+                    BPoly.zero(trunc=TRUNC))
+                for j in range(k)
+            ]
+        for j in range(k):
+            prod = sum((rows[i] * power[j - i] for i in range(j + 1)),
+                       BPoly.zero(trunc=TRUNC))
+            assert prod == (1 if j == 0 else 0), (k, j)
+    assert len(geo._power_rows(20, TRUNC)) == TRUNC + 1
+
+
+# -- genus oracles: chi and chi(O) from every Chern number ------------------
+
+GENUS_N = 14
+
+
+def _genus(image, value):
+    total = 0
+    for key, c in image.terms.items():
+        term = Fraction(c)
+        for i in key:
+            term *= value(i)
+        total += term
+    return total
+
+
+def _euler(expr):
+    return _genus(_image(expr, GENUS_N), lambda i: (-1) ** i)
+
+
+def _todd(expr):
+    return _genus(_image(expr, GENUS_N), lambda i: Fraction((-1) ** i, math.factorial(i + 1)))
+
+
+def _chi_proj_twist(big_n, k):
+    # chi(P^N, O(k)) = C(k + N, N) as a polynomial in k
+    return math.prod(Fraction(k + i, i) for i in range(1, big_n + 1))
+
+
+def _closed_forms(expr):
+    """(chi, chi(O)) of an expression from closed forms."""
+    if isinstance(expr, geo.Proj):
+        return expr.n + 1, 1
+    if isinstance(expr, geo.Hyp):
+        d, n = expr.d, expr.n
+        return ((1 - d) ** (n + 2) - 1) // d + n + 2, 1 + (-1) ** n * math.comb(d - 1, n + 1)
+    if isinstance(expr, geo.CompInt):
+        n, degrees = expr.n, expr.degrees
+        big_n = n + len(degrees)
+        # [h^n] (1 + h)^(N+1) prod d_i / prod (1 + d_i h)
+        series = [math.comb(big_n + 1, j) for j in range(n + 1)]
+        for d in degrees:
+            for j in range(1, n + 1):
+                series[j] -= d * series[j - 1]
+        chi = series[n] * math.prod(degrees)
+        # Koszul: chi(O_X) = sum over subsets S of (-1)^|S| chi(P^N, O(-sum_S d))
+        todd = Fraction(0)
+        for mask in range(1 << len(degrees)):
+            chosen = [d for i, d in enumerate(degrees) if mask >> i & 1]
+            todd += (-1) ** len(chosen) * _chi_proj_twist(big_n, -sum(chosen))
+        return chi, todd
+    if isinstance(expr, geo.Milnor):
+        return (expr.m + 1) * expr.n, 1
+    if isinstance(expr, geo.Product):
+        chi, todd = 1, 1
+        for f in expr.factors:
+            c, t = _closed_forms(f)
+            chi, todd = chi * c, todd * t
+        return chi, todd
+    if isinstance(expr, geo.DisjointUnion):
+        forms = [_closed_forms(p) for p in expr.parts]
+        return sum(c for c, _ in forms), sum(t for _, t in forms)
+    raise TypeError(expr)
+
+
+def _constructors(max_dim):
+    out = [geo.Proj(n) for n in range(max_dim + 1)]
+    out += [geo.Hyp(d, n) for d in range(1, 6) for n in range(max_dim + 1)]
+    out += [geo.CompInt(ds, n) for ds in CI_DEGREES for n in range(max_dim + 1)]
+    out += [
+        geo.Milnor(m, n)
+        for n in range(1, max_dim + 2)
+        for m in range(n + 1)
+        if m + n - 1 <= max_dim
+    ]
+    return out
+
+
+CONSTRUCTORS = _constructors(GENUS_N)
+
+
+def test_genera_of_every_constructor():
+    for e in CONSTRUCTORS:
+        assert (_euler(e), _todd(e)) == _closed_forms(e), e
+
+
+def _of_dim(dim):
+    return st.sampled_from([e for e in CONSTRUCTORS if e.dimension() == dim])
+
+
+@st.composite
+def _varieties(draw, dim):
+    """A constructor, or a product of two, of the given dimension."""
+    if dim >= 2 and draw(st.booleans()):
+        first = draw(st.integers(1, dim - 1))
+        return geo.Product((draw(_of_dim(first)), draw(_of_dim(dim - first))))
+    return draw(_of_dim(dim))
+
+
+@st.composite
+def _products(draw):
+    dims = draw(st.lists(st.integers(1, 7), min_size=2, max_size=3).filter(
+        lambda ds: sum(ds) <= GENUS_N))
+    return geo.Product(tuple(draw(_of_dim(d)) for d in dims))
+
+
+@st.composite
+def _unions(draw):
+    dim = draw(st.integers(0, GENUS_N))
+    return geo.DisjointUnion(tuple(draw(st.lists(_varieties(dim), min_size=2, max_size=3))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_products(), _unions()))
+def test_genera_of_products_and_unions(expr):
+    assert (_euler(expr), _todd(expr)) == _closed_forms(expr)
