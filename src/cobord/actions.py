@@ -132,6 +132,8 @@ def landweber_variety(
     r >= s + 1.
     """
     p = group.p
+    if s < 0:
+        raise ValueError(f"the Landweber index s must be >= 0, got {s}")
     if group.rank <= s:
         raise ValueError(
             f"group of rank {group.rank} is too small; need rank >= {s + 1}"

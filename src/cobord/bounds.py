@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .actions import GroupDescriptor
+from .geometry import TruncationError
 from .lazard import (
     NEG_INF,
     CobordismClass,
@@ -115,9 +116,15 @@ def chern_bound(
     First the cheap test: c_alpha not divisible by p.  Then the higher
     test for admissible partitions: c_alpha outside p times the value
     group of c_alpha on the whole Lazard ring.  Returns None when neither
-    hypothesis holds (no information from this partition).
+    hypothesis holds (no information from this partition).  A partition
+    heavier than the truncation is rejected: its Chern number is unknown.
     """
     alpha = make(alpha)
+    if sum(alpha) > z.trunc:
+        raise TruncationError(
+            f"partition weight {sum(alpha)} exceeds truncation {z.trunc}; "
+            "raise the truncation"
+        )
     p, r, q = group.p, group.rank, group.order
     c = z.c_alpha(alpha)
     if r == 0:

@@ -325,7 +325,9 @@ def _suite_soundness(p, trunc):
 
 
 def cmd_verify(args) -> int:
-    p = args.p or 2
+    p = args.p
+    if not lazard.is_prime(p):
+        raise ValueError(f"{p} is not prime")
     suites = {
         "fgl": lambda: _suite_fgl(p, args.trunc),
         "ideals": lambda: _suite_ideals(p, args.max_n, args.trunc),

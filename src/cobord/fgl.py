@@ -5,7 +5,10 @@ universal formal group law via F(x, y) = exp(log x + log y), where log is
 the compositional inverse of exp.  This module computes exp, log, F, the
 multiplication-by-n series [n](t) = exp(n log t), and the coefficients
 u_m of the [p]-series whose p-power-indexed members v_n generate the
-Landweber ideals.
+Landweber ideals.  log is not inverted degree by degree: by Mishchenko's
+theorem its coefficients are the classes of projective spaces divided by
+their dimension plus one, which ``geometry`` already caches.  Every
+composition is the power sum sum_k f_k g^k of ``TruncSeries.compose``.
 
 Everything is truncated: partition weights at N, auxiliary degrees at
 N + 2, which covers every coefficient that can be nonzero for classes of
@@ -52,9 +55,26 @@ class FglContext:
 
     @property
     def log(self) -> TruncSeries:
-        """Compositional inverse of exp."""
+        """Compositional inverse of exp, read off projective spaces.
+
+        Mishchenko's theorem: log(t) = sum_n [P^(n-1)]/n t^n.  By Lagrange
+        inversion the t^n coefficient is (1/n) [h^(n-1)] (sum_i b_i h^i)^(-n),
+        which is row n - 1 of A^n in geometry's cached rows; the division
+        by n is exact.
+        """
         if self._log is None:
-            self._log = self.exp.comp_inverse()
+            # imported here: geometry imports lazard, which imports fgl
+            from .geometry import _divided, _power_rows
+
+            coeffs = {}
+            for n in range(1, self.trunc + 2):  # t^n has weight n - 1
+                row = _power_rows(n, self.trunc)[n - 1]
+                coeffs[(n,)] = BPoly._raw(
+                    _divided(row, n, f"[P^{n - 1}]"), None, self.trunc
+                )
+            self._log = TruncSeries(
+                ("t",), (self.cap,), self.cap, coeffs, trunc=self.trunc
+            )
         return self._log
 
     def t_var(self) -> TruncSeries:

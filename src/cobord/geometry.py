@@ -214,6 +214,17 @@ def _merged(triples) -> dict:
     return out
 
 
+def _divided(row: dict, j: int, what: str) -> dict:
+    """The term dict row / j; raises ArithmeticError unless the division is exact."""
+    out = {}
+    for key, v in row.items():
+        q, r = divmod(v, j)
+        if r:
+            raise ArithmeticError(f"{what} is not divisible by {j}")
+        out[key] = q
+    return out
+
+
 @lru_cache(maxsize=None)
 def _power_rows(k: int, trunc: int) -> tuple:
     """The term dicts [h^j] A^k for j <= min(k - 1, trunc).
@@ -226,13 +237,7 @@ def _power_rows(k: int, trunc: int) -> tuple:
     rows = [{(): 1}]
     for j in range(1, min(k - 1, trunc) + 1):
         acc = _merged(((i, (1 - k) * i - j, rows[j - i]) for i in range(1, j + 1)))
-        row = {}
-        for key, v in acc.items():
-            q, r = divmod(v, j)
-            if r:
-                raise ArithmeticError(f"row {j} of A^{k} is not divisible by {j}")
-            row[key] = q
-        rows.append(row)
+        rows.append(_divided(acc, j, f"row {j} of A^{k}"))
     return tuple(rows)
 
 

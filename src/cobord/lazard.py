@@ -7,6 +7,9 @@ degree we fix a generator built from Milnor hypersurface classes via an
 extended-gcd combination; expressing classes in generator coordinates is
 a lower-triangular exact solve, because c_alpha(l_beta) vanishes unless
 alpha refines beta and a strict refinement strictly increases length.
+The solve is integer forward substitution by columns: each coordinate is
+an exact quotient by a diagonal entry, and only the nonzero entries of
+that generator monomial's image are subtracted from the residual.
 
 Ideal membership and reduction for the Landweber ideal I_p(n) use an
 adapted basis in which the generators in degrees p^i - 1 (i < n) are
@@ -263,33 +266,38 @@ class GeneratorBasis:
     def solve(self, image: BPoly) -> "GenPoly":
         """Exact generator coordinates of a Z[b] image, weight by weight.
 
-        Forward substitution on the lower-triangular system; diagonal
-        entries are nonzero, and a non-integer solution means the input
-        is not in the image of the Lazard ring.
+        Column-oriented integer forward substitution: a residual starts
+        as the weight-n part of the image, and each partition alpha, in
+        ``partitions_of`` order (coarser before finer), takes the
+        quotient of its residual entry by the diagonal entry, after which
+        that multiple of the monomial image is subtracted.  The system is
+        lower triangular, so a subtraction only touches entries still to
+        come.  A nonzero remainder means the input is not in the image of
+        the Lazard ring.
         """
+        by_weight = {}
+        for key, c in image.terms.items():
+            by_weight.setdefault(sum(key), {})[key] = c
         coords = {}
-        for n in sorted(image.weights()):
+        for n in sorted(by_weight):
+            residual = by_weight[n]
             if n == 0:
-                coords[()] = image.coeff(())
+                coords[()] = residual[()]
                 continue
-            parts = partitions_of(n)
-            lam = {}
-            for idx, alpha in enumerate(parts):
-                acc = Fraction(image.coeff(alpha))
-                for beta in parts[:idx]:
-                    lb = lam.get(beta)
-                    if lb:
-                        acc -= lb * self.c_entry(alpha, beta)
-                if acc:
-                    acc /= self.c_entry(alpha, alpha)
-                lam[alpha] = acc
-            for beta, v in lam.items():
-                if v.denominator != 1:
+            for alpha in partitions_of(n):
+                c = residual.get(alpha)
+                if not c:
+                    continue
+                column = self.image_of_monomial(alpha).terms
+                q, rem = divmod(c, column[alpha])
+                if rem:
                     raise NotInLazardImage(
-                        f"weight {n}: coordinate at {beta} is {v}, not an integer"
+                        f"weight {n}: coordinate at {alpha} is "
+                        f"{Fraction(c, column[alpha])}, not an integer"
                     )
-                if v:
-                    coords[beta] = int(v)
+                coords[alpha] = q
+                for key, v in column.items():
+                    residual[key] = residual.get(key, 0) - q * v
         return GenPoly(coords, None, self)
 
 

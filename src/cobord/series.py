@@ -459,20 +459,38 @@ class TruncSeries:
         return total
 
     def compose(self, g: "TruncSeries") -> "TruncSeries":
-        """f(g) for a one-variable f; g must have zero constant term."""
+        """f(g) for a one-variable f; g must have zero constant term.
+
+        The power sum sum_k f_k g^k: the powers of g are built once, and
+        each f_k is multiplied into the coefficients of g^k through the
+        kernel, one accumulating term dict per exponent.  The sum stops at
+        the last nonzero f_k, or at the first power of g that the
+        truncation kills.
+        """
         if len(self.vars) != 1:
             raise ValueError("compose needs a one-variable outer series")
         zero_exp = (0,) * len(g.vars)
         if not g.coeff(zero_exp).is_zero():
             raise ValueError("inner series must have zero constant term")
-        # Horner from the top degree down: one series product per degree.
-        result = g.constant(0)
-        for k in range(self.total_cap, -1, -1):
-            result = result * g
-            ck = self.coeff((k,))
-            if not ck.is_zero():
-                result = result + ck
-        return result
+        if self.modulus != g.modulus or self.trunc != g.trunc:
+            raise CoefficientError("outer and inner coefficients do not match")
+        acc = {}
+        power = g.constant(1)
+        top = max((k for (k,) in self.coeffs), default=-1)
+        for k in range(top + 1):
+            if k:
+                power = power * g
+                if power.is_zero():
+                    break
+            fk = self.coeffs.get((k,))
+            if fk is not None:
+                for exps, c in power.coeffs.items():
+                    _backend.mul_into(acc.setdefault(exps, {}), fk.terms, c.terms,
+                                      self.trunc, self.modulus)
+        return g._shell({
+            exps: BPoly._raw(terms, self.modulus, self.trunc)
+            for exps, terms in acc.items() if terms
+        })
 
     def comp_inverse(self) -> "TruncSeries":
         """Compositional inverse of f = u*t + O(t^2) with u a unit.

@@ -82,6 +82,8 @@ def test_landweber_variety():
         ac.landweber_variety(1, ac.GroupDescriptor(2, (1,)), TRUNC)
     with pytest.raises(ValueError):
         ac.landweber_variety(0, ac.GroupDescriptor(2, ()), TRUNC)
+    with pytest.raises(ValueError):
+        ac.landweber_variety(-1, ac.GroupDescriptor(2, (1,)), TRUNC)
 
 
 def test_y_chain_membership():

@@ -188,3 +188,29 @@ def test_verify_skips_presentation_cases_beyond_the_truncation(argv, capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.endswith("verify: OK\n")
+
+
+def test_chern_bound_rejects_a_partition_beyond_the_truncation(capsys):
+    argv = ["chern-bound", '{"hyp":[3,4]}', "--alpha", "13", "--p", "2", "--group", "1"]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "raise the truncation" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["soundness", "--p", "0"], ["fgl", "--p", "4"], ["fgl", "--p", "9"]]
+)
+def test_verify_rejects_a_non_prime_before_any_suite(argv, capsys):
+    code, out, err = run(["verify", *argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {argv[2]} is not prime\n"
+
+
+def test_actions_rejects_a_negative_landweber_index():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["actions", "--landweber", "-1", "--p", "2", "--group", "1"])
+    msg = exc.value.code
+    assert isinstance(msg, str) and msg.startswith("error:") and "\n" not in msg

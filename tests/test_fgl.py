@@ -1,3 +1,6 @@
+import pytest
+
+from cobord import fgl
 from cobord.series import BPoly, TruncSeries
 
 TRUNC = 12
@@ -118,3 +121,10 @@ def test_v_top_chern_value(ctx):
         for m in range(1, 9):
             u_m = ctx.landweber_coeffs(p)[m]
             assert u_m.coeff((m,)) == p * (p ** m - 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 10, 12, 14])
+def test_log_read_off_projective_spaces_is_the_inverse_of_exp(n):
+    ctx = fgl.FglContext(n)
+    assert ctx.log == ctx.exp.comp_inverse()
+

@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobord import geometry as geo
 from cobord import lazard as lz
@@ -366,3 +368,103 @@ def test_basis_describe_and_genpoly_json(basis):
     obj = g.to_obj()
     assert obj["basis"]["flavor"] == "base"
     assert obj["terms"][0]["partition"] == [3]
+
+
+# -- solve against a row-oriented Fraction reference ----------------------
+
+
+SOLVE_BASES = [(None, None)] + [(p, r) for p in (2, 3) for r in (1, 2, 3)]
+
+
+def _solve_basis(p, r):
+    return lz.base_basis(TRUNC) if p is None else lz.adapted_basis(p, r, TRUNC)
+
+
+def reference_solve(basis, image):
+    """Row by row in Fractions: lam_alpha is c_alpha minus the earlier
+    coordinates' contributions, over the diagonal entry; integrality is
+    checked once the whole weight is solved."""
+    coords = {}
+    for n in sorted(image.weights()):
+        parts = partitions_of(n)
+        lam = {}
+        for idx, alpha in enumerate(parts):
+            acc = Fraction(image.coeff(alpha))
+            for beta in parts[:idx]:
+                if lam[beta]:
+                    acc -= lam[beta] * basis.c_entry(alpha, beta)
+            lam[alpha] = acc / basis.c_entry(alpha, alpha)
+        for beta, v in lam.items():
+            if v.denominator != 1:
+                raise lz.NotInLazardImage(
+                    f"weight {n}: coordinate at {beta} is {v}, not an integer"
+                )
+            if v:
+                coords[beta] = int(v)
+    return lz.GenPoly(coords, None, basis)
+
+
+def _outcome(solve, basis, image):
+    try:
+        return solve(basis, image).coeffs
+    except lz.NotInLazardImage as e:
+        return str(e)
+
+
+def _both(basis, image):
+    return (_outcome(reference_solve, basis, image),
+            _outcome(lz.GeneratorBasis.solve, basis, image))
+
+
+SOLVE_CONSTRUCTORS = (
+    [geo.Point()]
+    + [geo.Proj(n) for n in range(TRUNC + 1)]
+    + [geo.Hyp(d, n) for d in (1, 2, 3, 5) for n in range(TRUNC + 1)]
+    + [geo.CompInt(ds, n) for ds in ((2, 2), (2, 3), (1, 4, 2)) for n in range(TRUNC + 1)]
+    + [geo.Milnor(m, n) for n in range(1, TRUNC + 2) for m in range(n + 1)
+       if m != 1 and m + n - 1 <= TRUNC]
+)
+
+
+@pytest.mark.parametrize("p, r", SOLVE_BASES)
+def test_solve_matches_reference_on_every_constructor(p, r):
+    basis = _solve_basis(p, r)
+    for e in SOLVE_CONSTRUCTORS:
+        ref, got = _both(basis, cls(e).image)
+        assert isinstance(ref, dict) and got == ref, e
+
+
+@st.composite
+def _composites(draw):
+    small = [e for e in SOLVE_CONSTRUCTORS if 1 <= e.dimension() <= 6]
+    factors = draw(st.lists(st.sampled_from(small), min_size=2, max_size=3).filter(
+        lambda fs: sum(f.dimension() for f in fs) <= TRUNC))
+    prod = geo.Product(tuple(factors))
+    same = [e for e in SOLVE_CONSTRUCTORS if e.dimension() == prod.dimension()]
+    k = draw(st.integers(-3, 3))
+    return geo.DisjointUnion((prod, geo.Scaled(k, draw(st.sampled_from(same)))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_composites(), st.sampled_from(SOLVE_BASES))
+def test_solve_matches_reference_on_composites(expr, pr):
+    basis = _solve_basis(*pr)
+    ref, got = _both(basis, cls(expr).image)
+    assert isinstance(ref, dict) and got == ref
+
+
+@pytest.mark.parametrize("p, r", SOLVE_BASES)
+def test_solve_rejects_perturbed_images_like_the_reference(p, r):
+    # one extra monomial b_alpha: both solves accept with equal coordinates
+    # or reject with the same text, naming the same first coordinate
+    basis = _solve_basis(p, r)
+    rejected = 0
+    for e in (geo.Proj(6), geo.Hyp(3, 4), geo.Milnor(3, 5), geo.CompInt((2, 3), 5),
+              geo.Product((geo.Proj(2), geo.Hyp(3, 3)))):
+        image = cls(e).image
+        for alpha in partitions_of(e.dimension()):
+            for c in (1, -2):
+                ref, got = _both(basis, image + BPoly.monomial(alpha, c, trunc=TRUNC))
+                assert got == ref, (e, alpha, c)
+                rejected += isinstance(ref, str)
+    assert rejected > 0

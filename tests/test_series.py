@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobord import fgl
 from cobord.series import BPoly, CoefficientError, TruncSeries
 
 N = 10
@@ -178,3 +179,48 @@ def test_series_inverse():
     s = t + 1
     assert (s * s.inverse()).coeff((0,)) == one()
     assert (s * s.inverse()) == t.constant(1)
+
+
+def horner_compose(f, g):
+    """f(g) from the top degree down: one series product per degree."""
+    result = g.constant(0)
+    for k in range(f.total_cap, -1, -1):
+        result = result * g
+        if not f.coeff((k,)).is_zero():
+            result = result + f.coeff((k,))
+    return result
+
+
+def test_compose_matches_horner_on_n_series():
+    ctx = fgl.FglContext(8)
+    for a in range(-4, 5):
+        for bb in range(-4, 5):
+            f, g = ctx.n_series(a), ctx.n_series(bb)
+            assert f.compose(g) == horner_compose(f, g), (a, bb)
+
+
+def test_compose_matches_horner_on_the_formal_sum(ctx):
+    u = ctx._embed(ctx.log, 0) + ctx._embed(ctx.log, 1)
+    assert ctx.fgl_sum == horner_compose(ctx.exp, u)
+
+
+@settings(max_examples=25, deadline=None)
+@given(coeff_lists, coeff_lists, st.sampled_from([None, 3]))
+def test_compose_matches_horner_random(fs, gs, mod):
+    # f may have a constant term; g is two-variable with none
+    cap = 6
+    f = TruncSeries(("t",), (cap,), cap, {(k,): c.reduce_mod(mod) if mod else c
+                                          for k, c in enumerate(fs)},
+                    modulus=mod, trunc=N)
+    g = TruncSeries(("x", "y"), (cap, cap), cap,
+                    {(1 + k // 2, k % 2): c.reduce_mod(mod) if mod else c
+                     for k, c in enumerate(gs)},
+                    modulus=mod, trunc=N)
+    assert f.compose(g) == horner_compose(f, g)
+
+
+def test_compose_rejects_mismatched_coefficients():
+    t = t_series()
+    g = TruncSeries(("t",), (N,), N, {(1,): BPoly.const(1, 3, N)}, modulus=3, trunc=N)
+    with pytest.raises(CoefficientError):
+        t.compose(g)
