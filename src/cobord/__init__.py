@@ -3,7 +3,8 @@
 Computes Chern-number packages of standard varieties, polynomial
 generator coordinates, Landweber-ideal membership and reduction, and the
 fixed-point / fixed-locus-dimension verdicts for actions of finite
-diagonalizable p-groups, all in exact integer (or mod-p) arithmetic.
+diagonalizable p-groups, all in exact integer arithmetic; only generator
+coordinates are ever reduced mod p.
 """
 
 from ._backend import KERNEL_IMPL

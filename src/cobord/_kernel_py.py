@@ -6,7 +6,8 @@ and power-series product in the package funnels through ``mul_into``;
 callers reach it through ``cobord._backend``.
 
 Coefficients stay Python ints: binomial and p-power factors overflow any
-fixed width.
+fixed width.  There is no modular mode: reduction modulo p happens
+once, in the generator coordinates of ``lazard.GenPoly``.
 """
 
 
@@ -33,12 +34,10 @@ def merge_parts(a, b):
     return tuple(out)
 
 
-def iadd_terms(target, src, mod):
+def iadd_terms(target, src):
     """Add ``src`` into ``target`` in place, dropping cancelled keys."""
     for key, val in src.items():
         c = target.get(key, 0) + val
-        if mod is not None:
-            c %= mod
         if c:
             target[key] = c
         elif key in target:
@@ -46,12 +45,10 @@ def iadd_terms(target, src, mod):
     return target
 
 
-def mul_into(out, x, y, trunc, mod):
+def mul_into(out, x, y, trunc):
     """Accumulate the product of term dicts ``x*y`` into ``out``.
 
     Products whose partition weight exceeds ``trunc`` are discarded.
-    ``mod`` is None for integer coefficients, else coefficients are kept
-    reduced into ``[0, mod)``.
     """
     xs = sorted((sum(k), k, v) for k, v in x.items())
     ys = sorted((sum(k), k, v) for k, v in y.items())
@@ -62,8 +59,6 @@ def mul_into(out, x, y, trunc, mod):
                 break
             kk = merge_parts(ka, kb)
             c = out.get(kk, 0) + va * vb
-            if mod is not None:
-                c %= mod
             if c:
                 out[kk] = c
             elif kk in out:
@@ -71,6 +66,6 @@ def mul_into(out, x, y, trunc, mod):
     return out
 
 
-def mul_terms(x, y, trunc, mod):
+def mul_terms(x, y, trunc):
     """Product of two term dicts, truncated at weight ``trunc``."""
-    return mul_into({}, x, y, trunc, mod)
+    return mul_into({}, x, y, trunc)

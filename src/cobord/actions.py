@@ -161,6 +161,10 @@ def filtration_family(
     most d and total dimension at most max_dim; the fixed locus of a
     product is the product of fixed loci, so dimensions add.
     """
+    if d < 0 or max_dim < 0:
+        raise ValueError(
+            f"level and dimension budget must be >= 0, got {d} and {max_dim}"
+        )
     if max_dim > trunc:
         raise ValueError("max_dim exceeds truncation")
     q = group.order

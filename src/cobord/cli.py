@@ -218,6 +218,11 @@ def _suite_fgl(p, trunc):
             if ctx.n_series(a).compose(ctx.n_series(b)) != ctx.n_series(a * b):
                 comp_ok = False
     checks.append(("[a]([b](t)) = [ab](t) for |a|,|b| <= 4", comp_ok))
+    inv_ok = all(
+        ctx.formal_inverse.compose(ctx.n_series(n)) == ctx.n_series(-n)
+        for n in range(1, 5)
+    )
+    checks.append(("[-n](t) = i([n](t)) for 1 <= n <= 4", inv_ok))
     inv = ctx.n_series(-1)
     checks.append(("F(t, [-1](t)) = 0", ctx.apply_sum(t, inv).is_zero()))
     u = ctx.landweber_coeffs(p)
@@ -328,6 +333,8 @@ def cmd_verify(args) -> int:
     p = args.p
     if not lazard.is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if args.max_n < 0:
+        raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
     suites = {
         "fgl": lambda: _suite_fgl(p, args.trunc),
         "ideals": lambda: _suite_ideals(p, args.max_n, args.trunc),

@@ -242,7 +242,7 @@ def _power_rows(k: int, trunc: int) -> tuple:
 
 
 def _proj_image(n: int, trunc: int) -> BPoly:
-    return BPoly._raw(dict(_power_rows(n + 1, trunc)[n]), None, trunc)
+    return BPoly._raw(dict(_power_rows(n + 1, trunc)[n]), trunc)
 
 
 def _ci_image(degrees: tuple, n: int, trunc: int) -> BPoly:
@@ -259,8 +259,8 @@ def _ci_image(degrees: tuple, n: int, trunc: int) -> BPoly:
     rows = _power_rows(n + len(degrees) + 1, trunc)
     out = {}
     for j, line in enumerate(lines):
-        _backend.mul_into(out, line, rows[n - j], trunc, None)
-    return BPoly._raw(out, None, trunc)
+        _backend.mul_into(out, line, rows[n - j], trunc)
+    return BPoly._raw(out, trunc)
 
 
 def _milnor_image(m: int, n: int, trunc: int) -> BPoly:
@@ -278,8 +278,8 @@ def _milnor_image(m: int, n: int, trunc: int) -> BPoly:
             (top - a - c, math.comb(top - a - c + 1, m - a), rows_n[c])
             for c in range(min(n, top - a) + 1)
         )
-        _backend.mul_into(out, rows_m[a], partner, trunc, None)
-    return BPoly._raw(out, None, trunc)
+        _backend.mul_into(out, rows_m[a], partner, trunc)
+    return BPoly._raw(out, trunc)
 
 
 # -- evaluation ----------------------------------------------------------

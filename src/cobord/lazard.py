@@ -112,8 +112,6 @@ class CobordismClass:
     __slots__ = ("image", "dim", "_coords")
 
     def __init__(self, image: BPoly, dim=None):
-        if image.modulus is not None:
-            raise ValueError("cobordism classes carry integer coefficients")
         self.image = image
         self.dim = dim
         self._coords = {}
@@ -410,9 +408,8 @@ class GenPoly:
 
     def __mul__(self, other):
         self._check(other)
-        terms = _backend.mul_terms(
-            self.coeffs, other.coeffs, self.basis.trunc, self.modulus
-        )
+        # integer product; the constructor reduces it mod p
+        terms = _backend.mul_terms(self.coeffs, other.coeffs, self.basis.trunc)
         return GenPoly(terms, self.modulus, self.basis)
 
     def _check(self, other):

@@ -1,10 +1,12 @@
-"""Exact sparse arithmetic in Z[b] / F_p[b] and truncated graded power series.
+"""Exact sparse arithmetic in Z[b] and truncated graded power series.
 
 ``BPoly`` is a sparse polynomial in generators b_1, b_2, ... with deg(b_i)
 = -i, keyed by partitions: the monomial b_alpha = b_{a_1}...b_{a_n} is the
 key ``(a_1, ..., a_n)``.  Everything is truncated at a maximum partition
 weight N, which makes all positive-weight elements nilpotent and keeps
-every computation exact and finite.
+every computation exact and finite.  Coefficients are always integers:
+reduction modulo p happens only in the generator coordinates of
+``lazard.GenPoly``, after a class has been solved over Z.
 
 ``TruncSeries`` is a truncated power series in up to three auxiliary
 degree-1 variables with BPoly coefficients.  It doubles as the truncated
@@ -27,64 +29,56 @@ def aux_cap(trunc: int) -> int:
 
 
 class CoefficientError(ValueError):
-    """Incompatible modulus or truncation between operands."""
+    """Incompatible truncation between operands."""
 
 
 class BPoly:
-    """Sparse graded polynomial with exact (or mod-p) integer coefficients."""
+    """Sparse graded polynomial with exact integer coefficients."""
 
-    __slots__ = ("terms", "modulus", "trunc")
+    __slots__ = ("terms", "trunc")
 
-    def __init__(self, terms=None, modulus=None, trunc=DEFAULT_TRUNCATION):
+    def __init__(self, terms=None, trunc=DEFAULT_TRUNCATION):
         clean = {}
         if terms:
             for key, coeff in terms.items():
-                if modulus is not None:
-                    coeff %= modulus
                 if not coeff or sum(key) > trunc:
                     continue
                 clean[tuple(sorted(key, reverse=True))] = coeff
         self.terms = clean
-        self.modulus = modulus
         self.trunc = trunc
 
     @classmethod
-    def _raw(cls, terms, modulus, trunc):
+    def _raw(cls, terms, trunc):
         # Trusted constructor: terms already normalized by a kernel call.
         self = object.__new__(cls)
         self.terms = terms
-        self.modulus = modulus
         self.trunc = trunc
         return self
 
     @classmethod
-    def zero(cls, modulus=None, trunc=DEFAULT_TRUNCATION):
-        return cls._raw({}, modulus, trunc)
+    def zero(cls, trunc=DEFAULT_TRUNCATION):
+        return cls._raw({}, trunc)
 
     @classmethod
-    def const(cls, c, modulus=None, trunc=DEFAULT_TRUNCATION):
-        return cls({(): c}, modulus, trunc)
+    def const(cls, c, trunc=DEFAULT_TRUNCATION):
+        return cls({(): c}, trunc)
 
     @classmethod
-    def one(cls, modulus=None, trunc=DEFAULT_TRUNCATION):
-        return cls.const(1, modulus, trunc)
+    def one(cls, trunc=DEFAULT_TRUNCATION):
+        return cls.const(1, trunc)
 
     @classmethod
-    def gen(cls, i, modulus=None, trunc=DEFAULT_TRUNCATION):
+    def gen(cls, i, trunc=DEFAULT_TRUNCATION):
         """The generator b_i (b_0 is the unit)."""
         if i == 0:
-            return cls.one(modulus, trunc)
-        return cls({(i,): 1}, modulus, trunc)
+            return cls.one(trunc)
+        return cls({(i,): 1}, trunc)
 
     @classmethod
-    def monomial(cls, alpha, coeff=1, modulus=None, trunc=DEFAULT_TRUNCATION):
-        return cls({tuple(alpha): coeff}, modulus, trunc)
+    def monomial(cls, alpha, coeff=1, trunc=DEFAULT_TRUNCATION):
+        return cls({tuple(alpha): coeff}, trunc)
 
     def _check_compat(self, other):
-        if self.modulus != other.modulus:
-            raise CoefficientError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}"
-            )
         if self.trunc != other.trunc:
             raise CoefficientError(
                 f"truncation mismatch: {self.trunc} vs {other.trunc}"
@@ -110,26 +104,20 @@ class BPoly:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = BPoly.const(other, self.modulus, self.trunc)
+            other = BPoly.const(other, self.trunc)
         self._check_compat(other)
         out = dict(self.terms)
-        _backend.iadd_terms(out, other.terms, self.modulus)
-        return BPoly._raw(out, self.modulus, self.trunc)
+        _backend.iadd_terms(out, other.terms)
+        return BPoly._raw(out, self.trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.modulus is not None:
-            return BPoly(
-                {k: -v for k, v in self.terms.items()}, self.modulus, self.trunc
-            )
-        return BPoly._raw(
-            {k: -v for k, v in self.terms.items()}, self.modulus, self.trunc
-        )
+        return BPoly._raw({k: -v for k, v in self.terms.items()}, self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = BPoly.const(other, self.modulus, self.trunc)
+            other = BPoly.const(other, self.trunc)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -141,8 +129,8 @@ class BPoly:
         if not isinstance(other, BPoly):
             return NotImplemented
         self._check_compat(other)
-        out = _backend.mul_terms(self.terms, other.terms, self.trunc, self.modulus)
-        return BPoly._raw(out, self.modulus, self.trunc)
+        out = _backend.mul_terms(self.terms, other.terms, self.trunc)
+        return BPoly._raw(out, self.trunc)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -151,19 +139,13 @@ class BPoly:
 
     def scaled(self, c: int) -> "BPoly":
         if c == 0:
-            return BPoly.zero(self.modulus, self.trunc)
-        if self.modulus is not None:
-            return BPoly(
-                {k: v * c for k, v in self.terms.items()}, self.modulus, self.trunc
-            )
-        return BPoly._raw(
-            {k: v * c for k, v in self.terms.items()}, self.modulus, self.trunc
-        )
+            return BPoly.zero(self.trunc)
+        return BPoly._raw({k: v * c for k, v in self.terms.items()}, self.trunc)
 
     def __pow__(self, n: int) -> "BPoly":
         if n < 0:
             return self.inverse() ** (-n)
-        result = BPoly.one(self.modulus, self.trunc)
+        result = BPoly.one(self.trunc)
         base = self
         while n:
             if n & 1:
@@ -177,46 +159,35 @@ class BPoly:
     def inverse(self) -> "BPoly":
         """Multiplicative inverse in the weight-truncated ring.
 
-        Requires the constant coefficient to be a unit (+-1, or prime to p
-        mod p); the positive-weight part is nilpotent under truncation.
+        Requires the constant coefficient to be a unit, +-1; the
+        positive-weight part is nilpotent under truncation.
         """
         c0 = self.coeff(())
-        if self.modulus is None:
-            if c0 not in (1, -1):
-                raise ZeroDivisionError(f"constant coefficient {c0} is not a unit")
-            c0_inv = c0
-        else:
-            c0_inv = pow(c0, -1, self.modulus)
-        tail = self - BPoly.const(c0, self.modulus, self.trunc)
-        result = BPoly.const(c0_inv, self.modulus, self.trunc)
+        if c0 not in (1, -1):
+            raise ZeroDivisionError(f"constant coefficient {c0} is not a unit")
+        tail = self - BPoly.const(c0, self.trunc)
+        result = BPoly.const(c0, self.trunc)
         term = result
         for _ in range(self.trunc):
             term = term * tail
-            term = term.scaled(-c0_inv)
+            term = term.scaled(-c0)
             if term.is_zero():
                 break
             result = result + term
         return result
-
-    def reduce_mod(self, p: int) -> "BPoly":
-        if self.modulus is not None:
-            if self.modulus != p:
-                raise CoefficientError("already reduced mod a different prime")
-            return self
-        return BPoly(self.terms, p, self.trunc)
 
     def divisible_by(self, k: int) -> bool:
         return all(v % k == 0 for v in self.terms.values())
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = BPoly.const(other, self.modulus, self.trunc)
+            other = BPoly.const(other, self.trunc)
         if not isinstance(other, BPoly):
             return NotImplemented
-        return self.modulus == other.modulus and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.modulus, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: full_key(kv[0]))
@@ -233,7 +204,7 @@ class BPoly:
 
     def to_obj(self):
         return {
-            "modulus": self.modulus,
+            "modulus": None,  # integers; only GenPoly coordinates carry p
             "terms": [
                 {"partition": list(k), "coeff": str(v)}
                 for k, v in self.sorted_terms()
@@ -242,10 +213,12 @@ class BPoly:
 
     @classmethod
     def from_obj(cls, obj, trunc=DEFAULT_TRUNCATION):
+        if obj.get("modulus") is not None:
+            raise ValueError(f"BPoly is integral, got modulus {obj['modulus']}")
         terms = {
             tuple(t["partition"]): int(t["coeff"]) for t in obj.get("terms", [])
         }
-        return cls(terms, obj.get("modulus"), trunc)
+        return cls(terms, trunc)
 
 
 class TruncSeries:
@@ -255,14 +228,13 @@ class TruncSeries:
     auxiliary degree; coefficients are keyed by exponent tuples.
     """
 
-    __slots__ = ("vars", "caps", "total_cap", "coeffs", "modulus", "trunc")
+    __slots__ = ("vars", "caps", "total_cap", "coeffs", "trunc")
 
-    def __init__(self, vars, caps, total_cap, coeffs=None, modulus=None,
+    def __init__(self, vars, caps, total_cap, coeffs=None,
                  trunc=DEFAULT_TRUNCATION):
         self.vars = tuple(vars)
         self.caps = tuple(caps)
         self.total_cap = total_cap
-        self.modulus = modulus
         self.trunc = trunc
         clean = {}
         if coeffs:
@@ -284,32 +256,29 @@ class TruncSeries:
         s.caps = self.caps
         s.total_cap = self.total_cap
         s.coeffs = coeffs
-        s.modulus = self.modulus
         s.trunc = self.trunc
         return s
 
     @classmethod
-    def zero(cls, vars, caps, total_cap, modulus=None, trunc=DEFAULT_TRUNCATION):
-        return cls(vars, caps, total_cap, {}, modulus, trunc)
+    def zero(cls, vars, caps, total_cap, trunc=DEFAULT_TRUNCATION):
+        return cls(vars, caps, total_cap, {}, trunc)
 
     @classmethod
-    def variable(cls, name, vars, caps, total_cap, modulus=None,
-                 trunc=DEFAULT_TRUNCATION):
+    def variable(cls, name, vars, caps, total_cap, trunc=DEFAULT_TRUNCATION):
         idx = tuple(vars).index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(vars)))
-        one = BPoly.one(modulus, trunc)
-        return cls(vars, caps, total_cap, {exps: one}, modulus, trunc)
+        return cls(vars, caps, total_cap, {exps: BPoly.one(trunc)}, trunc)
 
     def constant(self, c) -> "TruncSeries":
         """A constant series over the same variable space."""
         if isinstance(c, int):
-            c = BPoly.const(c, self.modulus, self.trunc)
+            c = BPoly.const(c, self.trunc)
         zero_exp = (0,) * len(self.vars)
         coeffs = {} if c.is_zero() else {zero_exp: c}
         return self._shell(coeffs)
 
     def coeff(self, exps) -> BPoly:
-        return self.coeffs.get(tuple(exps), BPoly.zero(self.modulus, self.trunc))
+        return self.coeffs.get(tuple(exps), BPoly.zero(self.trunc))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -319,7 +288,6 @@ class TruncSeries:
             self.vars != other.vars
             or self.caps != other.caps
             or self.total_cap != other.total_cap
-            or self.modulus != other.modulus
             or self.trunc != other.trunc
         ):
             raise CoefficientError("series shapes do not match")
@@ -350,7 +318,7 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = BPoly.const(other, self.modulus, self.trunc)
+            other = BPoly.const(other, self.trunc)
         if isinstance(other, BPoly):
             out = {}
             for exps, c in self.coeffs.items():
@@ -374,11 +342,11 @@ class TruncSeries:
                 acc = buckets.get(exps)
                 if acc is None:
                     acc = buckets[exps] = {}
-                _backend.mul_into(acc, ca.terms, cb.terms, self.trunc, self.modulus)
+                _backend.mul_into(acc, ca.terms, cb.terms, self.trunc)
         out = {}
         for exps, terms in buckets.items():
             if terms:
-                out[exps] = BPoly._raw(terms, self.modulus, self.trunc)
+                out[exps] = BPoly._raw(terms, self.trunc)
         return self._shell(out)
 
     def __rmul__(self, other):
@@ -421,7 +389,6 @@ class TruncSeries:
             self.vars,
             tuple(min(c, k) for c in self.caps),
             min(self.total_cap, k),
-            modulus=self.modulus,
             trunc=self.trunc,
         )
         for exps, c in self.coeffs.items():
@@ -472,8 +439,10 @@ class TruncSeries:
         zero_exp = (0,) * len(g.vars)
         if not g.coeff(zero_exp).is_zero():
             raise ValueError("inner series must have zero constant term")
-        if self.modulus != g.modulus or self.trunc != g.trunc:
-            raise CoefficientError("outer and inner coefficients do not match")
+        if self.trunc != g.trunc:
+            raise CoefficientError(
+                f"truncation mismatch: {self.trunc} vs {g.trunc}"
+            )
         acc = {}
         power = g.constant(1)
         top = max((k for (k,) in self.coeffs), default=-1)
@@ -486,9 +455,9 @@ class TruncSeries:
             if fk is not None:
                 for exps, c in power.coeffs.items():
                     _backend.mul_into(acc.setdefault(exps, {}), fk.terms, c.terms,
-                                      self.trunc, self.modulus)
+                                      self.trunc)
         return g._shell({
-            exps: BPoly._raw(terms, self.modulus, self.trunc)
+            exps: BPoly._raw(terms, self.trunc)
             for exps, terms in acc.items() if terms
         })
 
@@ -535,11 +504,7 @@ class TruncSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return (
-            self.vars == other.vars
-            and self.modulus == other.modulus
-            and self.coeffs == other.coeffs
-        )
+        return self.vars == other.vars and self.coeffs == other.coeffs
 
     def __repr__(self):
         if not self.coeffs:

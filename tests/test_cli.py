@@ -214,3 +214,26 @@ def test_actions_rejects_a_negative_landweber_index():
         cli.main(["actions", "--landweber", "-1", "--p", "2", "--group", "1"])
     msg = exc.value.code
     assert isinstance(msg, str) and msg.startswith("error:") and "\n" not in msg
+
+
+def test_verify_rejects_a_negative_max_n_before_any_suite(capsys):
+    code, out, err = run(["verify", "ideals", "--max-n", "-5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --max-n must be >= 0, got -5\n"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--family", "-1"], ["--family", "1", "--max-dim", "-1"]]
+)
+def test_actions_rejects_a_negative_level_or_budget(flags, capsys):
+    code, out, err = run(["actions", *flags, "--p", "2", "--group", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_fgl_cross_checks_the_formal_inverse_route(capsys):
+    code, out, _ = run(["verify", "fgl", "--p", "3", "--trunc", "8"], capsys)
+    assert code == 0
+    assert "[OK ] fgl: [-n](t) = i([n](t)) for 1 <= n <= 4\n" in out

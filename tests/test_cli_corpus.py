@@ -1,0 +1,177 @@
+"""Byte-identity corpus for the JSON subcommands.
+
+Each command runs in-process at ``--trunc`` 12 and 14; the sha256 of its
+stdout and its exit code must match the recorded table.  The corpus covers
+every constructor, a product, a disjoint union, a scaled class, and
+p in {2, 3} at ranks 1-3.  A refactor must leave every entry unchanged;
+an intended output change re-records the table and says which entries
+moved and why.
+
+    PYTHONPATH=src python tests/test_cli_corpus.py
+
+prints the table for the current tree.
+"""
+
+import hashlib
+import io
+import sys
+from contextlib import redirect_stdout
+
+import pytest
+
+from cobord import cli
+
+HYP = '{"hyp":[3,4]}'
+PROD = '{"prod":[{"proj":2},{"hyp":[3,4]}]}'
+
+COMMANDS = [
+    ("class", "point"),
+    ("class", '{"proj":3}'),
+    ("class", HYP),
+    ("class", '{"milnor":[3,5]}'),
+    ("class", '{"ci":[[2,3],4]}'),
+    ("class", PROD),
+    ("class", '{"disj":[{"proj":2},{"milnor":[2,3]}]}'),
+    ("class", '{"scale":[-3,{"ci":[[2,2],4]}]}'),
+    ("bound", HYP, "--p", "2", "--group", "1"),
+    ("bound", '{"milnor":[3,5]}', "--p", "2", "--group", "1,1"),
+    ("bound", PROD, "--p", "2", "--group", "2,1"),
+    ("bound", '{"hyp":[2,7]}', "--p", "2", "--group", "1,1,1"),
+    ("bound", '{"ci":[[2,3],4]}', "--p", "3", "--group", "1"),
+    ("bound", '{"proj":8}', "--p", "3", "--group", "1,1"),
+    ("bound", '{"disj":[{"hyp":[2,8]},{"proj":8}]}', "--p", "3",
+     "--group", "1,1,1"),
+    ("fixedpoint", '{"proj":2}', "--p", "2", "--group", "1,1"),
+    ("fixedpoint", '{"hyp":[2,1]}', "--p", "2", "--group", "1,1"),
+    ("fixedpoint", '{"scale":[3,{"proj":2}]}', "--p", "3", "--group", "1"),
+    ("chern-bound", HYP, "--alpha", "4", "--p", "2", "--group", "1"),
+    ("chern-bound", '{"proj":4}', "--alpha", "4", "--p", "3", "--group", "1"),
+    ("actions", "--generator", "3", "--p", "2", "--group", "1"),
+    ("actions", "--generator", "4", "--p", "3", "--group", "1,1"),
+    ("actions", "--landweber", "1", "--p", "2", "--group", "1,1"),
+    ("actions", "--family", "1", "--max-dim", "5", "--p", "2", "--group", "1"),
+]
+
+CASES = [cmd + ("--trunc", str(t)) for t in (12, 14) for cmd in COMMANDS]
+
+# " ".join(argv) -> (exit code, sha256 of stdout)
+EXPECTED = {
+    'class point --trunc 12':
+        (0, '44a9989363dde406b5bc96dd1ea0e8579285a42292057e05d5c7f3b738fb864c'),
+    'class {"proj":3} --trunc 12':
+        (0, '9fe60a4f200352a8b571011785882f2f2d96c05199410dd31aa6e38a8f68041c'),
+    'class {"hyp":[3,4]} --trunc 12':
+        (0, 'ea8c6b3e117f1c6abbdd8709758c248dbc328c002d8911baf4ad1ca7c0004399'),
+    'class {"milnor":[3,5]} --trunc 12':
+        (0, 'fbf50afe8bbf64cc2afe9fff199f0392c00d4b9f474d65b2e43b2a0af797c700'),
+    'class {"ci":[[2,3],4]} --trunc 12':
+        (0, '1bd5a65594d3cb21b0d7f9c8e2f5c08588a53c11a5b7c6269cc2d4a3f1dae415'),
+    'class {"prod":[{"proj":2},{"hyp":[3,4]}]} --trunc 12':
+        (0, '031768362532a19a1f09f077c9d522c0de9f83447628bac16fc0d39ba418a9e5'),
+    'class {"disj":[{"proj":2},{"milnor":[2,3]}]} --trunc 12':
+        (0, '1b7604625a08eaac770327509cae4fb8523dd24f7446bbb43b544ecee450121e'),
+    'class {"scale":[-3,{"ci":[[2,2],4]}]} --trunc 12':
+        (0, 'b6c109125721d2f9a30f11803cb1d42dc72bfde308925cb6f9fa76eff52cca9c'),
+    'bound {"hyp":[3,4]} --p 2 --group 1 --trunc 12':
+        (0, 'c1afd9134fb2f688043693b10ec95353ba3a86f483decf36071209ccba2ae2b1'),
+    'bound {"milnor":[3,5]} --p 2 --group 1,1 --trunc 12':
+        (0, '26a1d104e044593a5bd0ac3831b20427981a57f7a5c60941fe2befc5fd071f31'),
+    'bound {"prod":[{"proj":2},{"hyp":[3,4]}]} --p 2 --group 2,1 --trunc 12':
+        (0, 'c8a014025b349f59872ebe33bfb632d947afca68d9ee4d775937903651370cf2'),
+    'bound {"hyp":[2,7]} --p 2 --group 1,1,1 --trunc 12':
+        (0, '7ecfc79b2c98a3eeee6af28880f2d1c0d74ddd8fd43ad35c4ad22238b51ae3e9'),
+    'bound {"ci":[[2,3],4]} --p 3 --group 1 --trunc 12':
+        (0, 'badbd546813b91612ab09150f5bf81bf21a266f42e577ab1f15f22fd04c07713'),
+    'bound {"proj":8} --p 3 --group 1,1 --trunc 12':
+        (0, 'ce5ad934c52c99441b5ee793001471166f6f2417b4d168cef2077101a2412f1f'),
+    'bound {"disj":[{"hyp":[2,8]},{"proj":8}]} --p 3 --group 1,1,1 --trunc 12':
+        (0, '8b65914bfbf51bc638a4db07b79124c6cea2f5da9ec18545a3a0848550edd639'),
+    'fixedpoint {"proj":2} --p 2 --group 1,1 --trunc 12':
+        (0, '7c0f831cd534babd2e30cf5dc61eb4b3f09be85803961d1c8b3896fd2671171c'),
+    'fixedpoint {"hyp":[2,1]} --p 2 --group 1,1 --trunc 12':
+        (0, '7165ee6ea3c412ff6e80c3ed1d14637bcd0140ce78ca062970e8c11c713230e4'),
+    'fixedpoint {"scale":[3,{"proj":2}]} --p 3 --group 1 --trunc 12':
+        (0, '93a78ddb4634f994b21fa94dec1894b2329de282ccb7653ec4caad38e0f03694'),
+    'chern-bound {"hyp":[3,4]} --alpha 4 --p 2 --group 1 --trunc 12':
+        (0, '2a895f43d36f3484bc2146897a29a234e0561806dacbc90f7f99ffc12e98c568'),
+    'chern-bound {"proj":4} --alpha 4 --p 3 --group 1 --trunc 12':
+        (0, '082baf20731c53f70aeb61414c3c7fd418cb0ff52e665e730a2bc7ffab9388c4'),
+    'actions --generator 3 --p 2 --group 1 --trunc 12':
+        (0, '6cadee1a0e84d1d0b3357d891dad80051bda06edb7bb307acac154cd68e41b43'),
+    'actions --generator 4 --p 3 --group 1,1 --trunc 12':
+        (0, '19b9d38c47a19363ace1869d17877cf1d4668ade0bce2cf7db78ee587a9f645b'),
+    'actions --landweber 1 --p 2 --group 1,1 --trunc 12':
+        (0, '523afddff75017115c22e1a7be6fdc7a1f81b712ebebcbeff3a4cb9181df352a'),
+    'actions --family 1 --max-dim 5 --p 2 --group 1 --trunc 12':
+        (0, '1765c14cc05984b4917336b833bd990d08b3d667cd052309978b37f563474851'),
+    'class point --trunc 14':
+        (0, '1106cb506c8c3f7fcbcb3eab4742c00b19c047f829a7d5132028e195907a2c51'),
+    'class {"proj":3} --trunc 14':
+        (0, '5c616a00d3fb518d4cb586de9be2979978a6123a8028a114f70122f0d29180f1'),
+    'class {"hyp":[3,4]} --trunc 14':
+        (0, '559c86e2fc5a35e7615ad068ae4909071443213655f380a89a4beac2140a87be'),
+    'class {"milnor":[3,5]} --trunc 14':
+        (0, '69d477f67aa37b4b601699da55c1bec7611698129f36bb8af2fb0dd0da36a8ec'),
+    'class {"ci":[[2,3],4]} --trunc 14':
+        (0, '38be4d42fbf33db30d8db607307d989f29bb8e50f42d580a6167903c58341f76'),
+    'class {"prod":[{"proj":2},{"hyp":[3,4]}]} --trunc 14':
+        (0, 'cdd4a320aad89be57a88d0bde0b5dccc8265a5c2209df91837892ea6dda54d72'),
+    'class {"disj":[{"proj":2},{"milnor":[2,3]}]} --trunc 14':
+        (0, '7f225a82155d0ed973efd6d9cae8152a128cfe2f944728906029cece360ab462'),
+    'class {"scale":[-3,{"ci":[[2,2],4]}]} --trunc 14':
+        (0, '22c546b0af14ab8108a0da0e9182749348affc27fc8d0c9131fecc6877dc1602'),
+    'bound {"hyp":[3,4]} --p 2 --group 1 --trunc 14':
+        (0, 'c1afd9134fb2f688043693b10ec95353ba3a86f483decf36071209ccba2ae2b1'),
+    'bound {"milnor":[3,5]} --p 2 --group 1,1 --trunc 14':
+        (0, '26a1d104e044593a5bd0ac3831b20427981a57f7a5c60941fe2befc5fd071f31'),
+    'bound {"prod":[{"proj":2},{"hyp":[3,4]}]} --p 2 --group 2,1 --trunc 14':
+        (0, 'c8a014025b349f59872ebe33bfb632d947afca68d9ee4d775937903651370cf2'),
+    'bound {"hyp":[2,7]} --p 2 --group 1,1,1 --trunc 14':
+        (0, '7ecfc79b2c98a3eeee6af28880f2d1c0d74ddd8fd43ad35c4ad22238b51ae3e9'),
+    'bound {"ci":[[2,3],4]} --p 3 --group 1 --trunc 14':
+        (0, 'badbd546813b91612ab09150f5bf81bf21a266f42e577ab1f15f22fd04c07713'),
+    'bound {"proj":8} --p 3 --group 1,1 --trunc 14':
+        (0, 'ce5ad934c52c99441b5ee793001471166f6f2417b4d168cef2077101a2412f1f'),
+    'bound {"disj":[{"hyp":[2,8]},{"proj":8}]} --p 3 --group 1,1,1 --trunc 14':
+        (0, '8b65914bfbf51bc638a4db07b79124c6cea2f5da9ec18545a3a0848550edd639'),
+    'fixedpoint {"proj":2} --p 2 --group 1,1 --trunc 14':
+        (0, '7c0f831cd534babd2e30cf5dc61eb4b3f09be85803961d1c8b3896fd2671171c'),
+    'fixedpoint {"hyp":[2,1]} --p 2 --group 1,1 --trunc 14':
+        (0, '7165ee6ea3c412ff6e80c3ed1d14637bcd0140ce78ca062970e8c11c713230e4'),
+    'fixedpoint {"scale":[3,{"proj":2}]} --p 3 --group 1 --trunc 14':
+        (0, '93a78ddb4634f994b21fa94dec1894b2329de282ccb7653ec4caad38e0f03694'),
+    'chern-bound {"hyp":[3,4]} --alpha 4 --p 2 --group 1 --trunc 14':
+        (0, '2a895f43d36f3484bc2146897a29a234e0561806dacbc90f7f99ffc12e98c568'),
+    'chern-bound {"proj":4} --alpha 4 --p 3 --group 1 --trunc 14':
+        (0, '082baf20731c53f70aeb61414c3c7fd418cb0ff52e665e730a2bc7ffab9388c4'),
+    'actions --generator 3 --p 2 --group 1 --trunc 14':
+        (0, '6cadee1a0e84d1d0b3357d891dad80051bda06edb7bb307acac154cd68e41b43'),
+    'actions --generator 4 --p 3 --group 1,1 --trunc 14':
+        (0, '19b9d38c47a19363ace1869d17877cf1d4668ade0bce2cf7db78ee587a9f645b'),
+    'actions --landweber 1 --p 2 --group 1,1 --trunc 14':
+        (0, '523afddff75017115c22e1a7be6fdc7a1f81b712ebebcbeff3a4cb9181df352a'),
+    'actions --family 1 --max-dim 5 --p 2 --group 1 --trunc 14':
+        (0, '1765c14cc05984b4917336b833bd990d08b3d667cd052309978b37f563474851'),
+}
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(list(argv))
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_stdout_and_exit_code_unchanged(argv):
+    assert _run(argv) == EXPECTED[" ".join(argv)]
+
+
+def test_table_matches_corpus():
+    assert set(EXPECTED) == {" ".join(argv) for argv in CASES}
+
+
+if __name__ == "__main__":
+    for argv in CASES:
+        code, digest = _run(argv)
+        sys.stdout.write(f"    {' '.join(argv)!r}:\n        ({code}, {digest!r}),\n")

@@ -25,6 +25,6 @@ def test_merge_parts_matches_sorted_concat():
 
 
 def test_cancellation_removes_keys():
-    acc = _kernel_py.mul_into({(2, 1): 7, (1, 1): -1}, {(1,): 1}, {(1,): 1}, 12, None)
+    acc = _kernel_py.mul_into({(2, 1): 7, (1, 1): -1}, {(1,): 1}, {(1,): 1}, 12)
     assert (1, 1) not in acc
     assert acc[(2, 1)] == 7

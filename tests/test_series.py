@@ -50,9 +50,11 @@ def test_truncation_drops_heavy_terms():
     assert (x * y).is_zero()
 
 
-def test_modulus_mismatch_raises():
+def test_truncation_mismatch_raises():
+    with pytest.raises(CoefficientError, match="truncation mismatch: 10 vs 8"):
+        BPoly({(1,): 1}, trunc=N) * BPoly({(1,): 1}, trunc=8)
     with pytest.raises(CoefficientError):
-        BPoly({(1,): 1}, modulus=2, trunc=N) * BPoly({(1,): 1}, trunc=N)
+        BPoly.one(trunc=N) + BPoly.one(trunc=8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,13 +65,6 @@ def test_ring_axioms(x, y, z):
     assert x * y == y * x
     assert x + y == y + x
     assert x - x == BPoly.zero(trunc=N)
-
-
-@settings(max_examples=40, deadline=None)
-@given(bpolys, bpolys)
-def test_reduction_mod_p_commutes_with_mul(x, y):
-    for p in (2, 3):
-        assert (x * y).reduce_mod(p) == x.reduce_mod(p) * y.reduce_mod(p)
 
 
 def test_grading_multiplicative():
@@ -85,16 +80,14 @@ def test_pow_and_inverse():
     assert ((-one() + b(2)).inverse() * (-one() + b(2))) == one()
     with pytest.raises(ZeroDivisionError):
         b(1).inverse()
-    # mod p: any constant prime to p is invertible
-    y = BPoly({(): 2, (1,): 1}, modulus=3, trunc=N)
-    assert y * y.inverse() == BPoly.one(modulus=3, trunc=N)
 
 
 def test_bpoly_json_round_trip():
     x = BPoly({(3, 1): 12345678901234567890, (1,): -7}, trunc=N)
+    assert x.to_obj()["modulus"] is None
     assert BPoly.from_obj(x.to_obj(), trunc=N) == x
-    y = x.reduce_mod(3)
-    assert BPoly.from_obj(y.to_obj(), trunc=N) == y
+    with pytest.raises(ValueError, match="modulus 3"):
+        BPoly.from_obj({"modulus": 3, "terms": []}, trunc=N)
 
 
 def test_series_mul_respects_caps():
@@ -205,22 +198,19 @@ def test_compose_matches_horner_on_the_formal_sum(ctx):
 
 
 @settings(max_examples=25, deadline=None)
-@given(coeff_lists, coeff_lists, st.sampled_from([None, 3]))
-def test_compose_matches_horner_random(fs, gs, mod):
+@given(coeff_lists, coeff_lists)
+def test_compose_matches_horner_random(fs, gs):
     # f may have a constant term; g is two-variable with none
     cap = 6
-    f = TruncSeries(("t",), (cap,), cap, {(k,): c.reduce_mod(mod) if mod else c
-                                          for k, c in enumerate(fs)},
-                    modulus=mod, trunc=N)
+    f = TruncSeries(("t",), (cap,), cap, {(k,): c for k, c in enumerate(fs)},
+                    trunc=N)
     g = TruncSeries(("x", "y"), (cap, cap), cap,
-                    {(1 + k // 2, k % 2): c.reduce_mod(mod) if mod else c
-                     for k, c in enumerate(gs)},
-                    modulus=mod, trunc=N)
+                    {(1 + k // 2, k % 2): c for k, c in enumerate(gs)}, trunc=N)
     assert f.compose(g) == horner_compose(f, g)
 
 
 def test_compose_rejects_mismatched_coefficients():
     t = t_series()
-    g = TruncSeries(("t",), (N,), N, {(1,): BPoly.const(1, 3, N)}, modulus=3, trunc=N)
-    with pytest.raises(CoefficientError):
+    g = TruncSeries(("t",), (N,), N, {(1,): BPoly.const(1, trunc=8)}, trunc=8)
+    with pytest.raises(CoefficientError, match="truncation mismatch"):
         t.compose(g)
