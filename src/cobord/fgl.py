@@ -7,8 +7,15 @@ multiplication-by-n series [n](t) = exp(n log t), and the coefficients
 u_m of the [p]-series whose p-power-indexed members v_n generate the
 Landweber ideals.  log is not inverted degree by degree: by Mishchenko's
 theorem its coefficients are the classes of projective spaces divided by
-their dimension plus one, which ``geometry`` already caches.  Every
-composition is the power sum sum_k f_k g^k of ``TruncSeries.compose``.
+their dimension plus one, which ``geometry`` already caches.
+
+Neither [n] nor F is a composition.  Both are read off one table, the
+powers L_k = (log t)^k of ``TruncSeries.powers``, built once per context:
+
+- [n](t) = sum_k n^k b_(k-1) L_k(t), so with the series b_(k-1) L_k kept
+  on the context every [n] costs integer scaling and addition only;
+- F(x, y) is the Taylor expansion of exp(log y + log x) in log x,
+  F = sum_i L_i(x) D_i(y) with D_i(y) = sum_j C(i+j, i) b_(i+j-1) L_j(y).
 
 Everything is truncated: partition weights at N, auxiliary degrees at
 N + 2, which covers every coefficient that can be nonzero for classes of
@@ -18,7 +25,9 @@ dimension at most N.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
+from . import _backend
 from .series import BPoly, TruncSeries, aux_cap, DEFAULT_TRUNCATION
 
 
@@ -37,6 +46,7 @@ class FglContext:
         self._log = None
         self._sum = None
         self._inverse = None
+        self._exp_log_terms = None  # b_(k-1) L_k, k = 1 .. trunc + 1
 
     # -- basic series -------------------------------------------------
 
@@ -80,24 +90,38 @@ class FglContext:
             "t", ("t",), (self.cap,), self.cap, trunc=self.trunc
         )
 
-    def _embed(self, f: TruncSeries, slot: int, vars=("x", "y")) -> TruncSeries:
-        """Reindex a one-variable series onto one slot of a variable tuple."""
-        n = len(vars)
-        caps = (self.cap,) * n
-        coeffs = {}
-        for (k,), c in f.coeffs.items():
-            exps = tuple(k if i == slot else 0 for i in range(n))
-            coeffs[exps] = c
-        return TruncSeries(vars, caps, self.cap, coeffs, trunc=self.trunc)
-
     # -- the group law ------------------------------------------------
 
     @property
     def fgl_sum(self) -> TruncSeries:
-        """F(x, y) = exp(log x + log y), the universal formal sum."""
+        """F(x, y) = exp(log x + log y), the universal formal sum.
+
+        F = sum_i L_i(x) D_i(y), with D_i(y) = exp^(i)(log y) / i!: each
+        D_i is a sum of one-part merges of b_(i+j-1) into the L_j, and
+        each x-coefficient of L_i times each y-coefficient of D_i is one
+        kernel product.
+        """
         if self._sum is None:
-            u = self._embed(self.log, 0) + self._embed(self.log, 1)
-            self._sum = self.exp.compose(u)
+            trunc, cap = self.trunc, self.cap
+            powers = self.log.powers(cap)
+            top = trunc + 1  # exp stops at b_trunc t^(trunc+1)
+            acc = {}
+            for i in range(top + 1):
+                d_i = {}  # y-exponent -> terms of D_i(y)
+                for j in range(max(1 - i, 0), top - i + 1):
+                    b = {(i + j - 1,) if i + j > 1 else (): comb(i + j, i)}
+                    for (c,), lj in powers[j].coeffs.items():
+                        _backend.mul_into(d_i.setdefault(c, {}), b, lj.terms, trunc)
+                for (a,), la in powers[i].coeffs.items():
+                    for c, dc in d_i.items():
+                        if a + c <= cap:
+                            _backend.mul_into(acc.setdefault((a, c), {}), la.terms, dc,
+                                              trunc)
+            self._sum = TruncSeries(
+                ("x", "y"), (cap, cap), cap,
+                {exps: BPoly._raw(terms, trunc) for exps, terms in acc.items()},
+                trunc=trunc,
+            )
         return self._sum
 
     def apply_sum(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -121,13 +145,22 @@ class FglContext:
         return self._inverse
 
     def n_series(self, n: int) -> TruncSeries:
-        """[n](t) = exp(n log t), for every integer n.
+        """[n](t) = exp(n log t) = sum_k n^k b_(k-1) L_k(t), for every n.
 
         ``verify fgl`` cross-checks the negative ones against the formal
         inverse route i([-n](t)).
         """
         if n not in self._n_cache:
-            self._n_cache[n] = self.exp.compose(self.log * n)
+            if self._exp_log_terms is None:
+                powers = self.log.powers(self.cap)
+                self._exp_log_terms = [
+                    powers[k] * BPoly.gen(k - 1, trunc=self.trunc)
+                    for k in range(1, self.trunc + 2)
+                ]
+            total = TruncSeries.zero(("t",), (self.cap,), self.cap, trunc=self.trunc)
+            for k, term in enumerate(self._exp_log_terms, start=1):
+                total = total + term * n ** k
+            self._n_cache[n] = total
         return self._n_cache[n]
 
     # -- Landweber coefficients ----------------------------------------

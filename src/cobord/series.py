@@ -226,9 +226,14 @@ class TruncSeries:
 
     ``caps`` bounds each variable's exponent, ``total_cap`` the total
     auxiliary degree; coefficients are keyed by exponent tuples.
+
+    A series is read-only once built.  ``powers`` memoizes g^0, g^1, ...
+    in a slot of the series itself, so ``compose`` and ``substitute``
+    build each power once per series; every operation returns a new
+    series with an empty memo.
     """
 
-    __slots__ = ("vars", "caps", "total_cap", "coeffs", "trunc")
+    __slots__ = ("vars", "caps", "total_cap", "coeffs", "trunc", "_powers")
 
     def __init__(self, vars, caps, total_cap, coeffs=None,
                  trunc=DEFAULT_TRUNCATION):
@@ -236,6 +241,7 @@ class TruncSeries:
         self.caps = tuple(caps)
         self.total_cap = total_cap
         self.trunc = trunc
+        self._powers = None
         clean = {}
         if coeffs:
             for exps, c in coeffs.items():
@@ -257,6 +263,7 @@ class TruncSeries:
         s.total_cap = self.total_cap
         s.coeffs = coeffs
         s.trunc = self.trunc
+        s._powers = None
         return s
 
     @classmethod
@@ -318,7 +325,9 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = BPoly.const(other, self.trunc)
+            if not other:
+                return self._shell({})
+            return self._shell({e: c.scaled(other) for e, c in self.coeffs.items()})
         if isinstance(other, BPoly):
             out = {}
             for exps, c in self.coeffs.items():
@@ -396,43 +405,54 @@ class TruncSeries:
                 s.coeffs[exps] = c
         return s
 
+    def powers(self, top: int) -> list["TruncSeries"]:
+        """[g^0, g^1, ..., g^top], stopping before the first zero power.
+
+        Memoized on the series: each power is one product with g, made
+        the first time any caller needs it.
+        """
+        memo = self._powers
+        if memo is None:
+            memo = self._powers = [self.constant(1)]
+        while len(memo) <= top and memo[-1] is not None:
+            nxt = memo[-1] * self
+            memo.append(None if nxt.is_zero() else nxt)  # None: zero from here on
+        return [p for p in memo[:top + 1] if p is not None]
+
     def substitute(self, values: list["TruncSeries"]) -> "TruncSeries":
         """Evaluate at the given series, one per variable.
 
         All substituted series must live in a common variable space and
         have zero constant term whenever the exponent can be arbitrarily
-        large (guaranteed here by the total cap).
+        large (guaranteed here by the total cap).  Each value's powers
+        come from its ``powers`` memo.
         """
         if len(values) != len(self.vars):
             raise ValueError("need one series per variable")
         model = values[0]
         powers = [
-            {0: model.constant(1)} for _ in values
+            v.powers(max((exps[i] for exps in self.coeffs), default=0))
+            for i, v in enumerate(values)
         ]
-
-        def power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * values[i]
-            return cache[e]
-
         total = model.constant(0)
         for exps, c in sorted(self.coeffs.items(), key=lambda kv: sum(kv[0])):
+            if any(e >= len(pw) for e, pw in zip(exps, powers)):
+                continue  # a zero power of some value kills the term
             term = model.constant(c)
-            for i, e in enumerate(exps):
+            for e, pw in zip(exps, powers):
                 if e:
-                    term = term * power(i, e)
+                    term = term * pw[e]
             total = total + term
         return total
 
     def compose(self, g: "TruncSeries") -> "TruncSeries":
         """f(g) for a one-variable f; g must have zero constant term.
 
-        The power sum sum_k f_k g^k: the powers of g are built once, and
-        each f_k is multiplied into the coefficients of g^k through the
-        kernel, one accumulating term dict per exponent.  The sum stops at
-        the last nonzero f_k, or at the first power of g that the
-        truncation kills.
+        The power sum sum_k f_k g^k: the powers of g come from its
+        ``powers`` memo, and each f_k is multiplied into the coefficients
+        of g^k through the kernel, one accumulating term dict per
+        exponent.  The sum stops at the last nonzero f_k, or at the first
+        power of g that the truncation kills.
         """
         if len(self.vars) != 1:
             raise ValueError("compose needs a one-variable outer series")
@@ -444,13 +464,8 @@ class TruncSeries:
                 f"truncation mismatch: {self.trunc} vs {g.trunc}"
             )
         acc = {}
-        power = g.constant(1)
         top = max((k for (k,) in self.coeffs), default=-1)
-        for k in range(top + 1):
-            if k:
-                power = power * g
-                if power.is_zero():
-                    break
+        for k, power in enumerate(g.powers(top)):
             fk = self.coeffs.get((k,))
             if fk is not None:
                 for exps, c in power.coeffs.items():

@@ -128,3 +128,19 @@ def test_log_read_off_projective_spaces_is_the_inverse_of_exp(n):
     ctx = fgl.FglContext(n)
     assert ctx.log == ctx.exp.comp_inverse()
 
+
+# -- the log-power routes against the composition routes they replace ------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 12, 14])
+def test_n_series_equals_exp_of_n_log(n):
+    ctx = fgl.FglContext(n)
+    for k in range(-16, 17):
+        assert ctx.n_series(k) == ctx.exp.compose(ctx.log * k), k
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 12, 14])
+def test_formal_sum_equals_exp_of_log_x_plus_log_y(n, embed):
+    ctx = fgl.FglContext(n)
+    u = embed(ctx.log, 0) + embed(ctx.log, 1)
+    assert ctx.fgl_sum == ctx.exp.compose(u)

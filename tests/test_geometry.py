@@ -390,3 +390,101 @@ def _unions(draw):
 @given(st.one_of(_products(), _unions()))
 def test_genera_of_products_and_unions(expr):
     assert (_euler(expr), _todd(expr)) == _closed_forms(expr)
+
+
+# -- the L-genus: the signature from every Chern number ---------------------
+#
+# b_i -> [t^(i+1)] tanh t, the exponential of the signature's formal group
+# law (x + y) / (1 + xy); sigma(P^2) = 1 fixes the sign (tan t would give -1).
+# The closed forms are Hirzebruch's: the L-class of the ambient space over
+# that of the normal bundle, as exact Fraction power series.
+
+_LEN = GENUS_N + 2
+
+
+def _fmul(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(_LEN)]
+
+
+def _finv(a):
+    out = [Fraction(1) / a[0]]
+    for k in range(1, _LEN):
+        out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)) / a[0])
+    return out
+
+
+def _fpow(a, k):
+    out = [Fraction(1)] + [Fraction(0)] * (_LEN - 1)
+    for _ in range(k):
+        out = _fmul(out, a)
+    return out
+
+
+_SINH = [Fraction(k % 2, math.factorial(k)) for k in range(_LEN)]
+_COSH = [Fraction(1 - k % 2, math.factorial(k)) for k in range(_LEN)]
+TANH = _fmul(_SINH, _finv(_COSH)) + [Fraction(0)]  # [t^k] tanh t, k <= _LEN
+# [h^k] tanh(h) / h and its inverse, the characteristic series h / tanh h
+_TANH_OVER_H = TANH[1:]
+_L_SERIES = _finv(_TANH_OVER_H)
+
+
+def _signature(expr):
+    return _genus(_image(expr, GENUS_N), lambda i: TANH[i + 1])
+
+
+def _hirzebruch_signature(n, degrees):
+    """[h^n] (h / tanh h)^(N+1) prod_d tanh(d h) / h, with N = n + len(degrees)."""
+    series = _fpow(_L_SERIES, n + len(degrees) + 1)
+    for d in degrees:
+        series = _fmul(series, [c * d ** (k + 1) for k, c in enumerate(_TANH_OVER_H)])
+    return series[n]
+
+
+def _milnor_signature(m, n):
+    """[x^m y^n] (x / tanh x)^(m+1) (y / tanh y)^(n+1) tanh(x + y)."""
+    a, b = _fpow(_L_SERIES, m + 1), _fpow(_L_SERIES, n + 1)
+    return sum(
+        a[m - i] * b[n - j] * TANH[i + j] * math.comb(i + j, i)
+        for i in range(m + 1)
+        for j in range(n + 1)
+    )
+
+
+def _signature_closed_form(expr):
+    if isinstance(expr, geo.Proj):
+        return _hirzebruch_signature(expr.n, ())
+    if isinstance(expr, geo.Hyp):
+        return _hirzebruch_signature(expr.n, (expr.d,))
+    if isinstance(expr, geo.CompInt):
+        return _hirzebruch_signature(expr.n, expr.degrees)
+    if isinstance(expr, geo.Milnor):
+        return _milnor_signature(expr.m, expr.n)
+    if isinstance(expr, geo.Product):
+        return math.prod(_signature_closed_form(f) for f in expr.factors)
+    if isinstance(expr, geo.DisjointUnion):
+        return sum(_signature_closed_form(p) for p in expr.parts)
+    raise TypeError(expr)
+
+
+def test_signature_hand_values():
+    assert TANH[:6] == [0, 1, 0, Fraction(-1, 3), 0, Fraction(2, 15)]
+    assert _signature(geo.Proj(2)) == 1
+    assert _signature(geo.Hyp(4, 2)) == -16  # a quartic K3 surface
+    assert _signature(geo.Hyp(3, 2)) == -5  # a cubic surface, P^2 blown up at 6 points
+    assert _hirzebruch_signature(2, (4,)) == -16
+
+
+def test_signature_of_projective_spaces():
+    for n in range(GENUS_N + 1):
+        assert _signature(geo.Proj(n)) == _hirzebruch_signature(n, ()) == (n + 1) % 2
+
+
+def test_signature_of_every_constructor():
+    for e in CONSTRUCTORS:
+        assert _signature(e) == _signature_closed_form(e), e
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_products(), _unions()))
+def test_signature_of_products_and_unions(expr):
+    assert _signature(expr) == _signature_closed_form(expr)

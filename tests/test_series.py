@@ -192,8 +192,8 @@ def test_compose_matches_horner_on_n_series():
             assert f.compose(g) == horner_compose(f, g), (a, bb)
 
 
-def test_compose_matches_horner_on_the_formal_sum(ctx):
-    u = ctx._embed(ctx.log, 0) + ctx._embed(ctx.log, 1)
+def test_compose_matches_horner_on_the_formal_sum(ctx, embed):
+    u = embed(ctx.log, 0) + embed(ctx.log, 1)
     assert ctx.fgl_sum == horner_compose(ctx.exp, u)
 
 
@@ -214,3 +214,54 @@ def test_compose_rejects_mismatched_coefficients():
     g = TruncSeries(("t",), (N,), N, {(1,): BPoly.const(1, trunc=8)}, trunc=8)
     with pytest.raises(CoefficientError, match="truncation mismatch"):
         t.compose(g)
+
+
+# -- TruncSeries.powers: the memoized power table ---------------------------
+
+
+def reference_powers(g, top):
+    """g^0 .. g^top by repeated products, stopping before a zero power."""
+    out = [g.constant(1)]
+    while len(out) <= top and not (out[-1] * g).is_zero():
+        out.append(out[-1] * g)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(coeff_lists, min_size=2, max_size=4), coeff_lists)
+def test_composing_many_series_with_one_memoized_inner_series(fss, gs):
+    cap = 6
+    g = TruncSeries(("x", "y"), (cap, cap), cap,
+                    {(1 + k // 2, k % 2): c for k, c in enumerate(gs)}, trunc=N)
+    for fs in fss:
+        f = TruncSeries(("t",), (cap,), cap, {(k,): c for k, c in enumerate(fs)},
+                        trunc=N)
+        assert f.compose(g) == horner_compose(f, g)
+    table = g.powers(cap)
+    assert all(p is q for p, q in zip(table, g.powers(cap)))
+
+
+def test_powers_stop_at_the_first_zero_power():
+    t = t_series(5)
+    assert [p.coeff((k,)) for k, p in enumerate(t.powers(9))] == [one()] * 6
+    assert len(t.powers(9)) == 6  # t^6 is past the cap
+    square = t * t
+    assert square.powers(9) == [t.constant(1), square, t * t * t * t]
+    assert square.powers(1) == [t.constant(1), square]
+    assert square.powers(0) == [t.constant(1)]
+    assert t.constant(0).powers(4) == [t.constant(1)]
+    # weight truncation kills powers too: (b_4 t)^3 has weight 12 > N
+    heavy = TruncSeries(("t",), (9,), 9, {(1,): b(4)}, trunc=N)
+    assert len(heavy.powers(9)) == 3
+
+
+def test_derived_series_never_share_a_memo():
+    t = t_series(6)
+    g = t + t * t
+    g.powers(6)
+    low = g.truncate_total(3)
+    assert low.powers(6) == reference_powers(low, 6)
+    assert len(low.powers(6)) == 4  # g^4 starts at t^4, past the cap of 3
+    for derived in (g + g, g + t, -g, g * 3, g * b(1), g * t):
+        assert derived.powers(6) == reference_powers(derived, 6)
+    assert g.powers(6) == reference_powers(g, 6)
