@@ -1,37 +1,16 @@
 """Pure-Python sparse multiplication kernel.
 
-A term dict maps a partition key (non-increasing tuple of positive ints)
-to a nonzero arbitrary-precision integer coefficient.  Every polynomial
-and power-series product in the package funnels through ``mul_into``;
-callers reach it through ``cobord._backend``.
+A term dict maps a packed monomial key (``partitions.codec(N)``) to a
+nonzero arbitrary-precision integer coefficient: a monomial product is a
+sum of keys, heavier than N iff it reaches (N + 1) << shift.  Every product
+in the package funnels through ``mul_into``, reached via ``cobord._backend``.
 
 Coefficients stay Python ints: binomial and p-power factors overflow any
 fixed width.  There is no modular mode: reduction modulo p happens
 once, in the generator coordinates of ``lazard.GenPoly``.
 """
 
-
-def merge_parts(a, b):
-    """Multiset union of two non-increasing tuples, again non-increasing."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if a[i] >= b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    if i < la:
-        out.extend(a[i:])
-    else:
-        out.extend(b[j:])
-    return tuple(out)
+from .partitions import codec
 
 
 def iadd_terms(target, src):
@@ -50,14 +29,14 @@ def mul_into(out, x, y, trunc):
 
     Products whose partition weight exceeds ``trunc`` are discarded.
     """
-    xs = sorted((sum(k), k, v) for k, v in x.items())
-    ys = sorted((sum(k), k, v) for k, v in y.items())
-    for wa, ka, va in xs:
-        lim = trunc - wa
-        for wb, kb, vb in ys:
-            if wb > lim:
+    limit = (trunc + 1) << codec(trunc)[2]
+    ys = sorted(y.items())
+    for ka, va in x.items():
+        lim = limit - ka
+        for kb, vb in ys:
+            if kb >= lim:
                 break
-            kk = merge_parts(ka, kb)
+            kk = ka + kb
             c = out.get(kk, 0) + va * vb
             if c:
                 out[kk] = c

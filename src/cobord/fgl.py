@@ -24,10 +24,11 @@ dimension at most N.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from . import _backend
+from .partitions import codec
 from .series import BPoly, TruncSeries, aux_cap, DEFAULT_TRUNCATION
 
 
@@ -90,6 +91,13 @@ class FglContext:
             "t", ("t",), (self.cap,), self.cap, trunc=self.trunc
         )
 
+    @cached_property
+    def _log_powers(self) -> list[TruncSeries]:
+        """L_k = (log t)^k for k <= N + 1, capped at t^(N+1): the t^(N+2)
+        coefficient of L_k has weight N + 2 - k, and [n] and F multiply it
+        by weight at least k - 1, so it never reaches them."""
+        return self.log.truncate_total(self.trunc + 1).powers(self.trunc + 1)
+
     # -- the group law ------------------------------------------------
 
     @property
@@ -97,25 +105,26 @@ class FglContext:
         """F(x, y) = exp(log x + log y), the universal formal sum.
 
         F = sum_i L_i(x) D_i(y), with D_i(y) = exp^(i)(log y) / i!: each
-        D_i is a sum of one-part merges of b_(i+j-1) into the L_j, and
+        D_i is a sum of one-part products of b_(i+j-1) with the L_j, and
         each x-coefficient of L_i times each y-coefficient of D_i is one
         kernel product.
         """
         if self._sum is None:
             trunc, cap = self.trunc, self.cap
-            powers = self.log.powers(cap)
+            powers = self._log_powers
+            pack = codec(trunc)[0]
             top = trunc + 1  # exp stops at b_trunc t^(trunc+1)
             acc = {}
             for i in range(top + 1):
                 d_i = {}  # y-exponent -> terms of D_i(y)
                 for j in range(max(1 - i, 0), top - i + 1):
-                    b = {(i + j - 1,) if i + j > 1 else (): comb(i + j, i)}
+                    b = {pack((i + j - 1,)): comb(i + j, i)}  # b_0 packs to 0
                     for (c,), lj in powers[j].coeffs.items():
-                        _backend.mul_into(d_i.setdefault(c, {}), b, lj.terms, trunc)
+                        _backend.mul_into(d_i.setdefault(c, {}), b, lj._terms, trunc)
                 for (a,), la in powers[i].coeffs.items():
                     for c, dc in d_i.items():
                         if a + c <= cap:
-                            _backend.mul_into(acc.setdefault((a, c), {}), la.terms, dc,
+                            _backend.mul_into(acc.setdefault((a, c), {}), la._terms, dc,
                                               trunc)
             self._sum = TruncSeries(
                 ("x", "y"), (cap, cap), cap,
@@ -131,17 +140,35 @@ class FglContext:
 
     @property
     def formal_inverse(self) -> TruncSeries:
-        """The series i(t) with F(t, i(t)) = 0, solved degree by degree."""
+        """The series i(t) with F(t, i(t)) = 0, solved degree by degree.
+
+        As F = x + y + ..., i_k = -sum f_ac [t^(k-a)] i^c over the other
+        coefficients f_ac of F.  [t^m] i^c is final once i is known through
+        degree m - c + 1, so one table of them fills as i grows.
+        """
         if self._inverse is None:
-            t = self.t_var()
-            inv = -t
+            trunc = self.trunc
+            inv = {1: {0: -1}}  # degree k -> packed terms of i_k
+            table = {}  # (c, m) -> packed terms of [t^m] i^c
+
+            def power(c, m):
+                if c == 0:
+                    return {0: 1} if m == 0 else {}
+                if (c, m) not in table:
+                    table[c, m] = acc = {}
+                    for j in range(1, m - c + 2):
+                        _backend.mul_into(acc, inv[j], power(c - 1, m - j), trunc)
+                return table[c, m]
+
             for k in range(2, self.cap + 1):
-                fk = self.fgl_sum.truncate_total(k)
-                h = fk.substitute([t.truncate_total(k), inv.truncate_total(k)])
-                e = h.coeff((k,))
-                if not e.is_zero():
-                    inv = inv + t._shell({(k,): -e})
-            self._inverse = inv
+                acc = {}
+                for (a, c), f in self.fgl_sum.coeffs.items():
+                    if a <= k and (a, c) != (0, 1):
+                        _backend.mul_into(acc, f._terms, power(c, k - a), trunc)
+                inv[k] = {key: -v for key, v in acc.items()}
+            self._inverse = self.t_var()._shell(
+                {(k,): BPoly._raw(terms, trunc) for k, terms in inv.items() if terms}
+            )
         return self._inverse
 
     def n_series(self, n: int) -> TruncSeries:
@@ -152,15 +179,15 @@ class FglContext:
         """
         if n not in self._n_cache:
             if self._exp_log_terms is None:
-                powers = self.log.powers(self.cap)
+                powers = self._log_powers
                 self._exp_log_terms = [
                     powers[k] * BPoly.gen(k - 1, trunc=self.trunc)
                     for k in range(1, self.trunc + 2)
                 ]
-            total = TruncSeries.zero(("t",), (self.cap,), self.cap, trunc=self.trunc)
+            total = self._exp_log_terms[0]._shell({})
             for k, term in enumerate(self._exp_log_terms, start=1):
                 total = total + term * n ** k
-            self._n_cache[n] = total
+            self._n_cache[n] = self.t_var()._shell(total.coeffs)  # cap N + 2
         return self._n_cache[n]
 
     # -- Landweber coefficients ----------------------------------------

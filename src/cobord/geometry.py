@@ -7,7 +7,7 @@ total class of O(d) is L(d h) with L(x) = sum_i b_i x^i (b_0 = 1), so
 everything is read off the rows [h^j] A^k of A = L(h)^(-1): row j has
 weight exactly j and needs no truncation beyond the partition weight.
 Miller's recurrence for powers of a power series (Knuth, TAOCP vol. 2,
-4.7) builds the rows of each A^k by one-part merges and an exact
+4.7) builds the rows of each A^k by one-part products and an exact
 division, cached per (k, truncation).  Products of rows go through the
 sparse kernel.
 
@@ -28,9 +28,8 @@ from functools import lru_cache, reduce
 from typing import Union
 
 from . import _backend
-from ._backend import merge_parts
 from .lazard import CobordismClass
-from .partitions import _sub_multisets
+from .partitions import _sub_multisets, codec
 from .series import BPoly, DEFAULT_TRUNCATION
 
 
@@ -196,16 +195,17 @@ def parse_expr(obj) -> VarietyExpr:
 # -- graded Chow engine --------------------------------------------------
 
 
-def _merged(triples) -> dict:
+def _merged(triples, trunc) -> dict:
     """The term dict of sum c * b_i * row over (i, c, row) triples.
 
-    b_0 is the unit, so each product with b_i is a one-part merge of keys.
+    b_0 is the unit, so each product with b_i adds the packed key of (i,).
     """
+    pack = codec(trunc)[0]
     out = {}
     for i, c, row in triples:
-        part = (i,) if i else ()
+        part = pack((i,))
         for key, v in row.items():
-            kk = merge_parts(part, key)
+            kk = key + part
             acc = out.get(kk, 0) + c * v
             if acc:
                 out[kk] = acc
@@ -234,9 +234,10 @@ def _power_rows(k: int, trunc: int) -> tuple:
     row from the ones below it; the division by j is exact.  The cached
     rows are shared by every caller, so they are read only.
     """
-    rows = [{(): 1}]
+    rows = [{0: 1}]
     for j in range(1, min(k - 1, trunc) + 1):
-        acc = _merged(((i, (1 - k) * i - j, rows[j - i]) for i in range(1, j + 1)))
+        acc = _merged(((i, (1 - k) * i - j, rows[j - i]) for i in range(1, j + 1)),
+                      trunc)
         rows.append(_divided(acc, j, f"row {j} of A^{k}"))
     return tuple(rows)
 
@@ -249,11 +250,11 @@ def _ci_image(degrees: tuple, n: int, trunc: int) -> BPoly:
     # Ambient P^(n+c); the fundamental class pushes to (prod d_i) h^c, and
     # the normal bundle sum O(d_i) contributes prod_i L(d_i h) with
     # L(x) = sum_i b_i x^i.  ``lines`` holds the rows of (prod d_i) times
-    # that product, built by one-part merges.
-    lines = [{(): math.prod(degrees)}] + [{} for _ in range(n)]
+    # that product, built by one-part products.
+    lines = [{0: math.prod(degrees)}] + [{} for _ in range(n)]
     for d in degrees:
         lines = [
-            _merged(((t, d ** t, lines[j - t]) for t in range(j + 1)))
+            _merged(((t, d ** t, lines[j - t]) for t in range(j + 1)), trunc)
             for j in range(n + 1)
         ]
     rows = _power_rows(n + len(degrees) + 1, trunc)
@@ -275,8 +276,9 @@ def _milnor_image(m: int, n: int, trunc: int) -> BPoly:
     out = {}
     for a in range(m + 1):
         partner = _merged(
-            (top - a - c, math.comb(top - a - c + 1, m - a), rows_n[c])
-            for c in range(min(n, top - a) + 1)
+            ((top - a - c, math.comb(top - a - c + 1, m - a), rows_n[c])
+             for c in range(min(n, top - a) + 1)),
+            trunc,
         )
         _backend.mul_into(out, rows_m[a], partner, trunc)
     return BPoly._raw(out, trunc)
@@ -390,9 +392,9 @@ def euler_like_checks(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> Che
     if isinstance(expr, Product) and len(expr.factors) == 2:
         x = evaluate(expr.factors[0], trunc).image
         y = evaluate(expr.factors[1], trunc).image
-        keys = set(cl.image.terms)
+        keys, y_keys = set(cl.image.terms), y.terms  # decode each image once
         for kx in x.terms:
-            for ky in y.terms:
+            for ky in y_keys:
                 if sum(kx) + sum(ky) <= trunc:
                     keys.add(tuple(sorted(kx + ky, reverse=True)))
         ok = all(convolve_coeff(x, y, a) == cl.image.coeff(a) for a in keys)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _backend, fgl
-from .partitions import Partition, full_key, make, partitions_of, pi_q
+from .partitions import Partition, codec, full_key, make, partitions_of, pi_q
 from .series import BPoly, DEFAULT_TRUNCATION
 
 NEG_INF = float("-inf")
@@ -271,32 +271,41 @@ class GeneratorBasis:
         that multiple of the monomial image is subtracted.  The system is
         lower triangular, so a subtraction only touches entries still to
         come.  A nonzero remainder means the input is not in the image of
-        the Lazard ring.
+        the Lazard ring.  Residuals and columns are keyed by ``codec``.
         """
+        if image.trunc != self.trunc:
+            image = BPoly(image.terms, self.trunc)  # keys in this basis's codec
+        shift = codec(self.trunc)[2]
         by_weight = {}
-        for key, c in image.terms.items():
-            by_weight.setdefault(sum(key), {})[key] = c
+        for key, c in image._terms.items():
+            by_weight.setdefault(key >> shift, {})[key] = c
         coords = {}
         for n in sorted(by_weight):
             residual = by_weight[n]
             if n == 0:
-                coords[()] = residual[()]
+                coords[()] = residual[0]
                 continue
-            for alpha in partitions_of(n):
-                c = residual.get(alpha)
+            for alpha, k in _packed_partitions(n, self.trunc):
+                c = residual.get(k)
                 if not c:
                     continue
-                column = self.image_of_monomial(alpha).terms
-                q, rem = divmod(c, column[alpha])
+                column = self.image_of_monomial(alpha)._terms
+                q, rem = divmod(c, column[k])
                 if rem:
                     raise NotInLazardImage(
                         f"weight {n}: coordinate at {alpha} is "
-                        f"{Fraction(c, column[alpha])}, not an integer"
+                        f"{Fraction(c, column[k])}, not an integer"
                     )
                 coords[alpha] = q
                 for key, v in column.items():
                     residual[key] = residual.get(key, 0) - q * v
         return GenPoly(coords, None, self)
+
+
+@lru_cache(maxsize=None)
+def _packed_partitions(n: int, trunc: int) -> tuple:
+    """(alpha, packed key) for each partition of n, in ``partitions_of`` order."""
+    return tuple((alpha, codec(trunc)[0](alpha)) for alpha in partitions_of(n))
 
 
 @lru_cache(maxsize=None)
@@ -408,9 +417,11 @@ class GenPoly:
 
     def __mul__(self, other):
         self._check(other)
-        # integer product; the constructor reduces it mod p
-        terms = _backend.mul_terms(self.coeffs, other.coeffs, self.basis.trunc)
-        return GenPoly(terms, self.modulus, self.basis)
+        # integer product in packed keys; the constructor reduces it mod p
+        pack, unpack, _ = codec(self.basis.trunc)
+        x, y = ({pack(b): c for b, c in g.coeffs.items()} for g in (self, other))
+        terms = _backend.mul_terms(x, y, self.basis.trunc)
+        return GenPoly({unpack(k): c for k, c in terms.items()}, self.modulus, self.basis)
 
     def _check(self, other):
         if self.modulus != other.modulus or self.basis.key() != other.basis.key():

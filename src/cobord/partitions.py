@@ -3,9 +3,9 @@
 Partitions are plain tuples of positive ints, sorted non-increasing; the
 empty tuple is the empty partition.  This module provides the refinement
 order, multiset unions, the floor-sum weight ``pi_q``, the admissible
-classes used by the higher-power Chern-number bound, and a deterministic
+classes used by the higher-power Chern-number bound, a deterministic
 enumeration ordered so that the change-of-basis matrix in ``lazard`` is
-lower triangular.
+lower triangular, and ``codec``, the packed-int keys of every term dict.
 """
 
 from __future__ import annotations
@@ -62,6 +62,32 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
                 yield (first,) + rest
 
     return tuple(sorted(gen(n, n), key=sort_key))
+
+
+@lru_cache(maxsize=None)
+def codec(n: int):
+    """``(pack, unpack, shift)``: packed-int keys for partitions of weight <= n.
+
+    Monagan & Pearce's packed exponents: a multiplicity field per part size
+    i, (n // i).bit_length() bits wide, and the weight from bit ``shift``
+    up.  No field carries up to weight n, where pack(a) + pack(b) ==
+    pack(union(a, b)).  Keys order by weight; a part 0 packs to 0, like b_0.
+    """
+    units, fields, shift = [0], [], 0
+    for i in range(1, n + 1):
+        width = (n // i).bit_length()
+        units.append(1 << shift)
+        fields.insert(0, (i, shift, (1 << width) - 1))
+        shift += width
+    units = [u | i << shift for i, u in enumerate(units)]
+
+    def pack(alpha) -> int:
+        return sum(units[i] for i in alpha)
+
+    def unpack(key: int) -> Partition:
+        return tuple(i for i, off, mask in fields for _ in range(key >> off & mask))
+
+    return pack, unpack, shift
 
 
 def partitions_upto(n: int) -> tuple[Partition, ...]:

@@ -1,12 +1,13 @@
 """Exact sparse arithmetic in Z[b] and truncated graded power series.
 
 ``BPoly`` is a sparse polynomial in generators b_1, b_2, ... with deg(b_i)
-= -i, keyed by partitions: the monomial b_alpha = b_{a_1}...b_{a_n} is the
-key ``(a_1, ..., a_n)``.  Everything is truncated at a maximum partition
-weight N, which makes all positive-weight elements nilpotent and keeps
-every computation exact and finite.  Coefficients are always integers:
-reduction modulo p happens only in the generator coordinates of
-``lazard.GenPoly``, after a class has been solved over Z.
+= -i.  The monomial b_alpha = b_{a_1}...b_{a_n} is the partition
+``(a_1, ..., a_n)`` at the API and its packed int ``partitions.codec(N)``
+inside, so a monomial product is one addition.  Everything is truncated at
+a maximum partition weight N, which makes all positive-weight elements
+nilpotent and keeps every computation exact and finite.  Coefficients are
+always integers: reduction modulo p happens only in the generator
+coordinates of ``lazard.GenPoly``, after a class has been solved over Z.
 
 ``TruncSeries`` is a truncated power series in up to three auxiliary
 degree-1 variables with BPoly coefficients.  It doubles as the truncated
@@ -17,7 +18,7 @@ hyperplane classes with per-variable caps h_j^(n_j+1) = 0.
 from __future__ import annotations
 
 from . import _backend
-from .partitions import full_key
+from .partitions import codec, full_key
 
 DEFAULT_TRUNCATION = 12
 
@@ -33,27 +34,35 @@ class CoefficientError(ValueError):
 
 
 class BPoly:
-    """Sparse graded polynomial with exact integer coefficients."""
+    """Sparse graded polynomial with exact integer coefficients.
 
-    __slots__ = ("terms", "trunc")
+    ``_terms`` is keyed by ``codec(trunc)``; ``terms`` is a partition-keyed copy.
+    """
+
+    __slots__ = ("_terms", "trunc")
 
     def __init__(self, terms=None, trunc=DEFAULT_TRUNCATION):
+        pack = codec(trunc)[0]
         clean = {}
         if terms:
             for key, coeff in terms.items():
-                if not coeff or sum(key) > trunc:
-                    continue
-                clean[tuple(sorted(key, reverse=True))] = coeff
-        self.terms = clean
+                if coeff and sum(key) <= trunc:
+                    clean[pack(key)] = coeff
+        self._terms = clean
         self.trunc = trunc
 
     @classmethod
     def _raw(cls, terms, trunc):
-        # Trusted constructor: terms already normalized by a kernel call.
+        # Trusted constructor: a packed term dict, e.g. from a kernel call.
         self = object.__new__(cls)
-        self.terms = terms
+        self._terms = terms
         self.trunc = trunc
         return self
+
+    @property
+    def terms(self) -> dict:
+        unpack = codec(self.trunc)[1]
+        return {unpack(k): v for k, v in self._terms.items()}
 
     @classmethod
     def zero(cls, trunc=DEFAULT_TRUNCATION):
@@ -85,13 +94,16 @@ class BPoly:
             )
 
     def coeff(self, alpha) -> int:
-        return self.terms.get(tuple(sorted(alpha, reverse=True)), 0)
+        if sum(alpha) > self.trunc:
+            return 0
+        return self._terms.get(codec(self.trunc)[0](alpha), 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def weights(self) -> set[int]:
-        return {sum(k) for k in self.terms}
+        shift = codec(self.trunc)[2]
+        return {k >> shift for k in self._terms}
 
     def homogeneous_weight(self):
         """The common weight of all terms, None for 0, error if mixed."""
@@ -106,14 +118,14 @@ class BPoly:
         if isinstance(other, int):
             other = BPoly.const(other, self.trunc)
         self._check_compat(other)
-        out = dict(self.terms)
-        _backend.iadd_terms(out, other.terms)
+        out = dict(self._terms)
+        _backend.iadd_terms(out, other._terms)
         return BPoly._raw(out, self.trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BPoly._raw({k: -v for k, v in self.terms.items()}, self.trunc)
+        return BPoly._raw({k: -v for k, v in self._terms.items()}, self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -129,7 +141,7 @@ class BPoly:
         if not isinstance(other, BPoly):
             return NotImplemented
         self._check_compat(other)
-        out = _backend.mul_terms(self.terms, other.terms, self.trunc)
+        out = _backend.mul_terms(self._terms, other._terms, self.trunc)
         return BPoly._raw(out, self.trunc)
 
     def __rmul__(self, other):
@@ -140,7 +152,7 @@ class BPoly:
     def scaled(self, c: int) -> "BPoly":
         if c == 0:
             return BPoly.zero(self.trunc)
-        return BPoly._raw({k: v * c for k, v in self.terms.items()}, self.trunc)
+        return BPoly._raw({k: v * c for k, v in self._terms.items()}, self.trunc)
 
     def __pow__(self, n: int) -> "BPoly":
         if n < 0:
@@ -177,13 +189,15 @@ class BPoly:
         return result
 
     def divisible_by(self, k: int) -> bool:
-        return all(v % k == 0 for v in self.terms.values())
+        return all(v % k == 0 for v in self._terms.values())
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = BPoly.const(other, self.trunc)
         if not isinstance(other, BPoly):
             return NotImplemented
+        if self.trunc == other.trunc:
+            return self._terms == other._terms
         return self.terms == other.terms
 
     def __hash__(self):
@@ -193,13 +207,13 @@ class BPoly:
         return sorted(self.terms.items(), key=lambda kv: full_key(kv[0]))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         bits = []
         for key, val in self.sorted_terms()[:8]:
             mono = "*".join(f"b{i}" for i in key) if key else "1"
             bits.append(f"{val}*{mono}")
-        tail = " + ..." if len(self.terms) > 8 else ""
+        tail = " + ..." if len(self._terms) > 8 else ""
         return " + ".join(bits) + tail
 
     def to_obj(self):
@@ -351,7 +365,7 @@ class TruncSeries:
                 acc = buckets.get(exps)
                 if acc is None:
                     acc = buckets[exps] = {}
-                _backend.mul_into(acc, ca.terms, cb.terms, self.trunc)
+                _backend.mul_into(acc, ca._terms, cb._terms, self.trunc)
         out = {}
         for exps, terms in buckets.items():
             if terms:
@@ -469,7 +483,7 @@ class TruncSeries:
             fk = self.coeffs.get((k,))
             if fk is not None:
                 for exps, c in power.coeffs.items():
-                    _backend.mul_into(acc.setdefault(exps, {}), fk.terms, c.terms,
+                    _backend.mul_into(acc.setdefault(exps, {}), fk._terms, c._terms,
                                       self.trunc)
         return g._shell({
             exps: BPoly._raw(terms, self.trunc)

@@ -1,9 +1,10 @@
 """Byte-identity corpus for the JSON subcommands.
 
-Each command runs in-process at ``--trunc`` 12 and 14; the sha256 of its
-stdout and its exit code must match the recorded table.  The corpus covers
-every constructor, a product, a disjoint union, a scaled class, and
-p in {2, 3} at ranks 1-3.  A refactor must leave every entry unchanged;
+Each command runs in-process at ``--trunc`` 12, 14 and 20; the sha256 of
+its stdout and its exit code must match the recorded table.  The corpus
+covers every constructor, a product, a disjoint union, a scaled class, and
+p in {2, 3} at ranks 1-3, plus ``verify all`` at p in {2, 3} and
+``--trunc`` 0, 2 and 12.  A refactor must leave every entry unchanged;
 an intended output change re-records the table and says which entries
 moved and why.
 
@@ -52,7 +53,10 @@ COMMANDS = [
     ("actions", "--family", "1", "--max-dim", "5", "--p", "2", "--group", "1"),
 ]
 
-CASES = [cmd + ("--trunc", str(t)) for t in (12, 14) for cmd in COMMANDS]
+CASES = [cmd + ("--trunc", str(t)) for t in (12, 14, 20) for cmd in COMMANDS] + [
+    ("verify", "all", "--p", str(p), "--trunc", str(t))
+    for p in (2, 3) for t in (0, 2, 12)
+]
 
 # " ".join(argv) -> (exit code, sha256 of stdout)
 EXPECTED = {
@@ -152,6 +156,66 @@ EXPECTED = {
         (0, '523afddff75017115c22e1a7be6fdc7a1f81b712ebebcbeff3a4cb9181df352a'),
     'actions --family 1 --max-dim 5 --p 2 --group 1 --trunc 14':
         (0, '1765c14cc05984b4917336b833bd990d08b3d667cd052309978b37f563474851'),
+    'class point --trunc 20':
+        (0, '1da7a40e5cb20ba7304f41f337ad1c4519c952fde99572dfe3567c6b750e1182'),
+    'class {"proj":3} --trunc 20':
+        (0, '245eb1966f651c20b2075e45aa7db1efbddfb7456f2ef998ddb39abb81efdbbb'),
+    'class {"hyp":[3,4]} --trunc 20':
+        (0, '060761ac56c7fec8cc03af1c1b348ee3815f643d714756cd4aeb4414ee473c67'),
+    'class {"milnor":[3,5]} --trunc 20':
+        (0, 'c171399fd189b6d9c51cb1996e4120b6f800f37bfa94c11859b04f27b5eee41f'),
+    'class {"ci":[[2,3],4]} --trunc 20':
+        (0, '2b9777e53e256c771b9fcd91bbd1a7f88a2dc9948e48af4a58c90273430a80cb'),
+    'class {"prod":[{"proj":2},{"hyp":[3,4]}]} --trunc 20':
+        (0, '930767d17ac55ab65e11b70b11cf5517d2b2d43d222fedf78c4a4501eaf5aaea'),
+    'class {"disj":[{"proj":2},{"milnor":[2,3]}]} --trunc 20':
+        (0, '7e4af02abfb95a4d4becd6af07c36446567a81ac933104d42d1b26bdedd022b2'),
+    'class {"scale":[-3,{"ci":[[2,2],4]}]} --trunc 20':
+        (0, '1e5fd60f535997a1ad1ae7f1c1df5e61606d6ab6f6536c37f7fd69bd49b1406f'),
+    'bound {"hyp":[3,4]} --p 2 --group 1 --trunc 20':
+        (0, 'c1afd9134fb2f688043693b10ec95353ba3a86f483decf36071209ccba2ae2b1'),
+    'bound {"milnor":[3,5]} --p 2 --group 1,1 --trunc 20':
+        (0, '26a1d104e044593a5bd0ac3831b20427981a57f7a5c60941fe2befc5fd071f31'),
+    'bound {"prod":[{"proj":2},{"hyp":[3,4]}]} --p 2 --group 2,1 --trunc 20':
+        (0, 'c8a014025b349f59872ebe33bfb632d947afca68d9ee4d775937903651370cf2'),
+    'bound {"hyp":[2,7]} --p 2 --group 1,1,1 --trunc 20':
+        (0, '7ecfc79b2c98a3eeee6af28880f2d1c0d74ddd8fd43ad35c4ad22238b51ae3e9'),
+    'bound {"ci":[[2,3],4]} --p 3 --group 1 --trunc 20':
+        (0, 'badbd546813b91612ab09150f5bf81bf21a266f42e577ab1f15f22fd04c07713'),
+    'bound {"proj":8} --p 3 --group 1,1 --trunc 20':
+        (0, 'ce5ad934c52c99441b5ee793001471166f6f2417b4d168cef2077101a2412f1f'),
+    'bound {"disj":[{"hyp":[2,8]},{"proj":8}]} --p 3 --group 1,1,1 --trunc 20':
+        (0, '8b65914bfbf51bc638a4db07b79124c6cea2f5da9ec18545a3a0848550edd639'),
+    'fixedpoint {"proj":2} --p 2 --group 1,1 --trunc 20':
+        (0, '7c0f831cd534babd2e30cf5dc61eb4b3f09be85803961d1c8b3896fd2671171c'),
+    'fixedpoint {"hyp":[2,1]} --p 2 --group 1,1 --trunc 20':
+        (0, '7165ee6ea3c412ff6e80c3ed1d14637bcd0140ce78ca062970e8c11c713230e4'),
+    'fixedpoint {"scale":[3,{"proj":2}]} --p 3 --group 1 --trunc 20':
+        (0, '93a78ddb4634f994b21fa94dec1894b2329de282ccb7653ec4caad38e0f03694'),
+    'chern-bound {"hyp":[3,4]} --alpha 4 --p 2 --group 1 --trunc 20':
+        (0, '2a895f43d36f3484bc2146897a29a234e0561806dacbc90f7f99ffc12e98c568'),
+    'chern-bound {"proj":4} --alpha 4 --p 3 --group 1 --trunc 20':
+        (0, '082baf20731c53f70aeb61414c3c7fd418cb0ff52e665e730a2bc7ffab9388c4'),
+    'actions --generator 3 --p 2 --group 1 --trunc 20':
+        (0, '6cadee1a0e84d1d0b3357d891dad80051bda06edb7bb307acac154cd68e41b43'),
+    'actions --generator 4 --p 3 --group 1,1 --trunc 20':
+        (0, '19b9d38c47a19363ace1869d17877cf1d4668ade0bce2cf7db78ee587a9f645b'),
+    'actions --landweber 1 --p 2 --group 1,1 --trunc 20':
+        (0, '523afddff75017115c22e1a7be6fdc7a1f81b712ebebcbeff3a4cb9181df352a'),
+    'actions --family 1 --max-dim 5 --p 2 --group 1 --trunc 20':
+        (0, '1765c14cc05984b4917336b833bd990d08b3d667cd052309978b37f563474851'),
+    'verify all --p 2 --trunc 0':
+        (0, '7c33e46afdae4064f2ecdc30ab3221af63f61f654857c41ea4bda1d75843750d'),
+    'verify all --p 2 --trunc 2':
+        (0, '46d4fbb0d6e6c59fb51ecd91264601831224370a10a948ea434a719486d0692d'),
+    'verify all --p 2 --trunc 12':
+        (0, '663cfc1dd1a2e91fa5f04d186bfeb38a8d72612b13962a2585ee79334352f008'),
+    'verify all --p 3 --trunc 0':
+        (0, 'c4a0c547a316b5cae9ca8820ed43c0d987502775c2f432ffdf1b159bc098d837'),
+    'verify all --p 3 --trunc 2':
+        (0, '7e94188bc13dcebfdc45b3728a103574049f7d496b38db4766eb31e5556e9d52'),
+    'verify all --p 3 --trunc 12':
+        (0, '9f9f9e8e414b1de8601c1bcb81e8d61d164ed6b8e7d92c82e85c96db9f4fc817'),
 }
 
 

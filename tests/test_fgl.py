@@ -137,6 +137,7 @@ def test_n_series_equals_exp_of_n_log(n):
     ctx = fgl.FglContext(n)
     for k in range(-16, 17):
         assert ctx.n_series(k) == ctx.exp.compose(ctx.log * k), k
+        assert ctx.n_series(k).total_cap == ctx.cap  # the t^(N+1)-capped table
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 6, 12, 14])
@@ -144,3 +145,24 @@ def test_formal_sum_equals_exp_of_log_x_plus_log_y(n, embed):
     ctx = fgl.FglContext(n)
     u = embed(ctx.log, 0) + embed(ctx.log, 1)
     assert ctx.fgl_sum == ctx.exp.compose(u)
+
+
+def _formal_inverse_by_substitution(ctx):
+    """i(t) by substituting the partial inverse into F at every degree."""
+    t = ctx.t_var()
+    inv = -t
+    for k in range(2, ctx.cap + 1):
+        fk = ctx.fgl_sum.truncate_total(k)
+        h = fk.substitute([t.truncate_total(k), inv.truncate_total(k)])
+        e = h.coeff((k,))
+        if not e.is_zero():
+            inv = inv + t._shell({(k,): -e})
+    return inv
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 12, 14])
+def test_formal_inverse_equals_the_substitution_solve(n):
+    ctx = fgl.FglContext(n)
+    inv = ctx.formal_inverse
+    assert inv == _formal_inverse_by_substitution(ctx)
+    assert (inv.caps, inv.total_cap) == ((ctx.cap,), ctx.cap)

@@ -258,7 +258,7 @@ def test_zero_dimensional_constructors():
 def test_power_rows_invert_powers_of_the_line_class():
     # rows of A^k times L^k, L = sum_i b_i h^i, is 1 + O(h^k)
     for k in range(1, 7):
-        rows = [BPoly(r, trunc=TRUNC) for r in geo._power_rows(k, TRUNC)]
+        rows = [BPoly._raw(r, TRUNC) for r in geo._power_rows(k, TRUNC)]
         assert len(rows) == k
         line = [BPoly.gen(i, trunc=TRUNC) for i in range(k)]
         power = [BPoly.one(trunc=TRUNC)] + [BPoly.zero(trunc=TRUNC)] * (k - 1)

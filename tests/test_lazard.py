@@ -125,6 +125,10 @@ def test_gen_coords_examples(basis):
     assert set(coords.coeffs) <= {(2,), (1, 1)}
     assert coords.to_image() == p2.image
 
+    # an image at another truncation is re-keyed into the basis's codec
+    image = geo.evaluate(geo.Hyp(3, 4), 16).image
+    assert basis.solve(image) == cls(geo.Hyp(3, 4)).gen_coords(basis)
+
 
 def test_round_trip_constructor_classes(basis):
     exprs = [

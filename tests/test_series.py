@@ -57,6 +57,15 @@ def test_truncation_mismatch_raises():
         BPoly.one(trunc=N) + BPoly.one(trunc=8)
 
 
+def test_equality_and_hash_ignore_the_truncation_codec():
+    # packed keys differ between truncations; the polynomial does not
+    x = BPoly({(3, 2, 1): 4, (2, 1): -1}, trunc=N)
+    y = BPoly({(2, 1): -1, (1, 2, 3): 4}, trunc=20)
+    assert x == y and hash(x) == hash(y)
+    assert x != BPoly({(3, 2, 1): 4}, trunc=20)
+    assert x.terms == y.terms == {(3, 2, 1): 4, (2, 1): -1}
+
+
 @settings(max_examples=60, deadline=None)
 @given(bpolys, bpolys, bpolys)
 def test_ring_axioms(x, y, z):
