@@ -3,7 +3,8 @@
 A term dict maps a packed monomial key (``partitions.codec(N)``) to a
 nonzero arbitrary-precision integer coefficient: a monomial product is a
 sum of keys, heavier than N iff it reaches (N + 1) << shift.  Every product
-in the package funnels through ``mul_into``, reached via ``cobord._backend``.
+in the package funnels through ``mul_into``, reached via ``cobord._backend``,
+and every sum through ``iadd_terms``, which merges any term dict.
 
 Coefficients stay Python ints: binomial and p-power factors overflow any
 fixed width.  There is no modular mode: reduction modulo p happens
@@ -14,7 +15,11 @@ from .partitions import codec
 
 
 def iadd_terms(target, src):
-    """Add ``src`` into ``target`` in place, dropping cancelled keys."""
+    """Add ``src`` into ``target`` in place, dropping cancelled keys.
+
+    Keys and coefficients may be of any type with ``+`` and a truth value:
+    packed ints over ints here, exponent tuples over BPolys in a series.
+    """
     for key, val in src.items():
         c = target.get(key, 0) + val
         if c:

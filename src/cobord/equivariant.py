@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import fgl
+from . import _backend, fgl
 from .geometry import CheckReport, Proj, evaluate
 from .lazard import CobordismClass, in_landweber_ideal, reduce_mod_landweber
-from .series import BPoly, TruncSeries, DEFAULT_TRUNCATION
+from .series import BPoly, DEFAULT_TRUNCATION, SparseAlgebra, TruncSeries
 
 Character = tuple
 
@@ -34,33 +34,45 @@ def is_trivial(g: Character) -> bool:
     return not any(g)
 
 
-class MPoly:
+class MPoly(SparseAlgebra):
     """Polynomial in the a[i, g] with coefficients in Z[b] (``BPoly``) or
     in the Chow ring of a bundle's base (``TruncSeries``).
 
-    ``kind`` distinguishes the raw a-variables from the pushforward
-    generators p[i, g] used for the change of basis; the two kinds never
-    mix in one polynomial.
+    A monomial is the sorted tuple of its variables (i, g).  ``kind``
+    distinguishes the raw a-variables from the pushforward generators
+    p[i, g] used for the change of basis; the two kinds never mix in one
+    polynomial.  Ints and BPolys scale it; it has no constants.
     """
 
-    __slots__ = ("terms", "kind", "trunc")
+    __slots__ = ("kind", "trunc")
+    _scalars = (int, BPoly)
 
     def __init__(self, terms=None, kind="a", trunc=DEFAULT_TRUNCATION):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                key = tuple(sorted(tuple(v) for v in key))
-                if coeff.is_zero():
-                    continue
-                if key in clean:
-                    coeff = clean[key] + coeff
-                    if coeff.is_zero():
-                        del clean[key]
-                        continue
-                clean[key] = coeff
-        self.terms = clean
+        self._terms = {}
+        for key, coeff in (terms or {}).items():
+            key = tuple(sorted(tuple(v) for v in key))
+            _backend.iadd_terms(self._terms, {key: coeff})
         self.kind = kind
         self.trunc = trunc
+
+    def _shell(self, terms):
+        s = object.__new__(MPoly)
+        s._terms, s.kind, s.trunc = terms, self.kind, self.trunc
+        return s
+
+    @property
+    def _shape(self):
+        return self.kind
+
+    def _mul_keys(self, a, b):
+        return tuple(sorted(a + b))
+
+    def _mono(self, key):
+        return "*".join(f"{self.kind}[{i},{char_label(g)}]" for i, g in key)
+
+    @property
+    def terms(self) -> dict:
+        return self._terms
 
     @classmethod
     def zero(cls, kind="a", trunc=DEFAULT_TRUNCATION):
@@ -74,64 +86,14 @@ class MPoly:
     def variable(cls, i: int, g: Character, kind="a", trunc=DEFAULT_TRUNCATION):
         return cls({((i, tuple(g)),): BPoly.one(trunc=trunc)}, kind, trunc)
 
-    def _check(self, other):
-        if self.kind != other.kind or self.trunc != other.trunc:
-            raise ValueError("mixing incompatible bundle polynomials")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            acc = out.get(k)
-            acc = v if acc is None else acc + v
-            if acc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return MPoly(out, self.kind, self.trunc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MPoly({k: -v for k, v in self.terms.items()}, self.kind, self.trunc)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, BPoly)):
-            if isinstance(other, int):
-                other = BPoly.const(other, trunc=self.trunc)
-            return MPoly(
-                {k: v * other for k, v in self.terms.items()}, self.kind, self.trunc
-            )
-        self._check(other)
-        out = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                key = tuple(sorted(ka + kb))
-                prod = va * vb
-                if prod.is_zero():
-                    continue
-                acc = out.get(key)
-                acc = prod if acc is None else acc + prod
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return MPoly(out, self.kind, self.trunc)
-
-    __rmul__ = __mul__
-
     def coeff(self, key) -> BPoly:
         key = tuple(sorted(tuple(v) for v in key))
-        return self.terms.get(key, BPoly.zero(trunc=self.trunc))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._terms.get(key, BPoly.zero(trunc=self.trunc))
 
     def homogeneous_degree(self):
         """Degree when homogeneous: -(sum of a-indices + coefficient weight)."""
         degs = set()
-        for key, coeff in self.terms.items():
+        for key, coeff in self._terms.items():
             base = sum(i for i, _ in key)
             for w in coeff.weights():
                 degs.add(-(base + w))
@@ -141,28 +103,13 @@ class MPoly:
             raise ValueError(f"not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def __eq__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.kind == other.kind and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms)[:6]:
-            mono = "*".join(f"{self.kind}[{i},{char_label(g)}]" for i, g in key)
-            bits.append(f"({self.terms[key]})*{mono}" if mono else f"({self.terms[key]})")
-        tail = " + ..." if len(self.terms) > 6 else ""
-        return " + ".join(bits) + tail
-
     def to_obj(self):
         out = []
-        for key in sorted(self.terms):
+        for key in sorted(self._terms):
             out.append(
                 {
                     self.kind: [[i, char_label(g)] for i, g in key],
-                    "coeff": self.terms[key].to_obj(),
+                    "coeff": self._terms[key].to_obj(),
                 }
             )
         return {"kind": self.kind, "terms": out}
@@ -192,33 +139,18 @@ class SplitBundleDescriptor:
 
 def q_class(E: SplitBundleDescriptor, trunc: int = DEFAULT_TRUNCATION) -> MPoly:
     """Multiplicative class of the bundle: an a-polynomial whose
-    coefficients lie in the Chow ring of its base."""
+    coefficients lie in the Chow ring of its base.  A summand with first
+    Chern class c_1 and character g contributes sum_i c_1^i a[i, g]."""
     caps = E.base
     names = tuple(f"h{i}" for i in range(len(caps)))
     chow_zero = TruncSeries.zero(names, caps, sum(caps), trunc=trunc)
-    unit = MPoly({(): chow_zero.constant(1)}, "a", trunc)
-    result = unit
+    result = MPoly({(): chow_zero.constant(1)}, "a", trunc)
     for multidegree, g in E.summands:
-        c1 = chow_zero.constant(0)
-        for j, k in enumerate(multidegree):
-            if k:
-                var = TruncSeries.variable(
-                    names[j], names, caps, sum(caps), trunc=trunc
-                )
-                c1 = c1 + var * k
-        terms = {}
-        power = chow_zero.constant(1)
-        i = 0
-        while True:
-            if not power.is_zero():
-                terms[((i, g),)] = power
-            else:
-                break
-            i += 1
-            if i > sum(caps):
-                break
-            power = power * c1
-        result = result * MPoly(terms, "a", trunc)
+        c1 = chow_zero
+        for name, k in zip(names, multidegree):
+            c1 = c1 + TruncSeries.variable(name, names, caps, sum(caps), trunc) * k
+        powers = enumerate(c1.powers(sum(caps)))
+        result = result * MPoly({((i, g),): c for i, c in powers}, "a", trunc)
     return result
 
 
@@ -233,18 +165,14 @@ def push_class(E: SplitBundleDescriptor, trunc: int = DEFAULT_TRUNCATION) -> MPo
     Pairing a Chow monomial h^e against the base pushes it to the product
     of the classes of P^(n_j - e_j).
     """
-    q = q_class(E, trunc)
-    out = MPoly.zero("a", trunc)
-    for key, chow in q.terms.items():
-        contrib = BPoly.zero(trunc=trunc)
+    terms = {}
+    for key, chow in q_class(E, trunc).terms.items():
+        terms[key] = BPoly.zero(trunc=trunc)
         for exps, coeff in chow.coeffs.items():
-            factor = coeff
             for nj, ej in zip(E.base, exps):
-                factor = factor * _point_class(nj - ej, trunc)
-            contrib = contrib + factor
-        if not contrib.is_zero():
-            out = out + MPoly({key: contrib}, "a", trunc)
-    return out
+                coeff = coeff * _point_class(nj - ej, trunc)
+            terms[key] = terms[key] + coeff
+    return MPoly(terms, "a", trunc)
 
 
 def push_generator(i: int, g: Character, trunc: int = DEFAULT_TRUNCATION) -> MPoly:

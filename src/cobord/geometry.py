@@ -22,7 +22,6 @@ sparse kernel.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Union
@@ -306,18 +305,12 @@ def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismCla
             raise ValueError("hypersurface needs degree >= 1 and n >= 0")
         return CobordismClass(_ci_image((expr.d,), expr.n, trunc), dim=expr.n)
     if isinstance(expr, CompInt):
-        if not expr.degrees or any(d < 1 for d in expr.degrees):
-            raise ValueError("complete intersection needs degrees >= 1")
+        if not expr.degrees or any(d < 1 for d in expr.degrees) or expr.n < 0:
+            raise ValueError("complete intersection needs degrees >= 1 and n >= 0")
         return CobordismClass(_ci_image(expr.degrees, expr.n, trunc), dim=expr.n)
     if isinstance(expr, Milnor):
         if not (0 <= expr.m <= expr.n) or expr.n < 1:
             raise ValueError("Milnor hypersurface needs 0 <= m <= n, n >= 1")
-        if expr.m == 1:
-            warnings.warn(
-                "Milnor(1, n) evaluates but is excluded from generator "
-                "construction",
-                stacklevel=2,
-            )
         return CobordismClass(_milnor_image(expr.m, expr.n, trunc), dim=dim)
     if isinstance(expr, Product):
         factors = [evaluate(f, trunc) for f in expr.factors]

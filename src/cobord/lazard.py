@@ -24,9 +24,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import _backend, fgl
-from .partitions import Partition, codec, full_key, make, partitions_of, pi_q
-from .series import BPoly, DEFAULT_TRUNCATION
+from . import fgl
+from .partitions import Partition, codec, full_key, make, partitions_of, pi_q, union
+from .series import BPoly, DEFAULT_TRUNCATION, SparseAlgebra
 
 NEG_INF = float("-inf")
 
@@ -377,10 +377,15 @@ def base_generator(i: int, trunc: int = DEFAULT_TRUNCATION) -> CobordismClass:
 # -- generator-coordinate polynomials ----------------------------------
 
 
-class GenPoly:
-    """Sparse polynomial in the generators: partition monomial -> coefficient."""
+class GenPoly(SparseAlgebra):
+    """Sparse polynomial in the generators: partition monomial -> coefficient.
 
-    __slots__ = ("coeffs", "modulus", "basis")
+    Integer coordinates (``modulus`` None) or coordinates reduced mod p,
+    over one ``GeneratorBasis``; operands must share both.  The product
+    is the partition union, truncated at the basis's weight.
+    """
+
+    __slots__ = ("modulus", "basis")
 
     def __init__(self, coeffs, modulus, basis):
         clean = {}
@@ -389,71 +394,53 @@ class GenPoly:
                 c %= modulus
             if c:
                 clean[tuple(beta)] = c
-        self.coeffs = clean
+        self._terms = clean
         self.modulus = modulus
         self.basis = basis
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _shell(self, coeffs):
+        return GenPoly(coeffs, self.modulus, self.basis)  # reduces mod p
+
+    @property
+    def _shape(self):
+        return (self.modulus, self.basis.key())
+
+    def _mul_keys(self, a, b):
+        if sum(a) + sum(b) <= self.basis.trunc:
+            return union(a, b)
+        return None
+
+    def _mono(self, beta):
+        return "*".join(f"g{i}" for i in beta)
+
+    @property
+    def trunc(self) -> int:
+        return self.basis.trunc
+
+    @property
+    def coeffs(self) -> dict:
+        return self._terms
 
     def support(self):
-        return sorted(self.coeffs, key=full_key)
+        return sorted(self._terms, key=full_key)
 
     def coeff(self, beta) -> int:
-        return self.coeffs.get(tuple(sorted(beta, reverse=True)), 0)
+        return self._terms.get(tuple(sorted(beta, reverse=True)), 0)
 
     def q_degree(self, q: int):
         """Max of pi_q over the support; -inf for the zero polynomial."""
-        if not self.coeffs:
+        if not self._terms:
             return NEG_INF
-        return max(pi_q(beta, q) for beta in self.coeffs)
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return GenPoly(out, self.modulus, self.basis)
-
-    def __mul__(self, other):
-        self._check(other)
-        # integer product in packed keys; the constructor reduces it mod p
-        pack, unpack, _ = codec(self.basis.trunc)
-        x, y = ({pack(b): c for b, c in g.coeffs.items()} for g in (self, other))
-        terms = _backend.mul_terms(x, y, self.basis.trunc)
-        return GenPoly({unpack(k): c for k, c in terms.items()}, self.modulus, self.basis)
-
-    def _check(self, other):
-        if self.modulus != other.modulus or self.basis.key() != other.basis.key():
-            raise ValueError("mixing generator polynomials over different bases")
+        return max(pi_q(beta, q) for beta in self._terms)
 
     def to_image(self) -> BPoly:
         """Reconstruct the Z[b] image (integer coefficients only)."""
         if self.modulus is not None:
             raise ValueError("reconstruction needs integer coefficients")
         img = BPoly.zero(trunc=self.basis.trunc)
-        for beta, c in self.coeffs.items():
+        for beta, c in self._terms.items():
             img = img + self.basis.image_of_monomial(beta).scaled(c)
         return img
-
-    def __eq__(self, other):
-        if not isinstance(other, GenPoly):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.basis.key() == other.basis.key()
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for beta in self.support()[:8]:
-            mono = "*".join(f"g{i}" for i in beta) if beta else "1"
-            bits.append(f"{self.coeffs[beta]}*{mono}")
-        tail = " + ..." if len(self.coeffs) > 8 else ""
-        return " + ".join(bits) + tail
 
     def to_obj(self):
         b = self.basis
@@ -461,7 +448,7 @@ class GenPoly:
             "modulus": self.modulus,
             "basis": {"flavor": b.flavor, "p": b.p, "r": b.r},
             "terms": [
-                {"partition": list(k), "coeff": str(self.coeffs[k])}
+                {"partition": list(k), "coeff": str(self._terms[k])}
                 for k in self.support()
             ],
         }

@@ -1,4 +1,10 @@
-"""Exact sparse arithmetic in Z[b] and truncated graded power series.
+"""Exact sparse algebra: Z[b], truncated graded power series, and their core.
+
+``SparseAlgebra`` is the one sparse-dict algebra of the package: a dict
+``_terms`` of nonzero coefficients keyed by monomials, with addition,
+negation, scaling, comparison and repr defined once.  Its subclasses are
+``BPoly`` and ``TruncSeries`` here, ``lazard.GenPoly`` and
+``equivariant.MPoly``; each supplies only its hooks and its own product.
 
 ``BPoly`` is a sparse polynomial in generators b_1, b_2, ... with deg(b_i)
 = -i.  The monomial b_alpha = b_{a_1}...b_{a_n} is the partition
@@ -30,16 +36,160 @@ def aux_cap(trunc: int) -> int:
 
 
 class CoefficientError(ValueError):
-    """Incompatible truncation between operands."""
+    """Operands of different shapes: truncation, variables, basis or kind."""
 
 
-class BPoly:
+def _check_trunc(x, y):
+    if x.trunc != y.trunc:
+        raise CoefficientError(f"truncation mismatch: {x.trunc} vs {y.trunc}")
+
+
+def _negated(terms):
+    return {k: -v for k, v in terms.items()}
+
+
+class SparseAlgebra:
+    """A sparse dict ``_terms``: monomial key -> nonzero coefficient.
+
+    Coefficients are ints, or BPoly / TruncSeries for series and bundle
+    polynomials; every merge is ``_backend.iadd_terms``.  Elements are
+    read-only once built, so ``x + 0`` may return ``x`` itself.  Two
+    operands combine only when their ``trunc`` and ``_shape`` agree
+    (otherwise ``CoefficientError``) and compare unequal otherwise.
+    A subclass supplies the hooks:
+
+    - ``trunc``, and ``_shape``: what else two operands must share;
+    - ``_shell(terms)``: a sibling of the same shape over a trusted dict;
+    - ``_lift(c)``: the term dict of the constant ``c``, or NotImplemented
+      when ``c`` is not a constant of this ring (the default);
+    - ``_scalars``: the types that ``*`` and ``scaled`` multiply
+      coefficientwise;
+    - ``_mul_keys(a, b)``: the product of two monomials, None when the
+      truncation kills it; or ``_mul(terms)`` for a whole product;
+    - ``_mono(key)``: the monomial as text, "" for the unit, for repr.
+    """
+
+    __slots__ = ("_terms",)
+    _scalars = (int,)
+    _shape = ()  # a property where there is more to share
+
+    def _lift(self, c):
+        return NotImplemented
+
+    def _operand(self, other):
+        """The term dict of ``other``, or NotImplemented for a foreign type.
+
+        Raises CoefficientError when ``other`` has another shape.
+        """
+        if not isinstance(other, type(self)):
+            return self._lift(other)
+        _check_trunc(self, other)
+        if self._shape != other._shape:
+            raise CoefficientError(
+                f"{type(self).__name__} shapes do not match: "
+                f"{self._shape} vs {other._shape}"
+            )
+        return other._terms
+
+    def _add(self, terms):
+        if not terms:
+            return self
+        out = dict(self._terms)
+        _backend.iadd_terms(out, terms)
+        return self._shell(out)
+
+    def __add__(self, other):
+        terms = self._operand(other)
+        return terms if terms is NotImplemented else self._add(terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        terms = self._operand(other)
+        return terms if terms is NotImplemented else self._add(_negated(terms))
+
+    def __rsub__(self, other):
+        terms = self._operand(other)
+        return terms if terms is NotImplemented else (-self)._add(terms)
+
+    def __neg__(self):
+        return self._shell(_negated(self._terms))
+
+    def scaled(self, c):
+        """Every coefficient times ``c``, an instance of ``_scalars``."""
+        return self._shell({k: cv for k, v in self._terms.items() if (cv := v * c)})
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scaled(other)
+        terms = self._operand(other)
+        return terms if terms is NotImplemented else self._shell(self._mul(terms))
+
+    def __rmul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scaled(other)
+        return NotImplemented
+
+    def _mul(self, y):
+        # Monomial keys form a cancellative monoid, so the products of one
+        # left monomial have distinct keys and merge as one dict.
+        out = {}
+        for ka, va in self._terms.items():
+            row = {}
+            for kb, vb in y.items():
+                key = self._mul_keys(ka, kb)
+                if key is not None:
+                    row[key] = va * vb
+            _backend.iadd_terms(out, row)
+        return out
+
+    def __pow__(self, n: int):
+        one = self._lift(1)
+        if one is NotImplemented:
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        result, base = self._shell(one), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        try:
+            terms = self._operand(other)
+        except CoefficientError:  # another shape: unequal
+            return False
+        return terms if terms is NotImplemented else self._terms == terms
+
+    def __repr__(self):
+        if not self._terms:
+            return "0"
+        bits = []
+        for key in sorted(self._terms)[:8]:
+            c, mono = self._terms[key], self._mono(key)
+            c = c if isinstance(c, int) else f"({c})"
+            bits.append(f"{c}*{mono}" if mono else f"{c}")
+        tail = " + ..." if len(self._terms) > 8 else ""
+        return " + ".join(bits) + tail
+
+
+class BPoly(SparseAlgebra):
     """Sparse graded polynomial with exact integer coefficients.
 
     ``_terms`` is keyed by ``codec(trunc)``; ``terms`` is a partition-keyed copy.
     """
 
-    __slots__ = ("_terms", "trunc")
+    __slots__ = ("trunc",)
 
     def __init__(self, terms=None, trunc=DEFAULT_TRUNCATION):
         pack = codec(trunc)[0]
@@ -58,6 +208,22 @@ class BPoly:
         self._terms = terms
         self.trunc = trunc
         return self
+
+    def _shell(self, terms):
+        return BPoly._raw(terms, self.trunc)
+
+    def _lift(self, c):
+        if isinstance(c, int):
+            return {0: c} if c else {}  # the unit monomial packs to 0
+        return NotImplemented
+
+    def _mul(self, y):
+        return _backend.mul_terms(self._terms, y, self.trunc)
+
+    __mul__ = SparseAlgebra.__mul__  # an own entry, timed per class by perfbench
+
+    def _mono(self, key):
+        return "*".join(f"b{i}" for i in codec(self.trunc)[1](key))
 
     @property
     def terms(self) -> dict:
@@ -87,19 +253,10 @@ class BPoly:
     def monomial(cls, alpha, coeff=1, trunc=DEFAULT_TRUNCATION):
         return cls({tuple(alpha): coeff}, trunc)
 
-    def _check_compat(self, other):
-        if self.trunc != other.trunc:
-            raise CoefficientError(
-                f"truncation mismatch: {self.trunc} vs {other.trunc}"
-            )
-
     def coeff(self, alpha) -> int:
         if sum(alpha) > self.trunc:
             return 0
         return self._terms.get(codec(self.trunc)[0](alpha), 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def weights(self) -> set[int]:
         shift = codec(self.trunc)[2]
@@ -114,60 +271,6 @@ class BPoly:
             raise ValueError(f"not homogeneous, weights {sorted(ws)}")
         return ws.pop()
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = BPoly.const(other, self.trunc)
-        self._check_compat(other)
-        out = dict(self._terms)
-        _backend.iadd_terms(out, other._terms)
-        return BPoly._raw(out, self.trunc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BPoly._raw({k: -v for k, v in self._terms.items()}, self.trunc)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = BPoly.const(other, self.trunc)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        if not isinstance(other, BPoly):
-            return NotImplemented
-        self._check_compat(other)
-        out = _backend.mul_terms(self._terms, other._terms, self.trunc)
-        return BPoly._raw(out, self.trunc)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        return NotImplemented
-
-    def scaled(self, c: int) -> "BPoly":
-        if c == 0:
-            return BPoly.zero(self.trunc)
-        return BPoly._raw({k: v * c for k, v in self._terms.items()}, self.trunc)
-
-    def __pow__(self, n: int) -> "BPoly":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = BPoly.one(self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
-
     def inverse(self) -> "BPoly":
         """Multiplicative inverse in the weight-truncated ring.
 
@@ -177,12 +280,10 @@ class BPoly:
         c0 = self.coeff(())
         if c0 not in (1, -1):
             raise ZeroDivisionError(f"constant coefficient {c0} is not a unit")
-        tail = self - BPoly.const(c0, self.trunc)
-        result = BPoly.const(c0, self.trunc)
-        term = result
+        tail = self - c0
+        result = term = BPoly.const(c0, self.trunc)
         for _ in range(self.trunc):
-            term = term * tail
-            term = term.scaled(-c0)
+            term = (term * tail).scaled(-c0)
             if term.is_zero():
                 break
             result = result + term
@@ -192,29 +293,15 @@ class BPoly:
         return all(v % k == 0 for v in self._terms.values())
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = BPoly.const(other, self.trunc)
-        if not isinstance(other, BPoly):
-            return NotImplemented
-        if self.trunc == other.trunc:
-            return self._terms == other._terms
-        return self.terms == other.terms
+        if isinstance(other, BPoly) and self.trunc != other.trunc:
+            return self.terms == other.terms  # the codecs differ, not the polynomials
+        return SparseAlgebra.__eq__(self, other)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: full_key(kv[0]))
-
-    def __repr__(self):
-        if not self._terms:
-            return "0"
-        bits = []
-        for key, val in self.sorted_terms()[:8]:
-            mono = "*".join(f"b{i}" for i in key) if key else "1"
-            bits.append(f"{val}*{mono}")
-        tail = " + ..." if len(self._terms) > 8 else ""
-        return " + ".join(bits) + tail
 
     def to_obj(self):
         return {
@@ -235,19 +322,21 @@ class BPoly:
         return cls(terms, trunc)
 
 
-class TruncSeries:
+class TruncSeries(SparseAlgebra):
     """Truncated graded power series with BPoly coefficients.
 
     ``caps`` bounds each variable's exponent, ``total_cap`` the total
-    auxiliary degree; coefficients are keyed by exponent tuples.
+    auxiliary degree; coefficients are keyed by exponent tuples.  Ints and
+    BPolys are its constants and its scalars.
 
     A series is read-only once built.  ``powers`` memoizes g^0, g^1, ...
-    in a slot of the series itself, so ``compose`` and ``substitute``
-    build each power once per series; every operation returns a new
-    series with an empty memo.
+    in a slot of the series itself, so ``substitute`` builds each power
+    once per series; every operation returns a new series with an empty
+    memo.
     """
 
-    __slots__ = ("vars", "caps", "total_cap", "coeffs", "trunc", "_powers")
+    __slots__ = ("vars", "caps", "total_cap", "trunc", "_powers")
+    _scalars = (int, BPoly)
 
     def __init__(self, vars, caps, total_cap, coeffs=None,
                  trunc=DEFAULT_TRUNCATION):
@@ -266,19 +355,36 @@ class TruncSeries:
                     e > cap for e, cap in zip(exps, self.caps)
                 ):
                     continue
-                if not c.is_zero():
+                if c:
                     clean[exps] = c
-        self.coeffs = clean
+        self._terms = clean
 
     def _shell(self, coeffs):
         s = object.__new__(TruncSeries)
-        s.vars = self.vars
-        s.caps = self.caps
-        s.total_cap = self.total_cap
-        s.coeffs = coeffs
-        s.trunc = self.trunc
-        s._powers = None
+        s.vars, s.caps, s.total_cap = self.vars, self.caps, self.total_cap
+        s.trunc, s._terms, s._powers = self.trunc, coeffs, None
         return s
+
+    @property
+    def _shape(self):
+        return (self.vars, self.caps, self.total_cap)
+
+    def _lift(self, c):
+        if isinstance(c, int):
+            c = BPoly.const(c, self.trunc)
+        elif not isinstance(c, BPoly):
+            return NotImplemented
+        _check_trunc(self, c)
+        return {(0,) * len(self.vars): c} if c else {}
+
+    def _mono(self, exps):
+        return "*".join(
+            f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, exps) if e
+        )
+
+    @property
+    def coeffs(self) -> dict:
+        return self._terms
 
     @classmethod
     def zero(cls, vars, caps, total_cap, trunc=DEFAULT_TRUNCATION):
@@ -292,113 +398,41 @@ class TruncSeries:
 
     def constant(self, c) -> "TruncSeries":
         """A constant series over the same variable space."""
-        if isinstance(c, int):
-            c = BPoly.const(c, self.trunc)
-        zero_exp = (0,) * len(self.vars)
-        coeffs = {} if c.is_zero() else {zero_exp: c}
-        return self._shell(coeffs)
+        return self._shell(self._lift(c))
 
     def coeff(self, exps) -> BPoly:
-        return self.coeffs.get(tuple(exps), BPoly.zero(self.trunc))
+        return self._terms.get(tuple(exps), BPoly.zero(self.trunc))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check_compat(self, other):
-        if (
-            self.vars != other.vars
-            or self.caps != other.caps
-            or self.total_cap != other.total_cap
-            or self.trunc != other.trunc
-        ):
-            raise CoefficientError("series shapes do not match")
-
-    def __add__(self, other):
-        if isinstance(other, (int, BPoly)):
-            other = self.constant(other)
-        self._check_compat(other)
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            acc = out.get(exps)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
-        return self._shell(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._shell({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, BPoly)):
-            other = self.constant(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return self._shell({})
-            return self._shell({e: c.scaled(other) for e, c in self.coeffs.items()})
-        if isinstance(other, BPoly):
-            out = {}
-            for exps, c in self.coeffs.items():
-                prod = c * other
-                if not prod.is_zero():
-                    out[exps] = prod
-            return self._shell(out)
-        self._check_compat(other)
+    def _mul(self, y):
         caps, total = self.caps, self.total_cap
-        xs = sorted((sum(e), e, c) for e, c in self.coeffs.items())
-        ys = sorted((sum(e), e, c) for e, c in other.coeffs.items())
+        xs = sorted((sum(e), e, c) for e, c in self._terms.items())
+        ys = sorted((sum(e), e, c) for e, c in y.items())
         buckets = {}
         for da, ea, ca in xs:
             lim = total - da
             for db, eb, cb in ys:
                 if db > lim:
                     break
-                exps = tuple(x + y for x, y in zip(ea, eb))
+                exps = tuple(a + b for a, b in zip(ea, eb))
                 if any(e > cap for e, cap in zip(exps, caps)):
                     continue
                 acc = buckets.get(exps)
                 if acc is None:
                     acc = buckets[exps] = {}
                 _backend.mul_into(acc, ca._terms, cb._terms, self.trunc)
-        out = {}
-        for exps, terms in buckets.items():
-            if terms:
-                out[exps] = BPoly._raw(terms, self.trunc)
-        return self._shell(out)
+        return {exps: BPoly._raw(terms, self.trunc)
+                for exps, terms in buckets.items() if terms}
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, BPoly)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "TruncSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            half = n >> 1
-            if half:
-                base = base * base
-            n = half
-        return result
+    # own entries, so that perfbench's tracer times them per class
+    __mul__ = SparseAlgebra.__mul__
+    __pow__ = SparseAlgebra.__pow__
 
     def inverse(self) -> "TruncSeries":
         """Inverse of a series whose constant coefficient is a unit."""
-        zero_exp = (0,) * len(self.vars)
-        c0 = self.coeff(zero_exp)
+        c0 = self.coeff((0,) * len(self.vars))
         c0_inv = c0.inverse()
         tail = self - c0
-        result = self.constant(c0_inv)
-        term = result
+        result = term = self.constant(c0_inv)
         for _ in range(self.total_cap):
             term = (term * tail) * (-c0_inv)
             if term.is_zero():
@@ -408,16 +442,9 @@ class TruncSeries:
 
     def truncate_total(self, k: int) -> "TruncSeries":
         """Copy with the total-degree cap lowered to ``k``."""
-        s = TruncSeries(
-            self.vars,
-            tuple(min(c, k) for c in self.caps),
-            min(self.total_cap, k),
-            trunc=self.trunc,
-        )
-        for exps, c in self.coeffs.items():
-            if sum(exps) <= k:
-                s.coeffs[exps] = c
-        return s
+        caps = tuple(min(c, k) for c in self.caps)
+        return TruncSeries(self.vars, caps, min(self.total_cap, k), self._terms,
+                           self.trunc)
 
     def powers(self, top: int) -> list["TruncSeries"]:
         """[g^0, g^1, ..., g^top], stopping before the first zero power.
@@ -434,61 +461,48 @@ class TruncSeries:
         return [p for p in memo[:top + 1] if p is not None]
 
     def substitute(self, values: list["TruncSeries"]) -> "TruncSeries":
-        """Evaluate at the given series, one per variable.
+        """f(v_1, ..., v_n): the power sum of f_e v_1^(e_1) ... v_n^(e_n).
 
-        All substituted series must live in a common variable space and
-        have zero constant term whenever the exponent can be arbitrarily
-        large (guaranteed here by the total cap).  Each value's powers
-        come from its ``powers`` memo.
+        The values share one variable space, the result's, and need a zero
+        constant term wherever their exponents are unbounded (here the
+        total cap bounds them).  Each v_i^(e_i) comes from the ``powers``
+        memo of v_i, and each f_e is multiplied into the coefficients of
+        its power product through the kernel, one accumulating term dict
+        per exponent.  A term stops counting at the first power that the
+        truncation kills.
         """
         if len(values) != len(self.vars):
             raise ValueError("need one series per variable")
         model = values[0]
+        for v in values:
+            model._operand(v)  # one variable space
+        _check_trunc(self, model)
         powers = [
-            v.powers(max((exps[i] for exps in self.coeffs), default=0))
+            v.powers(max((exps[i] for exps in self._terms), default=0))
             for i, v in enumerate(values)
         ]
-        total = model.constant(0)
-        for exps, c in sorted(self.coeffs.items(), key=lambda kv: sum(kv[0])):
+        acc = {}
+        for exps, f in self._terms.items():
             if any(e >= len(pw) for e, pw in zip(exps, powers)):
                 continue  # a zero power of some value kills the term
-            term = model.constant(c)
-            for e, pw in zip(exps, powers):
-                if e:
-                    term = term * pw[e]
-            total = total + term
-        return total
+            factors = [pw[e] for e, pw in zip(exps, powers) if e]
+            prod = factors[0] if factors else powers[0][0]
+            for factor in factors[1:]:
+                prod = prod * factor
+            for e, c in prod._terms.items():
+                _backend.mul_into(acc.setdefault(e, {}), f._terms, c._terms,
+                                  self.trunc)
+        return model._shell({
+            e: BPoly._raw(terms, self.trunc) for e, terms in acc.items() if terms
+        })
 
     def compose(self, g: "TruncSeries") -> "TruncSeries":
-        """f(g) for a one-variable f; g must have zero constant term.
-
-        The power sum sum_k f_k g^k: the powers of g come from its
-        ``powers`` memo, and each f_k is multiplied into the coefficients
-        of g^k through the kernel, one accumulating term dict per
-        exponent.  The sum stops at the last nonzero f_k, or at the first
-        power of g that the truncation kills.
-        """
+        """f(g) for a one-variable f; g must have zero constant term."""
         if len(self.vars) != 1:
             raise ValueError("compose needs a one-variable outer series")
-        zero_exp = (0,) * len(g.vars)
-        if not g.coeff(zero_exp).is_zero():
+        if g.coeff((0,) * len(g.vars)):
             raise ValueError("inner series must have zero constant term")
-        if self.trunc != g.trunc:
-            raise CoefficientError(
-                f"truncation mismatch: {self.trunc} vs {g.trunc}"
-            )
-        acc = {}
-        top = max((k for (k,) in self.coeffs), default=-1)
-        for k, power in enumerate(g.powers(top)):
-            fk = self.coeffs.get((k,))
-            if fk is not None:
-                for exps, c in power.coeffs.items():
-                    _backend.mul_into(acc.setdefault(exps, {}), fk._terms, c._terms,
-                                      self.trunc)
-        return g._shell({
-            exps: BPoly._raw(terms, self.trunc)
-            for exps, terms in acc.items() if terms
-        })
+        return self.substitute([g])
 
     def comp_inverse(self) -> "TruncSeries":
         """Compositional inverse of f = u*t + O(t^2) with u a unit.
@@ -501,17 +515,13 @@ class TruncSeries:
             raise ValueError("compositional inverse needs one variable")
         if not self.coeff((0,)).is_zero():
             raise ValueError("series must have zero constant term")
-        u = self.coeff((1,))
-        u_inv = u.inverse()
+        u_inv = self.coeff((1,)).inverse()
         g = self._shell({(1,): u_inv})
         for k in range(2, self.total_cap + 1):
             fk = self.truncate_total(k)
-            h = fk.compose(g.truncate_total(k))
-            e = h.coeff((k,))
-            if e.is_zero():
-                continue
-            corr = -(u_inv * e)
-            g = g + self._shell({(k,): corr})
+            e = fk.compose(g.truncate_total(k)).coeff((k,))
+            if not e.is_zero():
+                g = g + self._shell({(k,): -(u_inv * e)})
         return g
 
     def graded_degree(self):
@@ -521,30 +531,10 @@ class TruncSeries:
         graded-homogeneous.
         """
         degree = None
-        for exps, c in self.coeffs.items():
-            w = c.homogeneous_weight()
-            d = sum(exps) - w
+        for exps, c in self._terms.items():
+            d = sum(exps) - c.homogeneous_weight()
             if degree is None:
                 degree = d
             elif degree != d:
                 raise ValueError("series is not graded-homogeneous")
         return degree
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.vars == other.vars and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for exps, c in sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))[:6]:
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.vars, exps)
-                if e
-            )
-            bits.append(f"({c})*{mono}" if mono else f"({c})")
-        tail = " + ..." if len(self.coeffs) > 6 else ""
-        return " + ".join(bits) + tail

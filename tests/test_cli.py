@@ -149,6 +149,18 @@ def test_malformed_expression_is_a_one_line_error(expr):
     assert "\n" not in msg
 
 
+@pytest.mark.parametrize(
+    "expr", ['{"hyp":[3,-1]}', '{"ci":[[2],-1]}', '{"ci":[[2,3],-2]}']
+)
+def test_negative_dimension_is_a_one_line_error(expr, capsys):
+    # well-formed JSON, rejected when evaluated rather than when parsed
+    code, out, err = run(["class", expr], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "n >= 0" in err
+    assert err.count("\n") == 1
+
+
 def test_negative_truncation_is_an_error(capsys):
     code, out, err = run(["verify", "fgl", "--trunc", "-1"], capsys)
     assert code == 1

@@ -56,10 +56,15 @@ def test_milnor_m0_is_projective_space():
         assert cls(geo.Milnor(0, n)).image == cls(geo.Proj(n - 1)).image
 
 
-def test_milnor_m1_warns_but_evaluates():
-    with pytest.warns(UserWarning):
-        w = geo.evaluate(geo.Milnor(1, 3), TRUNC)
-    assert w.dim == 3
+def test_milnor_m1_evaluates_without_a_warning():
+    # Milnor(1, n) is decomposable (c_(n) = 0 for n >= 2), which is why
+    # milnor_candidates keeps it out of the generators; evaluating it is
+    # fine.  __wrapped__ bypasses the cache, so the evaluation really runs.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = geo.evaluate.__wrapped__(geo.Milnor(1, 4), TRUNC)
+    assert w.dim == 4 and w.c_alpha((4,)) == 0
+    assert w.image == geo.evaluate(geo.Milnor(1, 4), TRUNC).image
 
 
 def test_complete_intersection_formula():
@@ -165,6 +170,10 @@ def test_constructor_validation():
         geo.evaluate(geo.Milnor(3, 2), TRUNC)
     with pytest.raises(ValueError):
         geo.evaluate(geo.CompInt((), 2), TRUNC)
+    with pytest.raises(ValueError):
+        geo.evaluate(geo.CompInt((2,), -1), TRUNC)
+    with pytest.raises(ValueError):
+        geo.evaluate(geo.CompInt((2, 3), -2), TRUNC)
 
 
 # -- an independent reference: the bivariate Chow ring of the ambient space --
@@ -219,9 +228,7 @@ def _ref_image(expr, trunc):
 
 
 def _image(expr, trunc):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # Milnor(1, n) warns
-        return geo.evaluate(expr, trunc).image
+    return geo.evaluate(expr, trunc).image
 
 
 REF_N = 10

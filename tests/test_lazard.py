@@ -320,6 +320,28 @@ def test_q_degree_submultiplicative(basis):
                 assert prod.q_degree(q) <= g.q_degree(q) + h.q_degree(q)
 
 
+def test_integer_gen_poly_product_is_the_image_product(basis):
+    # the partition-union product against the kernel product of the images
+    import random
+
+    rng = random.Random(11)
+    pool = [alpha for w in range(0, 7) for alpha in partitions_of(w)]
+
+    def random_coords():
+        return lz.GenPoly(
+            {rng.choice(pool): rng.randint(-9, 9) for _ in range(4)}, None, basis
+        )
+
+    for _ in range(30):
+        g, h = random_coords(), random_coords()
+        assert (g * h).to_image() == g.to_image() * h.to_image()
+    # past the truncation both products vanish
+    heavy = lz.GenPoly({(7,): 1}, None, basis)
+    light = lz.GenPoly({(3, 3): 2}, None, basis)
+    assert (heavy * light).is_zero()
+    assert (heavy.to_image() * light.to_image()).is_zero()
+
+
 def test_c_alpha_image_gcd(basis):
     assert lz.c_alpha_image_gcd((1,), basis) == 2
     for n in (5, 9):

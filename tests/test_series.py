@@ -274,3 +274,68 @@ def test_derived_series_never_share_a_memo():
     for derived in (g + g, g + t, -g, g * 3, g * b(1), g * t):
         assert derived.powers(6) == reference_powers(derived, 6)
     assert g.powers(6) == reference_powers(g, 6)
+
+
+# -- the shared operand protocol ---------------------------------------------
+
+
+def test_a_bpoly_and_a_series_combine_in_either_order():
+    t = t_series()
+    x = BPoly({(1,): 3, (2,): -1}, trunc=N)
+    assert x + t == t + x == t + t.constant(x)
+    assert x - t == -(t - x)
+    assert 1 - t == -(t - 1) and 2 + t == t + 2
+    assert x * t == t * x == t.scaled(x)
+
+
+def test_constants_compare_as_constants():
+    t = t_series()
+    assert BPoly.const(3, trunc=N) == 3 and BPoly.zero(trunc=N) == 0
+    assert t.constant(2) == 2 and t.constant(b(1)) == b(1)
+    assert t != 0 and t.constant(0) == 0
+    assert t.constant(0).is_zero() and t.constant(BPoly.zero(trunc=N)).is_zero()
+
+
+def test_rings_without_constants_reject_ints(basis):
+    from cobord.equivariant import MPoly
+    from cobord.lazard import GenPoly
+
+    a = MPoly.variable(1, (1,), trunc=N)
+    g = GenPoly({(2,): 1}, None, basis)
+    for bad in (lambda: a + 1, lambda: 1 - a, lambda: g + 0, lambda: g - 0):
+        with pytest.raises(TypeError):
+            bad()
+    assert a != 1 and g != 0
+    assert a * 2 == a + a and g * 2 == g + g
+
+
+def test_different_shapes_do_not_combine_and_compare_unequal(basis):
+    from cobord import lazard
+    from cobord.equivariant import MPoly
+    from cobord.lazard import GenPoly
+
+    pairs = [
+        (t_series(), t_series(N - 1)),
+        (t_series(), TruncSeries.variable("s", ("s",), (N,), N, trunc=N)),
+        (t_series(), TruncSeries.variable("t", ("t",), (N,), N, trunc=N - 1)),
+        (GenPoly({(2,): 1}, None, basis), GenPoly({(2,): 1}, 3, basis)),
+        (GenPoly({(2,): 1}, 3, basis),
+         GenPoly({(2,): 1}, 3, lazard.adapted_basis(3, 2, basis.trunc))),
+        (MPoly.variable(1, (1,), "a", N), MPoly.variable(1, (1,), "p", N)),
+        (MPoly.variable(1, (1,), "a", N), MPoly.variable(1, (1,), "a", N - 1)),
+    ]
+    for x, y in pairs:
+        assert x != y and y != x
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+            with pytest.raises(CoefficientError):
+                op()
+    # a coefficient of another truncation has packed keys of another codec
+    t, light = t_series(), BPoly.gen(2, trunc=N - 2)
+    assert t.constant(BPoly.gen(2, trunc=N)) != light
+    for op in (lambda: t + light, lambda: light - t, lambda: t.constant(light)):
+        with pytest.raises(CoefficientError, match="truncation mismatch"):
+            op()
+    # a BPoly is the one exception: its truncation only picks the key codec
+    assert BPoly.gen(1, trunc=N) == BPoly.gen(1, trunc=N - 2)
+    with pytest.raises(CoefficientError, match="truncation mismatch"):
+        BPoly.gen(1, trunc=N) + BPoly.gen(1, trunc=N - 2)
