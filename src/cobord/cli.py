@@ -2,9 +2,11 @@
 
 Subcommands: class, bound, fixedpoint, chern-bound, actions, verify.
 JSON in, JSON out by default (canonical ordering, byte-stable across
-runs); ``--format table`` renders the same data for humans.  The
-truncation weight defaults to 12 and may be overridden per call with
-``--trunc`` or globally with the COBORD_TRUNC environment variable.
+runs); ``--format table`` renders the same data for humans.  ``verify``
+runs the suites of ``checks.SUITES`` and prints one line per check, with
+exit code 0 iff every check holds.  The truncation weight defaults to 12
+and may be overridden per call with ``--trunc`` or globally with the
+COBORD_TRUNC environment variable.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import sys
 
 from . import actions as actions_mod
 from . import bounds as bounds_mod
-from . import equivariant, fgl, geometry, lazard
+from . import checks, geometry, lazard
 from .lazard import NEG_INF
 from .partitions import make
-from .series import DEFAULT_TRUNCATION, TruncSeries
+from .series import DEFAULT_TRUNCATION
 
 
 def _dump(obj) -> str:
@@ -188,163 +190,18 @@ def cmd_actions(args) -> int:
     return 0
 
 
-# -- verification suites ----------------------------------------------------
-
-
-def _suite_fgl(p, trunc):
-    ctx = fgl.context(trunc)
-    checks = []
-    F = ctx.fgl_sum
-    checks.append(
-        ("unit law F(x,0)=x", all(
-            F.coeff((i, 0)) == (1 if i == 1 else 0) for i in range(ctx.cap + 1)
-        ))
-    )
-    sym = all(F.coeff((i, j)) == F.coeff((j, i)) for (i, j) in F.coeffs)
-    checks.append(("symmetry", sym))
-    deg = min(6, trunc)
-    vars3 = ("x", "y", "z")
-    caps = (deg,) * 3
-    mk = lambda name: TruncSeries.variable(name, vars3, caps, deg, trunc=trunc)
-    x, y, z = mk("x"), mk("y"), mk("z")
-    left = ctx.apply_sum(ctx.apply_sum(x, y), z)
-    right = ctx.apply_sum(x, ctx.apply_sum(y, z))
-    checks.append((f"associativity to degree {deg}", left == right))
-    t = ctx.t_var()
-    checks.append(("F(t,t) = [2](t)", ctx.apply_sum(t, t) == ctx.n_series(2)))
-    comp_ok = True
-    for a in range(-4, 5):
-        for b in range(-4, 5):
-            if ctx.n_series(a).compose(ctx.n_series(b)) != ctx.n_series(a * b):
-                comp_ok = False
-    checks.append(("[a]([b](t)) = [ab](t) for |a|,|b| <= 4", comp_ok))
-    inv_ok = all(
-        ctx.formal_inverse.compose(ctx.n_series(n)) == ctx.n_series(-n)
-        for n in range(1, 5)
-    )
-    checks.append(("[-n](t) = i([n](t)) for 1 <= n <= 4", inv_ok))
-    inv = ctx.n_series(-1)
-    checks.append(("F(t, [-1](t)) = 0", ctx.apply_sum(t, inv).is_zero()))
-    u = ctx.landweber_coeffs(p)
-    checks.append(
-        (f"u_m vanish mod {p}", all(x.divisible_by(p) for x in u))
-    )
-    return checks
-
-
-def _suite_ideals(p, max_n, trunc):
-    from .lazard import CobordismClass
-
-    ctx = fgl.context(trunc)
-    checks = []
-    for n in range(0, max_n + 1):
-        if p ** max(n - 1, 0) - 1 > trunc:
-            break
-        coeffs = ctx.landweber_coeffs(p)
-        if n >= 1:
-            ok = all(
-                lazard.in_landweber_ideal(CobordismClass(coeffs[m]), p, n)
-                for m in range(min(p ** n - 1, trunc))
-            )
-            checks.append((f"u_m in I_{p}({n}) for m < {p**n - 1}", ok))
-        if p ** n - 1 <= trunc:
-            vn = CobordismClass(ctx.v(p, n))
-            checks.append(
-                (f"v_{n} not in I_{p}({n})",
-                 not lazard.in_landweber_ideal(vn, p, n))
-            )
-            if n >= 1:
-                checks.append(
-                    (f"v_{n} indecomposable mod {p}",
-                     lazard.is_indecomposable_mod_p(vn, p))
-                )
-    s = 0
-    while p ** s - 1 <= min(trunc, 8):
-        ys = geometry.evaluate(geometry.Hyp(p, p ** s - 1), trunc)
-        ok_in = (
-            lazard.in_landweber_ideal(ys, p, s + 1)
-            if p ** s - 1 <= trunc
-            else True
-        )
-        ok_out = not lazard.in_landweber_ideal(ys, p, s)
-        ok_div = ys.image.divisible_by(p)
-        checks.append(
-            (f"Y_{s} in I_{p}({s+1}) minus I_{p}({s}), Chern numbers divisible",
-             ok_in and ok_out and ok_div)
-        )
-        s += 1
-        if p ** s - 1 > trunc or p ** s - 1 > p ** (max_n) - 1:
-            break
-    return checks
-
-
-def _suite_presentation(p, trunc):
-    # case (a, n) reads the t^(p^(a n)) coefficient of [p^a](t), of weight
-    # p^(a n) - 1; a case beyond the truncation cannot run, so it is skipped
-    cases = [(1, 1), (2, 1), (1, 2)] if p == 2 else [(1, 1)]
-    cases = [(a, n) for a, n in cases if p ** (a * n) - 1 <= trunc]
-    report = equivariant.verify_presentation(p, cases, trunc)
-    return [(name, ok) for name, ok, _ in report.entries]
-
-
-def _suite_soundness(p, trunc):
-    checks = []
-    groups = [
-        actions_mod.GroupDescriptor(p, (1,)),
-        actions_mod.GroupDescriptor(p, (2,)),
-        actions_mod.GroupDescriptor(p, (1, 1)),
-    ]
-    max_dim = min(6, trunc)
-    for group in groups:
-        ok = True
-        for i in range(1, max_dim + 1):
-            for w in actions_mod.generator_action(i, group, trunc):
-                cl = w.cobordism_class(trunc)
-                b = bounds_mod.fixed_dim_lower_bound(cl, group).lower_bound
-                if b > w.fixed_dim:
-                    ok = False
-        s = 0
-        while group.rank > s and p ** s - 1 <= max_dim:
-            w = actions_mod.landweber_variety(s, group, trunc)
-            b = bounds_mod.fixed_dim_lower_bound(
-                w.cobordism_class(trunc), group
-            ).lower_bound
-            if b != NEG_INF:
-                ok = False
-            s += 1
-        checks.append(
-            (f"witness soundness for p={p}, exponents={list(group.exponents)}", ok)
-        )
-        fam_ok = True
-        for d in range(0, 3):
-            for w in actions_mod.filtration_family(d, group, max_dim, trunc):
-                cl = w.cobordism_class(trunc)
-                rep = bounds_mod.fixed_dim_lower_bound(cl, group)
-                if rep.lower_bound > d or rep.lower_bound > w.fixed_dim:
-                    fam_ok = False
-        checks.append(
-            (f"filtration family levels for p={p}, "
-             f"exponents={list(group.exponents)}", fam_ok)
-        )
-    return checks
-
-
 def cmd_verify(args) -> int:
     p = args.p
     if not lazard.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if args.max_n < 0:
         raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
-    suites = {
-        "fgl": lambda: _suite_fgl(p, args.trunc),
-        "ideals": lambda: _suite_ideals(p, args.max_n, args.trunc),
-        "presentation": lambda: _suite_presentation(p, args.trunc),
-        "soundness": lambda: _suite_soundness(p, args.trunc),
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
+    names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     failed = 0
     for name in names:
-        for check, ok in suites[name]():
+        suite = checks.SUITES[name]
+        params = {"max_n": args.max_n} if suite is checks.landweber_chain else {}
+        for check, ok, _ in suite(p, args.trunc, **params).entries:
             status = "OK " if ok else "FAIL"
             print(f"[{status}] {name}: {check}")
             if not ok:
@@ -356,9 +213,13 @@ def cmd_verify(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_common(sub, group_flag=True):
+def _add_trunc(sub):
     sub.add_argument("--trunc", type=int, default=None,
                      help="truncation weight (default 12, env COBORD_TRUNC)")
+
+
+def _add_common(sub, group_flag=True):
+    _add_trunc(sub)
     sub.add_argument("--format", choices=("json", "table"), default="json")
     if group_flag:
         sub.add_argument("--p", type=int, default=2, help="the prime")
@@ -411,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_actions)
 
     s = subs.add_parser("verify", help="run invariant suites")
-    s.add_argument("suite", choices=("fgl", "ideals", "presentation",
-                                     "soundness", "all"))
+    s.add_argument("suite", choices=(*checks.SUITES, "all"))
     s.add_argument("--max-n", type=int, default=3)
-    _add_common(s)
+    _add_trunc(s)
+    s.add_argument("--p", type=int, default=2, help="the prime")
     s.set_defaults(func=cmd_verify)
 
     return parser

@@ -46,7 +46,6 @@ class FglContext:
         self._exp = None
         self._log = None
         self._sum = None
-        self._inverse = None
         self._exp_log_terms = None  # b_(k-1) L_k, k = 1 .. trunc + 1
 
     # -- basic series -------------------------------------------------
@@ -138,44 +137,11 @@ class FglContext:
         cap = min(a.total_cap, b.total_cap)
         return self.fgl_sum.truncate_total(cap).substitute([a, b])
 
-    @property
-    def formal_inverse(self) -> TruncSeries:
-        """The series i(t) with F(t, i(t)) = 0, solved degree by degree.
-
-        As F = x + y + ..., i_k = -sum f_ac [t^(k-a)] i^c over the other
-        coefficients f_ac of F.  [t^m] i^c is final once i is known through
-        degree m - c + 1, so one table of them fills as i grows.
-        """
-        if self._inverse is None:
-            trunc = self.trunc
-            inv = {1: {0: -1}}  # degree k -> packed terms of i_k
-            table = {}  # (c, m) -> packed terms of [t^m] i^c
-
-            def power(c, m):
-                if c == 0:
-                    return {0: 1} if m == 0 else {}
-                if (c, m) not in table:
-                    table[c, m] = acc = {}
-                    for j in range(1, m - c + 2):
-                        _backend.mul_into(acc, inv[j], power(c - 1, m - j), trunc)
-                return table[c, m]
-
-            for k in range(2, self.cap + 1):
-                acc = {}
-                for (a, c), f in self.fgl_sum.coeffs.items():
-                    if a <= k and (a, c) != (0, 1):
-                        _backend.mul_into(acc, f._terms, power(c, k - a), trunc)
-                inv[k] = {key: -v for key, v in acc.items()}
-            self._inverse = self.t_var()._shell(
-                {(k,): BPoly._raw(terms, trunc) for k, terms in inv.items() if terms}
-            )
-        return self._inverse
-
     def n_series(self, n: int) -> TruncSeries:
         """[n](t) = exp(n log t) = sum_k n^k b_(k-1) L_k(t), for every n.
 
         ``verify fgl`` cross-checks the negative ones against the formal
-        inverse route i([-n](t)).
+        inverse route i([n](t)) of ``checks.formal_inverse``.
         """
         if n not in self._n_cache:
             if self._exp_log_terms is None:

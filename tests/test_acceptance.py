@@ -11,12 +11,11 @@ import time
 
 from cobord import actions as ac
 from cobord import bounds as bd
+from cobord import checks
 from cobord import equivariant as eq
-from cobord import fgl
 from cobord import geometry as geo
 from cobord import lazard as lz
 from cobord.partitions import partitions_of, pi_q, refines, union
-from cobord.series import TruncSeries
 
 TRUNC = 12
 
@@ -78,62 +77,48 @@ def test_criterion_02_generator_criterion():
             assert abs(c) == (pp[0] if pp else 1), i
 
 
+def chain_names(p, max_n, max_s):
+    """The checks of ``checks.landweber_chain`` at truncation 12."""
+    names = [f"v_0 not in I_{p}(0)"]
+    for n in range(1, max_n + 1):
+        names += [f"u_m in I_{p}({n}) for m < {p ** n - 1}",
+                  f"v_{n} not in I_{p}({n})", f"v_{n} indecomposable mod {p}"]
+    return names + [
+        f"Y_{s} in I_{p}({s + 1}) minus I_{p}({s}), Chern numbers divisible"
+        for s in range(max_s + 1)
+    ]
+
+
+def assert_passes(report, names):
+    assert report.ok, report.to_obj()
+    assert [name for name, _, _ in report.entries] == names
+
+
 def test_criterion_03_landweber_chain():
     with criterion(3, "Landweber chain: u_m membership, v_n exclusion and "
                       "indecomposability"):
-        ctx = fgl.context(TRUNC)
-        for (p, nmax) in [(2, 3), (3, 2)]:
-            u = ctx.landweber_coeffs(p)
-            for n in range(0, nmax + 1):
-                for m in range(min(p ** n - 1, TRUNC)):
-                    assert lz.in_landweber_ideal(
-                        lz.CobordismClass(u[m]), p, n
-                    ), (p, n, m)
-                if p ** n - 1 <= TRUNC:
-                    vn = lz.CobordismClass(ctx.v(p, n))
-                    assert not lz.in_landweber_ideal(vn, p, n), (p, n)
-                    if n >= 1:
-                        assert lz.is_indecomposable_mod_p(vn, p), (p, n)
+        assert_passes(checks.landweber_chain(2, TRUNC, max_n=3), chain_names(2, 3, 3))
+        assert_passes(checks.landweber_chain(3, TRUNC, max_n=2), chain_names(3, 2, 2))
 
 
 def test_criterion_04_fixed_point_free_generators():
     with criterion(4, "degree-p hypersurface witnesses: ideal chain position "
                       "and divisibility"):
-        for (p, s) in [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]:
-            ys = cls(geo.Hyp(p, p ** s - 1))
-            assert ys.image.divisible_by(p), (p, s)
-            assert lz.in_landweber_ideal(ys, p, s + 1), (p, s)
-            assert not lz.in_landweber_ideal(ys, p, s), (p, s)
+        assert_passes(checks.landweber_chain(2, TRUNC, max_n=2), chain_names(2, 2, 2))
+        assert_passes(checks.landweber_chain(3, TRUNC, max_n=1), chain_names(3, 1, 1))
 
 
 def test_criterion_05_main_theorem_soundness():
     with criterion(5, "bound engine never exceeds realized fixed-locus "
                       "dimensions; filtration levels respected"):
         t0 = time.monotonic()
-        groups = [
-            ac.GroupDescriptor(2, (1,)),
-            ac.GroupDescriptor(2, (2,)),
-            ac.GroupDescriptor(2, (1, 1)),
-            ac.GroupDescriptor(3, (1,)),
-        ]
-        for group in groups:
-            witnesses = []
-            for i in range(1, 9):
-                witnesses.extend(ac.generator_action(i, group, TRUNC))
-            s = 0
-            while s < group.rank and group.p ** s - 1 <= 8:
-                witnesses.append(ac.landweber_variety(s, group, TRUNC))
-                s += 1
-            for w in witnesses:
-                rep = bd.fixed_dim_lower_bound(w.cobordism_class(TRUNC), group)
-                assert rep.lower_bound <= w.fixed_dim, w.to_obj()
-            for d in (0, 1, 2):
-                for w in ac.filtration_family(d, group, 8, TRUNC):
-                    rep = bd.fixed_dim_lower_bound(
-                        w.cobordism_class(TRUNC), group
-                    )
-                    assert rep.lower_bound <= d, w.to_obj()
-                    assert rep.lower_bound <= w.fixed_dim, w.to_obj()
+        for p, groups in [(2, [(1,), (2,), (1, 1)]), (3, [(1,)])]:
+            report = checks.soundness(p, TRUNC, max_dim=TRUNC, groups=groups)
+            assert_passes(report, [
+                f"{kind} for p={p}, exponents={list(g)}"
+                for g in groups
+                for kind in ("witness soundness", "filtration family levels")
+            ])
         assert time.monotonic() - t0 < 60.0
 
 
@@ -155,27 +140,16 @@ def test_criterion_06_intro_hypersurface_bound():
 def test_criterion_07_presentation_lemma():
     with criterion(7, "multiplication-by-q leading term matches the v_n power "
                       "after reduction"):
-        ctx = fgl.context(TRUNC)
-        for (p, a, n) in [(2, 1, 1), (2, 2, 1), (3, 1, 1)]:
-            q = p ** a
-            qn = q ** n
-            series = ctx.n_series(q)
-            for k in range(1, qn):
-                red = lz.reduce_mod_landweber(
-                    lz.CobordismClass(series.coeff((k,))), p, n
-                )
-                assert red.is_zero(), (p, a, n, k)
-            e = (qn - 1) // (p ** n - 1)
-            lead = lz.reduce_mod_landweber(
-                lz.CobordismClass(series.coeff((qn,))), p, n
-            )
-            expect = lz.reduce_mod_landweber(
-                lz.CobordismClass(ctx.v(p, n) ** e), p, n
-            )
-            assert lead == expect and not lead.is_zero(), (p, a, n)
-        report = eq.verify_presentation(2, [(1, 1), (2, 1)], TRUNC)
-        assert report.ok
-        assert eq.verify_presentation(3, [(1, 1)], TRUNC).ok
+        assert_passes(eq.verify_presentation(2, [(1, 1), (2, 1)], TRUNC), [
+            "q=2,n=1: vanishing below t^2", "q=2,n=1: t^2 coefficient is v_1^1",
+            "q=2,n=1: u_m membership below v_1",
+            "q=4,n=1: vanishing below t^4", "q=4,n=1: t^4 coefficient is v_1^3",
+            "q=4,n=1: u_m membership below v_1",
+        ])
+        assert_passes(eq.verify_presentation(3, [(1, 1)], TRUNC), [
+            "q=3,n=1: vanishing below t^3", "q=3,n=1: t^3 coefficient is v_1^1",
+            "q=3,n=1: u_m membership below v_1",
+        ])
 
 
 def test_criterion_08_graded_bundle_ring():
@@ -216,30 +190,12 @@ def test_criterion_10_property_suites():
     with criterion(10, "group-law, composition, refinement-order and "
                        "triangularity property suites"):
         t0 = time.monotonic()
-        ctx = fgl.context(TRUNC)
-
-        # associativity and commutativity to total degree 6
-        deg = 6
-        vars3 = ("x", "y", "z")
-        caps = (deg,) * 3
-
-        def var(name):
-            return TruncSeries.variable(name, vars3, caps, deg, trunc=TRUNC)
-
-        x, y, z = var("x"), var("y"), var("z")
-        assert ctx.apply_sum(ctx.apply_sum(x, y), z) == ctx.apply_sum(
-            x, ctx.apply_sum(y, z)
-        )
-        F = ctx.fgl_sum
-        for (i, j) in F.coeffs:
-            assert F.coeff((i, j)) == F.coeff((j, i))
-
-        # [a] o [b] = [ab] for |a|, |b| <= 4
-        for a in range(-4, 5):
-            for b in range(-4, 5):
-                assert ctx.n_series(a).compose(ctx.n_series(b)) == ctx.n_series(
-                    a * b
-                ), (a, b)
+        assert_passes(checks.fgl_laws(2, TRUNC), [
+            "unit law F(x,0)=x", "symmetry", "associativity to degree 6",
+            "F(t,t) = [2](t)", "[a]([b](t)) = [ab](t) for |a|,|b| <= 4",
+            "[-n](t) = i([n](t)) for 1 <= n <= 4", "F(t, [-1](t)) = 0",
+            "u_m vanish mod 2",
+        ])
 
         # refinement-order and pi_q laws, exhaustively to weight 10
         for n in range(0, 11):

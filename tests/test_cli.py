@@ -249,3 +249,11 @@ def test_verify_fgl_cross_checks_the_formal_inverse_route(capsys):
     code, out, _ = run(["verify", "fgl", "--p", "3", "--trunc", "8"], capsys)
     assert code == 0
     assert "[OK ] fgl: [-n](t) = i([n](t)) for 1 <= n <= 4\n" in out
+
+
+@pytest.mark.parametrize("flag", [["--group", "1"], ["--format", "table"]])
+def test_verify_rejects_the_flags_it_would_ignore(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "all", *flag])
+    assert exc.value.code != 0
+    assert capsys.readouterr().out == ""

@@ -93,10 +93,16 @@ def test_push_multiplicative_over_product_base():
 
 
 def test_a_p_round_trip():
-    for i in range(0, 7):
+    for i in range(0, 11):
         in_p = eq.a_in_p(i, G, TRUNC)
         back = eq.p_to_a(in_p, TRUNC)
         assert back == eq.MPoly.variable(i, G, trunc=TRUNC), i
+
+
+def test_a_in_p_computes_each_degree_once():
+    eq.a_in_p.cache_clear()
+    eq.a_in_p(12, (1,), 12)
+    assert eq.a_in_p.cache_info().misses == 13
 
 
 def test_p_to_a_rejects_wrong_kind():
