@@ -92,9 +92,10 @@ def landweber_chain(p: int, trunc: int, max_n: int = 3) -> CheckReport:
         if p ** max(n - 1, 0) - 1 > trunc:
             break
         if n >= 1:
+            top = min(p ** n - 1, trunc)  # u_m exists only below the truncation
             ok = all(lazard.in_landweber_ideal(CobordismClass(u[m]), p, n)
-                     for m in range(min(p ** n - 1, trunc)))
-            checks.append((f"u_m in I_{p}({n}) for m < {p**n - 1}", ok))
+                     for m in range(top))
+            checks.append((f"u_m in I_{p}({n}) for m < {top}", ok))
         if p ** n - 1 <= trunc:
             vn = CobordismClass(ctx.v(p, n))
             out = not lazard.in_landweber_ideal(vn, p, n)

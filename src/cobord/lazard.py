@@ -21,6 +21,7 @@ by monomial.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
@@ -190,19 +191,66 @@ def milnor_candidates(i: int):
     return out
 
 
-class GeneratorBasis:
-    """A fixed family of polynomial generators, one per degree up to N."""
+def milnor_top_chern(m: int, n: int) -> int:
+    """c_(m+n-1) of the Milnor hypersurface H(m, n), for m = 0 or m >= 2.
 
-    def __init__(self, flavor, trunc, gens, splits=None, p=None, r=None):
+    H(0, n) is P^(n-1), whose top Chern number is -n in this
+    normalisation; for m >= 2 it is the binomial C(m+n, m) (Stong,
+    *Notes on Cobordism Theory*).  The tests check both against
+    ``geometry.evaluate``.
+    """
+    return -n if m == 0 else math.comb(m + n, m)
+
+
+class _Generators(Mapping):
+    """Read-only degree -> generator mapping over 1..N.
+
+    Each generator is built the first time its degree is read and passes
+    its basis's validation at that moment.
+    """
+
+    def __init__(self, basis, build):
+        self._basis = basis
+        self._build = build
+        self._built = {}
+
+    def __getitem__(self, i):
+        g = self._built.get(i)
+        if g is None:
+            if i not in self._basis.tops:
+                raise KeyError(i)
+            g = self._build(i)
+            self._basis._validate(i, g)
+            self._built[i] = g
+        return g
+
+    def __iter__(self):
+        return iter(self._basis.tops)
+
+    def __len__(self):
+        return len(self._basis.tops)
+
+
+class GeneratorBasis:
+    """A fixed family of polynomial generators, one per degree 1..N.
+
+    ``tops`` maps each degree i to the top Chern number c_(i) that the
+    construction gives its generator; it is known before any generator is
+    built, so ``signs`` and ``describe`` build nothing.  ``gens`` builds
+    the degree-i generator with ``build(i)`` on first read and checks it
+    against ``tops`` and the generator criteria then.
+    """
+
+    def __init__(self, flavor, trunc, build, tops, splits=None, p=None, r=None):
         self.flavor = flavor
         self.trunc = trunc
-        self.gens = gens
+        self.tops = tops
         self.splits = splits or {}
         self.p = p
         self.r = r
+        self.gens = _Generators(self, build)
         self._mono_images = {(): BPoly.one(trunc=trunc)}
         self._d_cache = {}
-        self._validate()
 
     def key(self):
         return (self.flavor, self.p, self.r, self.trunc)
@@ -217,36 +265,39 @@ class GeneratorBasis:
             if self.p ** i - 1 <= self.trunc
         )
 
-    def _validate(self):
-        for i, g in self.gens.items():
-            c = g.c_alpha((i,))
-            pp = prime_power(i + 1)
-            expect = pp[0] if pp else 1
-            if abs(c) != expect:
-                raise BasisValidationError(
-                    f"degree {i}: |c_(i)| = {abs(c)}, expected {expect}"
-                )
-        for n in self.killed_parts():
-            g = self.gens[n]
+    def _validate(self, i, g):
+        c = g.c_alpha((i,))
+        pp = prime_power(i + 1)
+        expect = pp[0] if pp else 1
+        if abs(c) != expect:
+            raise BasisValidationError(
+                f"degree {i}: |c_(i)| = {abs(c)}, expected {expect}"
+            )
+        if c != self.tops[i]:
+            raise BasisValidationError(
+                f"degree {i}: c_(i) = {c}, but the construction gives {self.tops[i]}"
+            )
+        if i in self.killed_parts():
             if not g.image.divisible_by(self.p):
                 raise BasisValidationError(
-                    f"adapted generator in degree {n} is not in the mod-{self.p} kernel"
+                    f"adapted generator in degree {i} is not in the mod-{self.p} kernel"
                 )
-            if g.c_alpha((n,)) != -self.p:
+            if c != -self.p:
                 raise BasisValidationError(
-                    f"adapted generator in degree {n} has c = {g.c_alpha((n,))}"
+                    f"adapted generator in degree {i} has c = {c}"
                 )
 
     def signs(self):
         """sign(c_(i)(l_i)) per degree; fixed by the gcd computation."""
-        return {i: (1 if g.c_alpha((i,)) > 0 else -1) for i, g in self.gens.items()}
+        return {i: (1 if c > 0 else -1) for i, c in self.tops.items()}
 
     def describe(self):
+        signs = self.signs()
         return {
             "flavor": self.flavor,
             "p": self.p,
             "r": self.r,
-            "signs": [self.signs()[i] for i in sorted(self.gens)],
+            "signs": [signs[i] for i in sorted(signs)],
         }
 
     def image_of_monomial(self, beta: Partition) -> BPoly:
@@ -314,30 +365,27 @@ def base_basis(trunc: int = DEFAULT_TRUNCATION) -> GeneratorBasis:
 
     In degree i the achievable c_(i) values are -(i+1) (the m = 0 class,
     a projective space) and the binomials C(i+1, m) for 2 <= m <= n; the
-    extended gcd realizes the minimal value +-1 or +-p.
+    extended gcd realizes the minimal value +-1 or +-p.  The splits come
+    from the closed forms alone; a generator evaluates only the classes
+    with a nonzero coefficient, when its degree is first read.
     """
     from . import geometry
 
-    gens = {}
+    tops = {}
     splits = {}
     for i in range(1, trunc + 1):
         cands = milnor_candidates(i)
-        values = []
-        classes = []
-        for (m, n) in cands:
-            cl = geometry.evaluate(geometry.Milnor(m, n), trunc)
-            classes.append(cl)
-            values.append(cl.c_alpha((i,)))
-        g, coeffs = xgcd_list(values)
+        tops[i], coeffs = xgcd_list([milnor_top_chern(m, n) for m, n in cands])
+        splits[i] = [(m, n, c) for (m, n), c in zip(cands, coeffs) if c]
+
+    def build(i):
         image = BPoly.zero(trunc=trunc)
-        split = []
-        for (m, n), cl, c in zip(cands, classes, coeffs):
-            if c:
-                image = image + cl.image.scaled(c)
-                split.append((m, n, c))
-        gens[i] = CobordismClass(image, dim=i)
-        splits[i] = split
-    return GeneratorBasis("base", trunc, gens, splits)
+        for m, n, c in splits[i]:
+            cl = geometry.evaluate(geometry.Milnor(m, n), trunc)
+            image = image + cl.image.scaled(c)
+        return CobordismClass(image, dim=i)
+
+    return GeneratorBasis("base", trunc, build, tops, splits)
 
 
 @lru_cache(maxsize=None)
@@ -350,23 +398,31 @@ def adapted_basis(p: int, r: int, trunc: int = DEFAULT_TRUNCATION) -> GeneratorB
     Degrees above ``trunc`` are left unreplaced, so every rank is accepted:
     an ideal member of degree <= trunc only involves generators of degree
     <= trunc, hence I_p(r) agrees with I_p(r') there for every large r'.
+    v_i has weight p^i - 1, so it is read from the FGL context of that
+    truncation, the smallest that holds it, and re-keyed into ``trunc``.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("adapted bases need r >= 1")
     base = base_basis(trunc)
-    ctx = fgl.context(trunc)
-    gens = dict(base.gens)
+    levels = {}  # killed degree p^i - 1 -> i
     for i in range(1, r):
         n = p ** i - 1
         if n > trunc:
             break
+        levels[n] = i
+    tops = {n: (-p if n in levels else c) for n, c in base.tops.items()}
+
+    def build(n):
         ell = base.gens[n]
-        sigma = 1 if ell.c_alpha((n,)) > 0 else -1
-        v_i = CobordismClass(ctx.v(p, i), dim=n)
-        gens[n] = v_i - (sigma * p ** n) * ell
-    return GeneratorBasis("adapted", trunc, gens, base.splits, p=p, r=r)
+        if n not in levels:
+            return ell
+        sigma = 1 if base.tops[n] > 0 else -1
+        v_i = CobordismClass(BPoly(fgl.context(n).v(p, levels[n]).terms, trunc), dim=n)
+        return v_i - (sigma * p ** n) * ell
+
+    return GeneratorBasis("adapted", trunc, build, tops, base.splits, p=p, r=r)
 
 
 def base_generator(i: int, trunc: int = DEFAULT_TRUNCATION) -> CobordismClass:

@@ -81,7 +81,7 @@ def chain_names(p, max_n, max_s):
     """The checks of ``checks.landweber_chain`` at truncation 12."""
     names = [f"v_0 not in I_{p}(0)"]
     for n in range(1, max_n + 1):
-        names += [f"u_m in I_{p}({n}) for m < {p ** n - 1}",
+        names += [f"u_m in I_{p}({n}) for m < {min(p ** n - 1, TRUNC)}",
                   f"v_{n} not in I_{p}({n})", f"v_{n} indecomposable mod {p}"]
     return names + [
         f"Y_{s} in I_{p}({s + 1}) minus I_{p}({s}), Chern numbers divisible"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,3 +261,38 @@ def test_verify_rejects_the_flags_it_would_ignore(flag, capsys):
         cli.main(["verify", "all", *flag])
     assert exc.value.code != 0
     assert capsys.readouterr().out == ""
+
+
+def test_verify_suite_choices_are_the_registry_names():
+    from cobord import checks
+
+    assert cli.SUITE_NAMES == tuple(checks.SUITES)
+
+
+def test_verify_all_passes_max_n_to_the_ideals_suite(capsys):
+    code, out, _ = run(["verify", "all", "--max-n", "1", "--trunc", "4"], capsys)
+    assert code == 0
+    assert "[OK ] ideals: v_1 not in I_2(1)\n" in out
+    assert "ideals: v_2" not in out  # max_n 2 or more would check v_2
+
+
+@pytest.mark.parametrize("suite", ["fgl", "presentation", "soundness"])
+def test_verify_rejects_max_n_for_a_suite_that_ignores_it(suite, capsys):
+    code, out, err = run(["verify", suite, "--max-n", "9"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --max-n applies only to the ideals suite, not {suite}\n"
+
+
+def test_only_verify_imports_the_check_registry():
+    # a fresh interpreter: this process has imported checks already
+    code = (
+        "import sys; from cobord import cli; "
+        "cli.main(['bound', '{\"hyp\":[3,4]}', '--p', '2', '--group', '1']); "
+        "print(sorted({'cobord.checks', 'cobord.equivariant'} & set(sys.modules)))"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.endswith("\n[]\n")

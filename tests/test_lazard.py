@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobord import cli, fgl
 from cobord import geometry as geo
 from cobord import lazard as lz
 from cobord.partitions import partitions_of, refines
@@ -71,6 +72,66 @@ def test_generators_are_milnor_combinations(basis):
             assert m + n - 1 == i and m != 1
             img = img + cls(geo.Milnor(m, n)).image.scaled(c)
         assert img == basis.gens[i].image
+
+
+# -- lazy generators and closed-form splits -------------------------------
+
+
+@pytest.fixture
+def fresh_bases():
+    """Empty the basis and FGL caches before and after a test that inspects
+    or perturbs their construction."""
+    caches = (lz.base_basis, lz.adapted_basis, fgl.context)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_closed_form_top_chern_numbers_match_evaluation():
+    cases = [(i, m, n) for i in range(1, 21) for m, n in lz.milnor_candidates(i)]
+    assert len(cases) == 110
+    for i, m, n in cases:
+        assert lz.milnor_top_chern(m, n) == geo.evaluate(
+            geo.Milnor(m, n), 20).c_alpha((i,)), (m, n)
+
+
+def test_v_i_from_the_smallest_context_matches_truncation_20():
+    cases = [(p, i) for p in range(2, 21) if lz.is_prime(p)
+             for i in range(1, 5) if p ** i - 1 <= 20]
+    assert len(cases) == 12
+    wide = fgl.context(20)
+    for p, i in cases:
+        small = fgl.context(p ** i - 1).v(p, i)
+        assert BPoly(small.terms, 20) == wide.v(p, i), (p, i)
+
+
+def test_a_cold_bound_builds_only_the_degrees_of_its_class(fresh_bases, capsys):
+    basis = lz.base_basis(30)
+    assert basis.describe()["signs"] == [1] * 30
+    assert not basis.gens._built
+    assert cli.main(["bound", '{"hyp":[3,4]}', "--p", "2", "--group", "1,1",
+                     "--trunc", "30"]) == 0
+    assert capsys.readouterr().out
+    assert sorted(basis.gens._built) == [1, 2, 3, 4]
+    assert sorted(lz.adapted_basis(2, 2, 30).gens._built) == [1, 2, 3, 4]
+    assert not fgl.context(30)._n_cache  # v_1, v_2 came from contexts 1 and 3
+
+
+@pytest.mark.parametrize("degree", [1, 4, 9])
+def test_a_wrong_closed_form_fails_validation_when_its_degree_is_built(
+        degree, fresh_bases, monkeypatch):
+    exact = lz.milnor_top_chern
+
+    def off_by_one(m, n):
+        return exact(m, n) + (m == 0 and n == degree + 1)
+
+    monkeypatch.setattr(lz, "milnor_top_chern", off_by_one)
+    basis = lz.base_basis(TRUNC)
+    assert basis.gens[degree + 1].dim == degree + 1  # other degrees still build
+    with pytest.raises(lz.BasisValidationError, match=f"degree {degree}:"):
+        basis.gens[degree]
 
 
 def test_triangularity_to_weight_8(basis):
