@@ -35,7 +35,6 @@ from .geometry import (
     Scaled,
     TruncationError,
     VarietyExpr,
-    euler_like_checks,
     evaluate,
     parse_expr,
 )
@@ -47,15 +46,10 @@ from .lazard import (
     NotInLazardImage,
     adapted_basis,
     base_basis,
-    base_generator,
-    c_alpha,
     c_alpha_image_gcd,
     in_landweber_ideal,
-    is_decomposable,
     is_indecomposable_mod_p,
-    q_degree,
     reduce_mod_landweber,
-    to_gen_coords,
 )
 from .partitions import (
     Partition,
@@ -96,13 +90,10 @@ __all__ = [
     "VarietyExpr",
     "adapted_basis",
     "base_basis",
-    "base_generator",
-    "c_alpha",
     "c_alpha_image_gcd",
     "chern_bound",
     "context",
     "d_alpha",
-    "euler_like_checks",
     "evaluate",
     "filtration_family",
     "fixed_dim_lower_bound",
@@ -110,16 +101,13 @@ __all__ = [
     "has_forced_fixed_point",
     "in_admissible_class",
     "in_landweber_ideal",
-    "is_decomposable",
     "is_indecomposable_mod_p",
     "landweber_variety",
     "milnor_fixed_dim",
     "parse_expr",
     "partitions_of",
     "pi_q",
-    "q_degree",
     "reduce_mod_landweber",
     "refines",
-    "to_gen_coords",
     "union",
 ]

@@ -44,10 +44,6 @@ class GroupDescriptor:
     def to_obj(self):
         return {"p": self.p, "exponents": list(self.exponents)}
 
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(obj["p"], tuple(obj["exponents"]))
-
 
 @dataclass(frozen=True)
 class ActionWitness:

@@ -79,9 +79,7 @@ def has_forced_fixed_point(z: CobordismClass, group: GroupDescriptor) -> bool:
     return not in_landweber_ideal(z, group.p, group.rank)
 
 
-def fixed_dim_lower_bound(
-    z: CobordismClass, group: GroupDescriptor, basis: GeneratorBasis = None
-) -> BoundReport:
+def fixed_dim_lower_bound(z: CobordismClass, group: GroupDescriptor) -> BoundReport:
     """Reduce modulo the rank ideal and read off the q-degree.
 
     Semantics: every action of the group on a variety with this class has
@@ -89,7 +87,7 @@ def fixed_dim_lower_bound(
     imposes no constraint at all.
     """
     q = group.order
-    reduced = reduce_mod_landweber(z, group.p, group.rank, basis=basis)
+    reduced = reduce_mod_landweber(z, group.p, group.rank)
     bound = reduced.q_degree(q)
     certificate = None
     if reduced.coeffs:

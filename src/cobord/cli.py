@@ -59,11 +59,8 @@ def _parse_expr_arg(text: str):
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
-        raise SystemExit(f"error: invalid JSON expression: {e}")
-    try:
-        return geometry.parse_expr(obj)
-    except ValueError as e:
-        raise SystemExit(f"error: {e}")
+        raise ValueError(f"invalid JSON expression: {e}") from None
+    return geometry.parse_expr(obj)
 
 
 # the suite names of ``checks.SUITES``, in order; a test keeps the two equal
@@ -169,12 +166,7 @@ def cmd_actions(args) -> int:
     if args.generator is not None:
         witnesses.extend(actions_mod.generator_action(args.generator, group, args.trunc))
     elif args.landweber is not None:
-        try:
-            witnesses.append(
-                actions_mod.landweber_variety(args.landweber, group, args.trunc)
-            )
-        except ValueError as e:
-            raise SystemExit(f"error: {e}")
+        witnesses.append(actions_mod.landweber_variety(args.landweber, group, args.trunc))
     elif args.family is not None:
         witnesses.extend(
             actions_mod.filtration_family(
@@ -182,7 +174,7 @@ def cmd_actions(args) -> int:
             )
         )
     else:
-        raise SystemExit("error: pick one of --generator, --landweber, --family")
+        raise ValueError("pick one of --generator, --landweber, --family")
     obj = {"witnesses": [w.to_obj() for w in witnesses]}
     lines = []
     for w in witnesses:

@@ -2,7 +2,7 @@
 
 The exponential exp(t) = sum_i b_i t^(i+1) (with b_0 = 1) classifies the
 universal formal group law via F(x, y) = exp(log x + log y), where log is
-the compositional inverse of exp.  This module computes exp, log, F, the
+the compositional inverse of exp.  This module computes log, F, the
 multiplication-by-n series [n](t) = exp(n log t), and the coefficients
 u_m of the [p]-series whose p-power-indexed members v_n generate the
 Landweber ideals.  log is not inverted degree by degree: by Mishchenko's
@@ -43,25 +43,11 @@ class FglContext:
         self.trunc = trunc
         self.cap = aux_cap(trunc)
         self._n_cache: dict[int, TruncSeries] = {}
-        self._exp = None
         self._log = None
         self._sum = None
         self._exp_log_terms = None  # b_(k-1) L_k, k = 1 .. trunc + 1
 
     # -- basic series -------------------------------------------------
-
-    @property
-    def exp(self) -> TruncSeries:
-        """exp(t) = t + b_1 t^2 + b_2 t^3 + ..."""
-        if self._exp is None:
-            coeffs = {}
-            for k in range(1, self.cap + 1):
-                if k - 1 <= self.trunc:
-                    coeffs[(k,)] = BPoly.gen(k - 1, trunc=self.trunc)
-            self._exp = TruncSeries(
-                ("t",), (self.cap,), self.cap, coeffs, trunc=self.trunc
-            )
-        return self._exp
 
     @property
     def log(self) -> TruncSeries:

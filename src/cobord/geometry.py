@@ -28,7 +28,7 @@ from typing import Union
 
 from . import _backend
 from .lazard import CobordismClass
-from .partitions import _sub_multisets, codec
+from .partitions import codec
 from .series import BPoly, DEFAULT_TRUNCATION
 
 
@@ -286,14 +286,19 @@ def _milnor_image(m: int, n: int, trunc: int) -> BPoly:
 # -- evaluation ----------------------------------------------------------
 
 
+def _check_truncation(dim: int, trunc: int):
+    if dim > trunc:
+        raise TruncationError(
+            f"dimension {dim} exceeds truncation {trunc}; raise the truncation"
+        )
+
+
 @lru_cache(maxsize=None)
 def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismClass:
     """Hurewicz image (all Chern numbers) of a variety expression."""
     dim = expr.dimension()
-    if dim is not None and dim > trunc:
-        raise TruncationError(
-            f"dimension {dim} exceeds truncation {trunc}; raise the truncation"
-        )
+    if dim is not None:
+        _check_truncation(dim, trunc)
     if isinstance(expr, Point):
         return CobordismClass(BPoly.one(trunc=trunc), dim=0)
     if isinstance(expr, Proj):
@@ -314,6 +319,12 @@ def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismCla
         return CobordismClass(_milnor_image(expr.m, expr.n, trunc), dim=dim)
     if isinstance(expr, Product):
         factors = [evaluate(f, trunc) for f in expr.factors]
+        if dim is None:
+            # a mixed-dimension factor: Z[b] is a domain, so the factors' top
+            # components multiply to a nonzero class of the summed weight
+            weights = [f.image.weights() for f in factors]
+            if all(weights):
+                _check_truncation(sum(map(max, weights)), trunc)
         one = CobordismClass(BPoly.one(trunc=trunc), dim=0)
         return reduce(lambda a, b: a * b, factors, one)
     if isinstance(expr, DisjointUnion):
@@ -328,16 +339,7 @@ def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismCla
     raise TypeError(f"not a variety expression: {expr!r}")
 
 
-# -- sanity harness -------------------------------------------------------
-
-
-def convolve_coeff(x: BPoly, y: BPoly, alpha) -> int:
-    """Independent product oracle: sum of c_beta(x) c_gamma(y) over the
-    distinct splittings beta cup gamma = alpha."""
-    total = 0
-    for beta, gamma in _sub_multisets(tuple(alpha)):
-        total += x.coeff(beta) * y.coeff(gamma)
-    return total
+# -- check reports --------------------------------------------------------
 
 
 @dataclass
@@ -359,45 +361,3 @@ class CheckReport:
                 for name, ok, detail in self.entries
             ],
         }
-
-
-def euler_like_checks(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CheckReport:
-    """Structural sanity checks on an evaluated expression.
-
-    Verifies homogeneity (c_alpha = 0 off the dimension), the two-path
-    product identity against the convolution oracle, additivity over
-    disjoint unions, and the normalization of the point class.
-    """
-    entries = []
-    cl = evaluate(expr, trunc)
-    dim = expr.dimension()
-    if dim is not None:
-        ws = cl.image.weights()
-        entries.append(
-            (
-                "homogeneous",
-                ws <= {dim},
-                f"weights {sorted(ws)} vs dimension {dim}",
-            )
-        )
-    if isinstance(expr, Point):
-        entries.append(("point-unit", cl.image == BPoly.one(trunc=trunc), ""))
-    if isinstance(expr, Product) and len(expr.factors) == 2:
-        x = evaluate(expr.factors[0], trunc).image
-        y = evaluate(expr.factors[1], trunc).image
-        keys, y_keys = set(cl.image.terms), y.terms  # decode each image once
-        for kx in x.terms:
-            for ky in y_keys:
-                if sum(kx) + sum(ky) <= trunc:
-                    keys.add(tuple(sorted(kx + ky, reverse=True)))
-        ok = all(convolve_coeff(x, y, a) == cl.image.coeff(a) for a in keys)
-        entries.append(("product-convolution", ok, f"{len(keys)} coefficients"))
-    if isinstance(expr, DisjointUnion):
-        total = BPoly.zero(trunc=trunc)
-        for part in expr.parts:
-            total = total + evaluate(part, trunc).image
-        entries.append(("disjoint-additivity", total == cl.image, ""))
-    if isinstance(expr, Scaled):
-        inner = evaluate(expr.expr, trunc).image
-        entries.append(("scaling", inner.scaled(expr.k) == cl.image, ""))
-    return CheckReport(entries)

@@ -165,17 +165,6 @@ class CobordismClass:
     def __repr__(self):
         return f"CobordismClass(dim={self.dim}, image={self.image!r})"
 
-    def to_obj(self, basis=None):
-        obj = {"dim": self.dim, "image": self.image.to_obj()}
-        if basis is not None:
-            obj["gen_coords"] = self.gen_coords(basis).to_obj()
-        return obj
-
-
-def c_alpha(z: CobordismClass, alpha) -> int:
-    """The Chern-number functional: the b_alpha coefficient of the image."""
-    return z.c_alpha(alpha)
-
 
 # -- generator bases ---------------------------------------------------
 
@@ -238,32 +227,26 @@ class GeneratorBasis:
     construction gives its generator; it is known before any generator is
     built, so ``signs`` and ``describe`` build nothing.  ``gens`` builds
     the degree-i generator with ``build(i)`` on first read and checks it
-    against ``tops`` and the generator criteria then.
+    against ``tops`` and the generator criteria then.  ``killed`` holds
+    the degrees p^i - 1 whose generators an adapted basis replaces by
+    members of I_p(r); it is empty for the base basis.
     """
 
-    def __init__(self, flavor, trunc, build, tops, splits=None, p=None, r=None):
+    def __init__(self, flavor, trunc, build, tops, splits=None, p=None, r=None,
+                 killed=frozenset()):
         self.flavor = flavor
         self.trunc = trunc
         self.tops = tops
         self.splits = splits or {}
         self.p = p
         self.r = r
+        self.killed = killed
         self.gens = _Generators(self, build)
         self._mono_images = {(): BPoly.one(trunc=trunc)}
         self._d_cache = {}
 
     def key(self):
         return (self.flavor, self.p, self.r, self.trunc)
-
-    def killed_parts(self) -> frozenset[int]:
-        """Generator degrees replaced by Landweber classes in this basis."""
-        if self.flavor == "base":
-            return frozenset()
-        return frozenset(
-            self.p ** i - 1
-            for i in range(1, self.r)
-            if self.p ** i - 1 <= self.trunc
-        )
 
     def _validate(self, i, g):
         c = g.c_alpha((i,))
@@ -277,7 +260,7 @@ class GeneratorBasis:
             raise BasisValidationError(
                 f"degree {i}: c_(i) = {c}, but the construction gives {self.tops[i]}"
             )
-        if i in self.killed_parts():
+        if i in self.killed:
             if not g.image.divisible_by(self.p):
                 raise BasisValidationError(
                     f"adapted generator in degree {i} is not in the mod-{self.p} kernel"
@@ -422,12 +405,8 @@ def adapted_basis(p: int, r: int, trunc: int = DEFAULT_TRUNCATION) -> GeneratorB
         v_i = CobordismClass(BPoly(fgl.context(n).v(p, levels[n]).terms, trunc), dim=n)
         return v_i - (sigma * p ** n) * ell
 
-    return GeneratorBasis("adapted", trunc, build, tops, base.splits, p=p, r=r)
-
-
-def base_generator(i: int, trunc: int = DEFAULT_TRUNCATION) -> CobordismClass:
-    """The degree-i polynomial generator of the base basis."""
-    return base_basis(trunc).gens[i]
+    return GeneratorBasis("adapted", trunc, build, tops, base.splits, p=p, r=r,
+                          killed=frozenset(levels))
 
 
 # -- generator-coordinate polynomials ----------------------------------
@@ -489,15 +468,6 @@ class GenPoly(SparseAlgebra):
             return NEG_INF
         return max(pi_q(beta, q) for beta in self._terms)
 
-    def to_image(self) -> BPoly:
-        """Reconstruct the Z[b] image (integer coefficients only)."""
-        if self.modulus is not None:
-            raise ValueError("reconstruction needs integer coefficients")
-        img = BPoly.zero(trunc=self.basis.trunc)
-        for beta, c in self._terms.items():
-            img = img + self.basis.image_of_monomial(beta).scaled(c)
-        return img
-
     def to_obj(self):
         b = self.basis
         return {
@@ -510,22 +480,7 @@ class GenPoly(SparseAlgebra):
         }
 
 
-def to_gen_coords(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
-    """Integer generator coordinates of a class (triangular solve)."""
-    return z.gen_coords(basis)
-
-
 # -- decomposability ----------------------------------------------------
-
-
-def is_decomposable(z: CobordismClass) -> bool:
-    """A homogeneous class of degree -n is decomposable iff c_(n) vanishes."""
-    n = z.image.homogeneous_weight()
-    if n is None:
-        return True
-    if n == 0:
-        raise ValueError("decomposability concerns positive-weight classes")
-    return z.c_alpha((n,)) == 0
 
 
 def is_indecomposable_mod_p(z: CobordismClass, p: int) -> bool:
@@ -553,55 +508,33 @@ def in_landweber_ideal(z: CobordismClass, p: int, n) -> bool:
     """Membership of z in I_p(n); n may be 0, a positive int, or math.inf.
 
     I_p(0) = 0; I_p(inf) is the kernel of reduction mod p; for finite
-    n >= 1 a class belongs iff, in an I_p(n)-adapted basis, every monomial
-    has coefficient divisible by p or contains a replaced generator.
+    n >= 1 a class belongs iff its reduction modulo I_p(n) vanishes.
     """
     if n == 0:
         return z.is_zero()
     if n == math.inf:
         return z.image.divisible_by(p)
-    basis = adapted_basis(p, n, z.trunc)
-    g = z.gen_coords(basis)
-    killed = basis.killed_parts()
-    for beta, c in g.coeffs.items():
-        if c % p == 0:
-            continue
-        if not any(part in killed for part in beta):
-            return False
-    return True
+    return reduce_mod_landweber(z, p, n).is_zero()
 
 
-def reduce_mod_landweber(z: CobordismClass, p: int, r: int, basis=None) -> GenPoly:
+def reduce_mod_landweber(z: CobordismClass, p: int, r: int) -> GenPoly:
     """The class of z in the quotient by I_p(r), in adapted coordinates.
 
-    For r >= 1: monomials containing a replaced generator are deleted and
-    the rest is reduced mod p.  For r = 0 the quotient is the ring itself
-    and the integer base-basis coordinates are returned unchanged.
-    An I_p(r')-adapted basis with r' >= r may be passed explicitly; its
-    extra replaced generators are still honest generators, so coordinates
-    remain valid and only degrees p^i - 1 with i < r are deleted.
+    For r >= 1 the ideal is generated by p and the replaced generators of
+    the I_p(r)-adapted basis, so monomials containing a replaced generator
+    are deleted and the rest is reduced mod p.  For r = 0 the quotient is
+    the ring itself and the integer base-basis coordinates are returned
+    unchanged.
     """
     if r == 0:
-        basis = basis or base_basis(z.trunc)
-        return z.gen_coords(basis)
-    if basis is None:
-        basis = adapted_basis(p, r, z.trunc)
-    elif basis.flavor != "adapted" or basis.p != p or (basis.r or 0) < r:
-        raise ValueError("basis is not adapted to this ideal")
-    g = z.gen_coords(basis)
-    killed = {p ** i - 1 for i in range(1, r)}
+        return z.gen_coords(base_basis(z.trunc))
+    basis = adapted_basis(p, r, z.trunc)
     coeffs = {
         beta: c
-        for beta, c in g.coeffs.items()
-        if not any(part in killed for part in beta)
+        for beta, c in z.gen_coords(basis).coeffs.items()
+        if not any(part in basis.killed for part in beta)
     }
     return GenPoly(coeffs, p, basis)
-
-
-def q_degree(g: GenPoly, q: int):
-    """Degree for the grading that places the degree-i generator in level
-    floor(i/q); -inf for zero."""
-    return g.q_degree(q)
 
 
 def c_alpha_image_gcd(alpha, basis: GeneratorBasis) -> int:

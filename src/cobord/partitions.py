@@ -24,10 +24,6 @@ def make(parts: Iterable[int]) -> Partition:
     return t
 
 
-def weight(alpha: Partition) -> int:
-    return sum(alpha)
-
-
 def union(alpha: Partition, beta: Partition) -> Partition:
     """Multiset union; the weight is additive."""
     return tuple(sorted(alpha + beta, reverse=True))
@@ -88,14 +84,6 @@ def codec(n: int):
         return tuple(i for i, off, mask in fields for _ in range(key >> off & mask))
 
     return pack, unpack, shift
-
-
-def partitions_upto(n: int) -> tuple[Partition, ...]:
-    """All partitions of weight at most ``n``, in the global order."""
-    out = []
-    for k in range(n + 1):
-        out.extend(partitions_of(k))
-    return tuple(out)
 
 
 def _sub_multisets(alpha: Partition):
@@ -168,13 +156,3 @@ def in_admissible_class(alpha: Partition, p: int, r: int) -> bool:
             continue
         sums |= {s + part for s in sums if s + part <= cap}
     return all(s < lo for s in sums if s)
-
-
-def to_obj(alpha: Partition) -> list[int]:
-    return list(alpha)
-
-
-def from_obj(obj) -> Partition:
-    if not isinstance(obj, list):
-        raise ValueError(f"partition must be a JSON array of ints: {obj!r}")
-    return make(obj)

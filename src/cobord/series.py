@@ -249,10 +249,6 @@ class BPoly(SparseAlgebra):
             return cls.one(trunc)
         return cls({(i,): 1}, trunc)
 
-    @classmethod
-    def monomial(cls, alpha, coeff=1, trunc=DEFAULT_TRUNCATION):
-        return cls({tuple(alpha): coeff}, trunc)
-
     def coeff(self, alpha) -> int:
         if sum(alpha) > self.trunc:
             return 0
@@ -311,15 +307,6 @@ class BPoly(SparseAlgebra):
                 for k, v in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_obj(cls, obj, trunc=DEFAULT_TRUNCATION):
-        if obj.get("modulus") is not None:
-            raise ValueError(f"BPoly is integral, got modulus {obj['modulus']}")
-        terms = {
-            tuple(t["partition"]): int(t["coeff"]) for t in obj.get("terms", [])
-        }
-        return cls(terms, trunc)
 
 
 class TruncSeries(SparseAlgebra):
@@ -523,18 +510,3 @@ class TruncSeries(SparseAlgebra):
             if not e.is_zero():
                 g = g + self._shell({(k,): -(u_inv * e)})
         return g
-
-    def graded_degree(self):
-        """If each t^k coefficient is homogeneous of weight k-d, return d.
-
-        Returns None for the zero series; raises if the series is not
-        graded-homogeneous.
-        """
-        degree = None
-        for exps, c in self._terms.items():
-            d = sum(exps) - c.homogeneous_weight()
-            if degree is None:
-                degree = d
-            elif degree != d:
-                raise ValueError("series is not graded-homogeneous")
-        return degree

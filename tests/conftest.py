@@ -1,7 +1,7 @@
 import pytest
 
 from cobord import fgl, lazard
-from cobord.series import TruncSeries
+from cobord.series import BPoly, TruncSeries
 
 TRUNC = 12
 
@@ -28,3 +28,27 @@ def _embed(f, slot, vars=("x", "y")):
 @pytest.fixture(scope="session")
 def embed():
     return _embed
+
+
+# -- references that only the tests compare against ------------------------
+
+
+def exp_series(ctx):
+    """exp(t) = t + b_1 t^2 + b_2 t^3 + ... in the variable space of ``ctx``."""
+    coeffs = {(k,): BPoly.gen(k - 1, trunc=ctx.trunc) for k in range(1, ctx.trunc + 2)}
+    return TruncSeries(("t",), (ctx.cap,), ctx.cap, coeffs, trunc=ctx.trunc)
+
+
+def graded_degree(series):
+    """The d with each t^k coefficient homogeneous of weight k - d.
+
+    None for the zero series; raises ValueError if there is no such d.
+    """
+    degree = None
+    for exps, c in series.coeffs.items():
+        d = sum(exps) - c.homogeneous_weight()
+        if degree is None:
+            degree = d
+        elif degree != d:
+            raise ValueError("series is not graded-homogeneous")
+    return degree

@@ -141,15 +141,21 @@ def test_bound_monotone_in_group_order():
     assert b4 <= b2
 
 
-def test_reduced_support_shrinks_with_rank():
-    # with a common adapted basis, raising r only deletes monomials
-    z = cls(geo.Product((geo.Proj(2), geo.Proj(1))))
-    basis = lz.adapted_basis(2, 3, TRUNC)
-    supports = []
-    for r in (1, 2, 3):
-        red = lz.reduce_mod_landweber(z, 2, r, basis=basis)
-        supports.append(set(red.coeffs))
-    assert supports[2] <= supports[1] <= supports[0]
+def test_landweber_ideals_increase_with_rank():
+    # I_p(r) is inside I_p(r + 1) for r = 0..3, on the generator witnesses
+    # X_i^+ and X_i^-, and on Y_s = Hyp(p, p^s - 1), which enters at r = s + 1
+    for p in (2, 3):
+        group = ac.GroupDescriptor(p, (1,))
+        witnesses = [w.variety for i in range(1, TRUNC + 1)
+                     for w in ac.generator_action(i, group, TRUNC) if w.variety.parts]
+        for expr in witnesses:
+            members = [lz.in_landweber_ideal(cls(expr), p, r) for r in range(5)]
+            assert members == sorted(members), (p, expr, members)
+        for s in range(4):
+            if p ** s - 1 <= TRUNC:
+                ys = cls(geo.Hyp(p, p ** s - 1))
+                members = [lz.in_landweber_ideal(ys, p, r) for r in range(5)]
+                assert members == [False] * (s + 1) + [True] * (4 - s), (p, s)
 
 
 def test_d_alpha_base_cases(basis):

@@ -100,24 +100,46 @@ def test_actions_command(capsys):
 
 
 def test_actions_requires_mode(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["actions", "--p", "2", "--group", "1"])
+    code, out, err = run(["actions", "--p", "2", "--group", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: pick one of --generator, --landweber, --family\n"
 
 
 def test_invalid_json_is_an_error(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["class", "{broken"])
+    code, out, err = run(["class", "{broken"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid JSON expression: ")
+    assert err.count("\n") == 1
 
 
 def test_unknown_constructor_is_an_error(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["class", '{"sphere": 2}'])
+    code, out, err = run(["class", '{"sphere": 2}'], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown constructor 'sphere'\n"
 
 
 def test_truncation_violation_is_hard_error(capsys):
     code, _, err = run(["class", '{"proj":9}', "--trunc", "8"], capsys)
     assert code == 1
     assert "truncation" in err
+
+
+def test_a_mixed_dimension_product_beyond_the_truncation_is_an_error(capsys):
+    # the components of dimension 3 and 4: 4 exceeds --trunc 3
+    argv = ["bound", '{"prod":[{"disj":[{"proj":1},{"proj":2}]},{"proj":2}]}',
+            "--p", "2", "--group", "1"]
+    code, out, err = run(argv + ["--trunc", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: dimension 4 exceeds truncation 3; raise the truncation\n"
+    code, out, _ = run(argv + ["--trunc", "4"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["lower_bound"] == 2
+    assert obj["certificate"]["partition"] == [2, 2]
 
 
 def test_trunc_env_override(capsys, monkeypatch):
@@ -145,12 +167,11 @@ def test_verify_presentation_suite(capsys):
     "expr",
     ['{"prod":5}', '{"hyp":[true,2]}', '{"scale":[2.5,"point"]}', '{"proj":"3"}'],
 )
-def test_malformed_expression_is_a_one_line_error(expr):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["class", expr])
-    msg = exc.value.code
-    assert isinstance(msg, str) and msg.startswith("error:")
-    assert "\n" not in msg
+def test_malformed_expression_is_a_one_line_error(expr, capsys):
+    code, out, err = run(["class", expr], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -225,11 +246,12 @@ def test_verify_rejects_a_non_prime_before_any_suite(argv, capsys):
     assert err == f"error: {argv[2]} is not prime\n"
 
 
-def test_actions_rejects_a_negative_landweber_index():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["actions", "--landweber", "-1", "--p", "2", "--group", "1"])
-    msg = exc.value.code
-    assert isinstance(msg, str) and msg.startswith("error:") and "\n" not in msg
+def test_actions_rejects_a_negative_landweber_index(capsys):
+    code, out, err = run(["actions", "--landweber", "-1", "--p", "2", "--group", "1"],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: the Landweber index s must be >= 0, got -1\n"
 
 
 def test_verify_rejects_a_negative_max_n_before_any_suite(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobord import geometry as geo
+from cobord.partitions import _sub_multisets
 from cobord.series import BPoly, TruncSeries
 
 TRUNC = 12
@@ -13,6 +14,48 @@ TRUNC = 12
 
 def cls(expr):
     return geo.evaluate(expr, TRUNC)
+
+
+def convolve_coeff(x, y, alpha):
+    """Independent product oracle: sum of c_beta(x) c_gamma(y) over the
+    distinct splittings beta cup gamma = alpha."""
+    return sum(x.coeff(beta) * y.coeff(gamma) for beta, gamma in _sub_multisets(alpha))
+
+
+def euler_like_checks(expr, trunc=TRUNC):
+    """Structural checks on an evaluated expression.
+
+    Homogeneity (c_alpha = 0 off the dimension), the two-path product
+    identity against the convolution oracle, additivity over disjoint
+    unions, scaling, and the normalization of the point class.
+    """
+    entries = []
+    cl = geo.evaluate(expr, trunc)
+    dim = expr.dimension()
+    if dim is not None:
+        ws = cl.image.weights()
+        entries.append(("homogeneous", ws <= {dim}, f"weights {sorted(ws)} vs dimension {dim}"))
+    if isinstance(expr, geo.Point):
+        entries.append(("point-unit", cl.image == BPoly.one(trunc=trunc), ""))
+    if isinstance(expr, geo.Product) and len(expr.factors) == 2:
+        x = geo.evaluate(expr.factors[0], trunc).image
+        y = geo.evaluate(expr.factors[1], trunc).image
+        keys, y_keys = set(cl.image.terms), y.terms  # decode each image once
+        for kx in x.terms:
+            for ky in y_keys:
+                if sum(kx) + sum(ky) <= trunc:
+                    keys.add(tuple(sorted(kx + ky, reverse=True)))
+        ok = all(convolve_coeff(x, y, a) == cl.image.coeff(a) for a in keys)
+        entries.append(("product-convolution", ok, f"{len(keys)} coefficients"))
+    if isinstance(expr, geo.DisjointUnion):
+        total = BPoly.zero(trunc=trunc)
+        for part in expr.parts:
+            total = total + geo.evaluate(part, trunc).image
+        entries.append(("disjoint-additivity", total == cl.image, ""))
+    if isinstance(expr, geo.Scaled):
+        inner = geo.evaluate(expr.expr, trunc).image
+        entries.append(("scaling", inner.scaled(expr.k) == cl.image, ""))
+    return geo.CheckReport(entries)
 
 
 def test_point_and_projective_line():
@@ -84,22 +127,22 @@ def test_complete_intersection_single_matches_hypersurface():
 
 def test_product_two_path_and_disjoint_union():
     e = geo.Product((geo.Proj(1), geo.Proj(1)))
-    rep = geo.euler_like_checks(e, TRUNC)
+    rep = euler_like_checks(e, TRUNC)
     assert rep.ok, rep.to_obj()
     assert cls(e).c_alpha((1, 1)) == 4
 
     e2 = geo.Product((geo.Proj(2), geo.Hyp(2, 2)))
-    assert geo.euler_like_checks(e2, TRUNC).ok
+    assert euler_like_checks(e2, TRUNC).ok
 
     du = geo.DisjointUnion((geo.Proj(1), geo.Proj(1)))
     assert cls(du).image == cls(geo.Proj(1)).image.scaled(2)
-    assert geo.euler_like_checks(du, TRUNC).ok
+    assert euler_like_checks(du, TRUNC).ok
 
 
 def test_scaled():
     e = geo.Scaled(-3, geo.Proj(2))
     assert cls(e).image == cls(geo.Proj(2)).image.scaled(-3)
-    assert geo.euler_like_checks(e, TRUNC).ok
+    assert euler_like_checks(e, TRUNC).ok
 
 
 def test_homogeneity_of_constructors():
@@ -131,6 +174,26 @@ def test_truncation_guard():
         geo.evaluate(geo.Proj(13), TRUNC)
     with pytest.raises(geo.TruncationError):
         geo.evaluate(geo.Product((geo.Proj(7), geo.Proj(7))), TRUNC)
+
+
+def test_truncation_guard_on_a_mixed_dimension_product():
+    mixed = geo.DisjointUnion((geo.Proj(1), geo.Proj(2)))
+    prod = geo.Product((mixed, geo.Proj(2)))
+    assert prod.dimension() is None
+    with pytest.raises(geo.TruncationError, match="dimension 4 exceeds truncation 3"):
+        geo.evaluate(prod, 3)
+    # at truncation 4 both components survive, exactly as the two products
+    whole = geo.evaluate(prod, 4).image
+    parts = [geo.evaluate(geo.Product((geo.Proj(k), geo.Proj(2))), 4).image for k in (1, 2)]
+    assert whole == parts[0] + parts[1]
+    assert whole.weights() == {3, 4}
+    # a factor whose top component cancels is not heavier than it looks
+    cancelled = geo.DisjointUnion((geo.Proj(1), geo.Proj(2), geo.Scaled(-1, geo.Proj(2))))
+    light = geo.evaluate(geo.Product((cancelled, geo.Proj(2))), 3)
+    assert light.image == geo.evaluate(geo.Product((geo.Proj(1), geo.Proj(2))), 3).image
+    # a zero factor makes the whole product zero
+    zero = geo.Scaled(0, mixed)
+    assert geo.evaluate(geo.Product((zero, geo.Proj(3))), 3).is_zero()
 
 
 def test_parse_round_trip():

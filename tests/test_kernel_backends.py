@@ -7,9 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 import cobord
 from cobord import _backend, _kernel_py
-from cobord.partitions import codec, partitions_upto, union
+from cobord.partitions import codec, partitions_of, union
 
 CODEC_NS = (0, 1, 2, 12, 14, 20, 30)
+
+
+def partitions_upto(n):
+    """All partitions of weight at most ``n``, in the global order."""
+    return tuple(alpha for k in range(n + 1) for alpha in partitions_of(k))
 
 
 def test_backend_binds_the_pure_kernel():
