@@ -25,6 +25,7 @@ from .bounds import (
 )
 from .fgl import FglContext, context
 from .geometry import (
+    CobordismClass,
     CompInt,
     DisjointUnion,
     Hyp,
@@ -40,7 +41,6 @@ from .geometry import (
 )
 from .lazard import (
     NEG_INF,
-    CobordismClass,
     GeneratorBasis,
     GenPoly,
     NotInLazardImage,

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .actions import GroupDescriptor
-from .geometry import TruncationError
+from .geometry import CobordismClass, TruncationError
 from .lazard import (
     NEG_INF,
-    CobordismClass,
     GeneratorBasis,
     GenPoly,
     base_basis,
@@ -40,6 +40,7 @@ from .partitions import (
     full_key,
     in_admissible_class,
     make,
+    partitions_of,
     pi_q,
     refines,
 )
@@ -74,8 +75,6 @@ class BoundReport:
 def has_forced_fixed_point(z: CobordismClass, group: GroupDescriptor) -> bool:
     """True iff every action of the group on a variety in this class fixes
     a point, i.e. the class survives in the quotient by the rank ideal."""
-    if group.rank == 0:
-        return not z.is_zero()
     return not in_landweber_ideal(z, group.p, group.rank)
 
 
@@ -143,24 +142,21 @@ def d_alpha(alpha: Partition, basis: GeneratorBasis) -> dict:
     combination sum w_beta * c_beta.  It vanishes on every generator
     monomial except alpha itself: subtract the coarser functionals,
     rescaled to share a common value u on their own monomials, from
-    u * c_alpha.
+    u * c_alpha.  Cached per (alpha, basis); the dict is shared, so read only.
     """
-    alpha = make(alpha)
-    cache = basis._d_cache
-    if alpha in cache:
-        return cache[alpha]
-    if not alpha:
-        result = {(): 1}
-        cache[alpha] = result
-        return result
-    from .partitions import partitions_of
+    return _d_alpha(make(alpha), basis)
 
+
+@lru_cache(maxsize=None)
+def _d_alpha(alpha: Partition, basis: GeneratorBasis) -> dict:
+    if not alpha:
+        return {(): 1}
     coarser = [
         beta
         for beta in partitions_of(sum(alpha))
         if beta != alpha and refines(alpha, beta)
     ]
-    subs = {beta: d_alpha(beta, basis) for beta in coarser}
+    subs = {beta: _d_alpha(beta, basis) for beta in coarser}
     vals = {
         beta: evaluate_functional(subs[beta], basis.image_of_monomial(beta))
         for beta in coarser
@@ -176,9 +172,7 @@ def d_alpha(alpha: Partition, basis: GeneratorBasis) -> dict:
             continue
         for gamma, w in subs[beta].items():
             combo[gamma] = combo.get(gamma, 0) - factor * scale * w
-    result = {k: v for k, v in combo.items() if v}
-    cache[alpha] = result
-    return result
+    return {k: v for k, v in combo.items() if v}
 
 
 def evaluate_functional(functional: dict, image) -> int:

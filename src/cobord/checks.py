@@ -9,8 +9,8 @@ them; the acceptance tests call the same functions.
 from __future__ import annotations
 
 from . import _backend, actions, bounds, equivariant, fgl, geometry, lazard
-from .geometry import CheckReport
-from .lazard import NEG_INF, CobordismClass
+from .geometry import CheckReport, CobordismClass
+from .lazard import NEG_INF
 from .series import BPoly, TruncSeries
 
 

@@ -46,11 +46,16 @@ def _trunc_default() -> int:
         raise ValueError(f"COBORD_TRUNC must be an integer, got {env!r}") from None
 
 
+def _int_list(flag: str, text: str) -> tuple:
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise ValueError(
+            f"{flag} needs comma-separated integers, got {text!r}") from None
+
+
 def _parse_group(args) -> actions_mod.GroupDescriptor:
-    exps = ()
-    if args.group:
-        exps = tuple(int(x) for x in args.group.split(",") if x.strip())
-    return actions_mod.GroupDescriptor(args.p, exps)
+    return actions_mod.GroupDescriptor(args.p, _int_list("--group", args.group))
 
 
 def _parse_expr_arg(text: str):
@@ -143,7 +148,7 @@ def cmd_chern_bound(args) -> int:
     expr = _parse_expr_arg(args.expr)
     group = _parse_group(args)
     cl = geometry.evaluate(expr, args.trunc)
-    alpha = make(int(x) for x in args.alpha.split(",") if x.strip())
+    alpha = make(_int_list("--alpha", args.alpha))
     bound = bounds_mod.chern_bound(cl, alpha, group)
     obj = {
         "expr": expr.to_obj(),

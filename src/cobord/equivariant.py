@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _backend, fgl
-from .geometry import CheckReport, Proj, evaluate
-from .lazard import CobordismClass, in_landweber_ideal, reduce_mod_landweber
+from .geometry import CheckReport, CobordismClass, Proj, evaluate
+from .lazard import in_landweber_ideal, reduce_mod_landweber
 from .series import BPoly, DEFAULT_TRUNCATION, SparseAlgebra, TruncSeries
 
 Character = tuple
@@ -154,11 +154,6 @@ def q_class(E: SplitBundleDescriptor, trunc: int = DEFAULT_TRUNCATION) -> MPoly:
     return result
 
 
-@lru_cache(maxsize=None)
-def _point_class(j: int, trunc: int) -> BPoly:
-    return evaluate(Proj(j), trunc).image
-
-
 def push_class(E: SplitBundleDescriptor, trunc: int = DEFAULT_TRUNCATION) -> MPoly:
     """Pushforward of the bundle class to the point.
 
@@ -170,7 +165,7 @@ def push_class(E: SplitBundleDescriptor, trunc: int = DEFAULT_TRUNCATION) -> MPo
         terms[key] = BPoly.zero(trunc=trunc)
         for exps, coeff in chow.coeffs.items():
             for nj, ej in zip(E.base, exps):
-                coeff = coeff * _point_class(nj - ej, trunc)
+                coeff = coeff * evaluate(Proj(nj - ej), trunc).image
             terms[key] = terms[key] + coeff
     return MPoly(terms, "a", trunc)
 
@@ -190,7 +185,7 @@ def a_in_p(i: int, g: Character, trunc: int = DEFAULT_TRUNCATION) -> MPoly:
     g = tuple(g)
     result = MPoly.variable(i, g, "p", trunc)
     for j in range(1, i + 1):
-        result = result - a_in_p(i - j, g, trunc) * _point_class(j, trunc)
+        result = result - a_in_p(i - j, g, trunc) * evaluate(Proj(j), trunc).image
     return result
 
 

@@ -28,6 +28,7 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from . import _backend
+from .geometry import _divided, _power_rows
 from .partitions import codec
 from .series import BPoly, TruncSeries, aux_cap, DEFAULT_TRUNCATION
 
@@ -59,9 +60,6 @@ class FglContext:
         by n is exact.
         """
         if self._log is None:
-            # imported here: geometry imports lazard, which imports fgl
-            from .geometry import _divided, _power_rows
-
             coeffs = {}
             for n in range(1, self.trunc + 2):  # t^n has weight n - 1
                 row = _power_rows(n, self.trunc)[n - 1]
@@ -144,7 +142,6 @@ class FglContext:
 
     # -- Landweber coefficients ----------------------------------------
 
-    @lru_cache(maxsize=None)
     def landweber_coeffs(self, p: int) -> tuple[BPoly, ...]:
         """u_0, ..., u_{N-1} with [p](t) = sum_m u_m t^(m+1); u_0 = p."""
         series = self.n_series(p)

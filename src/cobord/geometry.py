@@ -27,13 +27,79 @@ from functools import lru_cache, reduce
 from typing import Union
 
 from . import _backend
-from .lazard import CobordismClass
 from .partitions import codec
 from .series import BPoly, DEFAULT_TRUNCATION
 
 
 class TruncationError(ValueError):
     """The requested dimension exceeds the configured truncation weight."""
+
+
+# -- cobordism classes ------------------------------------------------
+
+
+class CobordismClass:
+    """A class in the Lazard ring: its Z[b] image plus dimension metadata.
+
+    Generator coordinates are computed lazily per ``lazard.GeneratorBasis``
+    and cached under the basis itself; the triangular solve asserts
+    integrality, which certifies that the image really lies in the Lazard
+    subring.
+    """
+
+    __slots__ = ("image", "dim", "_coords")
+
+    def __init__(self, image: BPoly, dim=None):
+        self.image = image
+        self.dim = dim
+        self._coords = {}
+
+    def c_alpha(self, alpha) -> int:
+        return self.image.coeff(alpha)
+
+    def is_zero(self) -> bool:
+        return self.image.is_zero()
+
+    @property
+    def trunc(self) -> int:
+        return self.image.trunc
+
+    def gen_coords(self, basis):
+        if basis not in self._coords:
+            self._coords[basis] = basis.solve(self.image)
+        return self._coords[basis]
+
+    def __add__(self, other):
+        dim = self.dim if self.dim == other.dim else None
+        return CobordismClass(self.image + other.image, dim)
+
+    def __sub__(self, other):
+        dim = self.dim if self.dim == other.dim else None
+        return CobordismClass(self.image - other.image, dim)
+
+    def __neg__(self):
+        return CobordismClass(-self.image, self.dim)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return CobordismClass(self.image.scaled(other), self.dim)
+        dim = None
+        if self.dim is not None and other.dim is not None:
+            dim = self.dim + other.dim
+        return CobordismClass(self.image * other.image, dim)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, CobordismClass):
+            return NotImplemented
+        return self.image == other.image
+
+    def __hash__(self):
+        return hash(self.image)
+
+    def __repr__(self):
+        return f"CobordismClass(dim={self.dim}, image={self.image!r})"
 
 
 # -- expression AST -----------------------------------------------------

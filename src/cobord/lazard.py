@@ -2,30 +2,34 @@
 
 The Lazard ring embeds into Z[b] via the map classifying the universal
 formal group law; a cobordism class is represented by that image, a
-BPoly whose b_alpha coefficient is the Chern number c_alpha.  In each
-degree we fix a generator built from Milnor hypersurface classes via an
-extended-gcd combination; expressing classes in generator coordinates is
-a lower-triangular exact solve, because c_alpha(l_beta) vanishes unless
+BPoly whose b_alpha coefficient is the Chern number c_alpha.
+``GeneratorBasis(trunc, p, r)`` fixes one generator per degree, built
+from Milnor hypersurface classes via an extended-gcd combination, or
+adapted to a Landweber ideal when p and r are given; ``gen(i)`` builds
+degree i on first use.  Expressing classes in generator coordinates is a
+lower-triangular exact solve, because c_alpha(l_beta) vanishes unless
 alpha refines beta and a strict refinement strictly increases length.
 The solve is integer forward substitution by columns: each coordinate is
 an exact quotient by a diagonal entry, and only the nonzero entries of
 that generator monomial's image are subtracted from the residual.
 
-Ideal membership and reduction for the Landweber ideal I_p(n) use an
-adapted basis in which the generators in degrees p^i - 1 (i < n) are
+Ideal membership and reduction for the Landweber ideal I_p(n) use the
+adapted basis, in which the generators in degrees p^i - 1 (i < n) are
 replaced by classes of the form v_i + p*a_i; the ideal is then generated
 by p together with those generators, so membership is visible monomial
-by monomial.
+by monomial.  ``CobordismClass`` lives in ``geometry``, which creates
+every class; it is imported here, so ``lazard.CobordismClass`` resolves.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import takewhile
 
 from . import fgl
+from .geometry import CobordismClass, Milnor, evaluate
 from .partitions import Partition, codec, full_key, make, partitions_of, pi_q, union
 from .series import BPoly, DEFAULT_TRUNCATION, SparseAlgebra
 
@@ -99,73 +103,6 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-# -- cobordism classes ------------------------------------------------
-
-
-class CobordismClass:
-    """A class in the Lazard ring: its Z[b] image plus dimension metadata.
-
-    Generator coordinates are computed lazily per basis and cached; the
-    triangular solve asserts integrality, which certifies that the image
-    really lies in the Lazard subring.
-    """
-
-    __slots__ = ("image", "dim", "_coords")
-
-    def __init__(self, image: BPoly, dim=None):
-        self.image = image
-        self.dim = dim
-        self._coords = {}
-
-    def c_alpha(self, alpha) -> int:
-        return self.image.coeff(alpha)
-
-    def is_zero(self) -> bool:
-        return self.image.is_zero()
-
-    @property
-    def trunc(self) -> int:
-        return self.image.trunc
-
-    def gen_coords(self, basis: "GeneratorBasis") -> "GenPoly":
-        key = basis.key()
-        if key not in self._coords:
-            self._coords[key] = basis.solve(self.image)
-        return self._coords[key]
-
-    def __add__(self, other):
-        dim = self.dim if self.dim == other.dim else None
-        return CobordismClass(self.image + other.image, dim)
-
-    def __sub__(self, other):
-        dim = self.dim if self.dim == other.dim else None
-        return CobordismClass(self.image - other.image, dim)
-
-    def __neg__(self):
-        return CobordismClass(-self.image, self.dim)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CobordismClass(self.image.scaled(other), self.dim)
-        dim = None
-        if self.dim is not None and other.dim is not None:
-            dim = self.dim + other.dim
-        return CobordismClass(self.image * other.image, dim)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, CobordismClass):
-            return NotImplemented
-        return self.image == other.image
-
-    def __hash__(self):
-        return hash(self.image)
-
-    def __repr__(self):
-        return f"CobordismClass(dim={self.dim}, image={self.image!r})"
-
-
 # -- generator bases ---------------------------------------------------
 
 
@@ -191,62 +128,73 @@ def milnor_top_chern(m: int, n: int) -> int:
     return -n if m == 0 else math.comb(m + n, m)
 
 
-class _Generators(Mapping):
-    """Read-only degree -> generator mapping over 1..N.
-
-    Each generator is built the first time its degree is read and passes
-    its basis's validation at that moment.
-    """
-
-    def __init__(self, basis, build):
-        self._basis = basis
-        self._build = build
-        self._built = {}
-
-    def __getitem__(self, i):
-        g = self._built.get(i)
-        if g is None:
-            if i not in self._basis.tops:
-                raise KeyError(i)
-            g = self._build(i)
-            self._basis._validate(i, g)
-            self._built[i] = g
-        return g
-
-    def __iter__(self):
-        return iter(self._basis.tops)
-
-    def __len__(self):
-        return len(self._basis.tops)
-
-
 class GeneratorBasis:
-    """A fixed family of polynomial generators, one per degree 1..N.
+    """Polynomial generators l_1, ..., l_N of the Lazard ring, N = ``trunc``.
 
-    ``tops`` maps each degree i to the top Chern number c_(i) that the
-    construction gives its generator; it is known before any generator is
-    built, so ``signs`` and ``describe`` build nothing.  ``gens`` builds
-    the degree-i generator with ``build(i)`` on first read and checks it
-    against ``tops`` and the generator criteria then.  ``killed`` holds
-    the degrees p^i - 1 whose generators an adapted basis replaces by
-    members of I_p(r); it is empty for the base basis.
+    ``GeneratorBasis(trunc)`` is the base basis.  The achievable c_(i) in
+    degree i are the closed-form top Chern numbers of the Milnor
+    hypersurfaces, -(i+1) for m = 0 (a projective space) and C(i+1, m) for
+    2 <= m <= n, and ``splits[i]`` lists the extended-gcd combination
+    (m, n, coefficient) that realizes the minimal value +-1 or +-p.
+
+    ``GeneratorBasis(trunc, p, r)``, p prime and r >= 1, is adapted to
+    I_p(r).  Each degree n = p^i - 1 <= trunc with i < r (``killed``)
+    holds v_i - p^n * l_n: both summands are divisible by p, and as the
+    xgcd makes c_(n)(l_n) = +p, its c_(n) is p(p^n - 1) - p^n * p = -p, so
+    the family still generates and I_p(r) is p plus these members.  v_i
+    is read from the FGL context of truncation n, the smallest that holds
+    it.  Only degrees <= trunc are replaced, so every rank is accepted.
+    Every other degree holds the base basis's own generator object.
+
+    ``tops`` maps each degree to the c_(i) of its generator, known before
+    any generator is built.  ``gen(i)`` builds degree i on its first call
+    and checks it against ``tops`` and the generator criteria then, so a
+    query pays only for the degrees in its support.
     """
 
-    def __init__(self, flavor, trunc, build, tops, splits=None, p=None, r=None,
-                 killed=frozenset()):
-        self.flavor = flavor
-        self.trunc = trunc
-        self.tops = tops
-        self.splits = splits or {}
-        self.p = p
-        self.r = r
-        self.killed = killed
-        self.gens = _Generators(self, build)
+    def __init__(self, trunc: int, p=None, r=None):
+        self.trunc, self.p, self.r = trunc, p, r
+        self.flavor = "base" if p is None else "adapted"
+        if p is None:
+            self.tops, self.splits = {}, {}
+            for i in range(1, trunc + 1):
+                cands = milnor_candidates(i)
+                values = [milnor_top_chern(m, n) for m, n in cands]
+                self.tops[i], coeffs = xgcd_list(values)
+                self.splits[i] = [(m, n, c) for (m, n), c in zip(cands, coeffs) if c]
+            self.killed = frozenset()
+        else:
+            self._base = base_basis(trunc)
+            self.splits = self._base.splits
+            self.killed = frozenset(takewhile(lambda n: n <= trunc,
+                                              (p ** i - 1 for i in range(1, r))))
+            self.tops = {n: (-p if n in self.killed else c)
+                         for n, c in self._base.tops.items()}
+        self._built = {}
         self._mono_images = {(): BPoly.one(trunc=trunc)}
-        self._d_cache = {}
 
-    def key(self):
-        return (self.flavor, self.p, self.r, self.trunc)
+    def __repr__(self):
+        return f"GeneratorBasis({self.trunc}, p={self.p}, r={self.r})"
+
+    def gen(self, i: int) -> CobordismClass:
+        """The degree-i generator, built and validated on the first call."""
+        g = self._built.get(i)
+        if g is not None:
+            return g
+        if self.p is None:  # a degree outside 1..trunc raises KeyError
+            image = BPoly.zero(trunc=self.trunc)
+            for m, n, c in self.splits[i]:
+                image = image + evaluate(Milnor(m, n), self.trunc).image.scaled(c)
+            g = CobordismClass(image, dim=i)
+        else:
+            g = self._base.gen(i)
+            if i in self.killed:
+                v_i = fgl.context(i).v(self.p, prime_power(i + 1)[1])
+                v_i = CobordismClass(BPoly(v_i.terms, self.trunc), dim=i)
+                g = v_i - self.p ** i * g
+        self._validate(i, g)
+        self._built[i] = g
+        return g
 
     def _validate(self, i, g):
         c = g.c_alpha((i,))
@@ -260,27 +208,18 @@ class GeneratorBasis:
             raise BasisValidationError(
                 f"degree {i}: c_(i) = {c}, but the construction gives {self.tops[i]}"
             )
-        if i in self.killed:
-            if not g.image.divisible_by(self.p):
-                raise BasisValidationError(
-                    f"adapted generator in degree {i} is not in the mod-{self.p} kernel"
-                )
-            if c != -self.p:
-                raise BasisValidationError(
-                    f"adapted generator in degree {i} has c = {c}"
-                )
-
-    def signs(self):
-        """sign(c_(i)(l_i)) per degree; fixed by the gcd computation."""
-        return {i: (1 if c > 0 else -1) for i, c in self.tops.items()}
+        if i in self.killed and not g.image.divisible_by(self.p):
+            raise BasisValidationError(
+                f"adapted generator in degree {i} is not in the mod-{self.p} kernel"
+            )
 
     def describe(self):
-        signs = self.signs()
+        """The flavor, p, r and sign(c_(i)) per degree; builds nothing."""
         return {
             "flavor": self.flavor,
             "p": self.p,
             "r": self.r,
-            "signs": [signs[i] for i in sorted(signs)],
+            "signs": [1 if c > 0 else -1 for c in self.tops.values()],
         }
 
     def image_of_monomial(self, beta: Partition) -> BPoly:
@@ -288,7 +227,7 @@ class GeneratorBasis:
         beta = tuple(beta)
         cached = self._mono_images.get(beta)
         if cached is None:
-            cached = self.image_of_monomial(beta[1:]) * self.gens[beta[0]].image
+            cached = self.image_of_monomial(beta[1:]) * self.gen(beta[0]).image
             self._mono_images[beta] = cached
         return cached
 
@@ -344,69 +283,22 @@ def _packed_partitions(n: int, trunc: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def base_basis(trunc: int = DEFAULT_TRUNCATION) -> GeneratorBasis:
-    """Integral generators as Z-combinations of Milnor hypersurface classes.
-
-    In degree i the achievable c_(i) values are -(i+1) (the m = 0 class,
-    a projective space) and the binomials C(i+1, m) for 2 <= m <= n; the
-    extended gcd realizes the minimal value +-1 or +-p.  The splits come
-    from the closed forms alone; a generator evaluates only the classes
-    with a nonzero coefficient, when its degree is first read.
-    """
-    from . import geometry
-
-    tops = {}
-    splits = {}
-    for i in range(1, trunc + 1):
-        cands = milnor_candidates(i)
-        tops[i], coeffs = xgcd_list([milnor_top_chern(m, n) for m, n in cands])
-        splits[i] = [(m, n, c) for (m, n), c in zip(cands, coeffs) if c]
-
-    def build(i):
-        image = BPoly.zero(trunc=trunc)
-        for m, n, c in splits[i]:
-            cl = geometry.evaluate(geometry.Milnor(m, n), trunc)
-            image = image + cl.image.scaled(c)
-        return CobordismClass(image, dim=i)
-
-    return GeneratorBasis("base", trunc, build, tops, splits)
+    """The shared ``GeneratorBasis(trunc)``, one per truncation."""
+    return GeneratorBasis(trunc)
 
 
 @lru_cache(maxsize=None)
 def adapted_basis(p: int, r: int, trunc: int = DEFAULT_TRUNCATION) -> GeneratorBasis:
-    """Basis in which I_p(r) is generated by p and the degree p^i - 1 members.
+    """The shared ``GeneratorBasis(trunc, p, r)`` adapted to I_p(r).
 
-    Those members are v_i - sign * p^(p^i - 1) * l_{p^i - 1}: both summands
-    have all coefficients divisible by p, and the top Chern functional
-    evaluates to p(p^n - 1) - p^n * p = -p, so the family still generates.
-    Degrees above ``trunc`` are left unreplaced, so every rank is accepted:
-    an ideal member of degree <= trunc only involves generators of degree
-    <= trunc, hence I_p(r) agrees with I_p(r') there for every large r'.
-    v_i has weight p^i - 1, so it is read from the FGL context of that
-    truncation, the smallest that holds it, and re-keyed into ``trunc``.
+    p must be prime and r >= 1.  A rank whose killed degrees p^i - 1 pass
+    the truncation gives the same generators as the largest one that fits.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("adapted bases need r >= 1")
-    base = base_basis(trunc)
-    levels = {}  # killed degree p^i - 1 -> i
-    for i in range(1, r):
-        n = p ** i - 1
-        if n > trunc:
-            break
-        levels[n] = i
-    tops = {n: (-p if n in levels else c) for n, c in base.tops.items()}
-
-    def build(n):
-        ell = base.gens[n]
-        if n not in levels:
-            return ell
-        sigma = 1 if base.tops[n] > 0 else -1
-        v_i = CobordismClass(BPoly(fgl.context(n).v(p, levels[n]).terms, trunc), dim=n)
-        return v_i - (sigma * p ** n) * ell
-
-    return GeneratorBasis("adapted", trunc, build, tops, base.splits, p=p, r=r,
-                          killed=frozenset(levels))
+    return GeneratorBasis(trunc, p, r)
 
 
 # -- generator-coordinate polynomials ----------------------------------
@@ -438,7 +330,7 @@ class GenPoly(SparseAlgebra):
 
     @property
     def _shape(self):
-        return (self.modulus, self.basis.key())
+        return (self.modulus, self.basis)
 
     def _mul_keys(self, a, b):
         if sum(a) + sum(b) <= self.basis.trunc:
@@ -504,16 +396,14 @@ def is_indecomposable_mod_p(z: CobordismClass, p: int) -> bool:
 # -- Landweber ideals ----------------------------------------------------
 
 
-def in_landweber_ideal(z: CobordismClass, p: int, n) -> bool:
-    """Membership of z in I_p(n); n may be 0, a positive int, or math.inf.
+def in_landweber_ideal(z: CobordismClass, p: int, n: int) -> bool:
+    """Membership of z in I_p(n) for n >= 0.
 
-    I_p(0) = 0; I_p(inf) is the kernel of reduction mod p; for finite
-    n >= 1 a class belongs iff its reduction modulo I_p(n) vanishes.
+    I_p(0) = 0; for n >= 1 a class belongs iff its reduction modulo
+    I_p(n) vanishes.
     """
     if n == 0:
         return z.is_zero()
-    if n == math.inf:
-        return z.image.divisible_by(p)
     return reduce_mod_landweber(z, p, n).is_zero()
 
 

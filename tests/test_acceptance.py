@@ -68,7 +68,7 @@ def test_criterion_02_generator_criterion():
                       "+-1 or +-p"):
         basis = lz.base_basis(TRUNC)
         for i in range(1, 11):
-            c = basis.gens[i].c_alpha((i,))
+            c = basis.gen(i).c_alpha((i,))
             gcd = 0
             for j in range(1, (i + 1) // 2 + 1):
                 gcd = math.gcd(gcd, math.comb(i + 1, j))

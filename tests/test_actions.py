@@ -49,7 +49,7 @@ def test_generator_action_bounds_and_difference():
                 for comp in w.variety.parts:
                     assert comp.dimension() == i
             diff = plus.cobordism_class(TRUNC) - minus.cobordism_class(TRUNC)
-            expected = lz.base_basis(TRUNC).gens[i]
+            expected = lz.base_basis(TRUNC).gen(i)
             assert diff.image == expected.image
 
 

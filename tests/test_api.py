@@ -1,4 +1,5 @@
-"""The public API: the names ``cobord`` exports, and the README tour that uses them."""
+"""The public API: the names ``cobord`` exports, the README tour that uses them,
+and the module layering that keeps every import at module level."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import cobord
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(cobord.__file__).resolve().parent
 
 PUBLIC = (
     "ActionWitness",
@@ -82,3 +84,33 @@ def test_readme_quick_tour_prints_what_its_comments_say():
         else:
             exec(code, env)
     assert results == [("True", "True"), ("2", "2")]
+
+
+def _function_imports(tree):
+    """(function name, line) of every import inside a function body."""
+    out = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    out.append((fn.name, node.lineno))
+    return out
+
+
+def test_no_module_imports_inside_a_function():
+    # cmd_verify's import keeps the check registry out of cold queries
+    allowed = {("cli.py", "cmd_verify")}
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 13
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, name, line) for name, line in _function_imports(tree)
+                  if (path.name, name) not in allowed]
+    assert found == []
+
+
+def test_the_function_import_scan_sees_nested_imports():
+    tree = ast.parse("def f():\n    if x:\n        from . import y\n"
+                     "class C:\n    def g(self):\n        import z\nimport w\n")
+    assert _function_imports(tree) == [("f", 3), ("g", 6)]

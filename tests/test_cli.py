@@ -318,3 +318,37 @@ def test_only_verify_imports_the_check_registry():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.endswith("\n[]\n")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["bound", '{"proj":2}', "--p", "2", "--group", "a"], "a"),
+        (["fixedpoint", '{"proj":2}', "--group", "1,x"], "1,x"),
+        (["actions", "--generator", "2", "--group", "1.5"], "1.5"),
+        (["chern-bound", '{"proj":2}', "--alpha", "2", "--group", "1,,b"], "1,,b"),
+    ],
+)
+def test_a_non_integer_group_field_names_the_flag(argv, text, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --group needs comma-separated integers, got {text!r}\n"
+
+
+@pytest.mark.parametrize("text", ["x", "2,1.0", "2,-"])
+def test_a_non_integer_alpha_field_names_the_flag(text, capsys):
+    code, out, err = run(["chern-bound", '{"hyp":[3,4]}', "--alpha", text, "--p", "2",
+                          "--group", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --alpha needs comma-separated integers, got {text!r}\n"
+
+
+def test_group_and_alpha_fields_may_be_padded_or_empty(capsys):
+    padded = run(["chern-bound", '{"hyp":[3,4]}', "--alpha", " 2, 2,", "--p", "2",
+                  "--group", " 1, 1,"], capsys)
+    plain = run(["chern-bound", '{"hyp":[3,4]}', "--alpha", "2,2", "--p", "2",
+                 "--group", "1,1"], capsys)
+    assert padded == plain
+    assert plain[0] == 0 and json.loads(plain[1])["alpha"] == [2, 2]

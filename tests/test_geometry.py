@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobord import geometry as geo
-from cobord.partitions import _sub_multisets
+from cobord.partitions import _sub_multisets, partitions_of
 from cobord.series import BPoly, TruncSeries
 
 TRUNC = 12
@@ -558,3 +559,184 @@ def test_signature_of_every_constructor():
 @given(st.one_of(_products(), _unions()))
 def test_signature_of_products_and_unions(expr):
     assert _signature(expr) == _signature_closed_form(expr)
+
+
+# -- the chi_y genus: chi, chi(O) and the signature in one family -----------
+#
+# chi_y(X) = sum_p chi(X, Omega^p) y^p (Hirzebruch, *Topological Methods in
+# Algebraic Geometry*, 15.5).  Its characteristic series is
+# Q_y(t) = t (1 + y e^(-st)) / (1 - e^(-st)) with s = 1 + y, so its
+# exponential is f_y(t) = t / Q_y(t) and b_i -> [t^(i+1)] f_y(t).  Writing
+# g = (1 - e^(-st)) / (st) gives Q_y(t) = t + e^(-st) / g, whose
+# coefficients are polynomials in y.  A polynomial in y is a list of
+# Fractions indexed by the power of y, with no trailing zero; a series is a
+# list of _LEN polynomials.
+
+
+def _ptrim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _ptrim([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
+
+
+def _pmul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return _ptrim(out)
+
+
+def _pscale(a, c):
+    return _ptrim([x * c for x in a])
+
+
+def _pat(a, y):
+    return sum(c * y ** k for k, c in enumerate(a))
+
+
+def _ymul(a, b, upto=_LEN - 1):
+    """The product of two series, up to t^upto."""
+    out = []
+    for k in range(upto + 1):
+        acc = []
+        for i in range(k + 1):
+            acc = _padd(acc, _pmul(a[i], b[k - i]))
+        out.append(acc)
+    return out + [[]] * (_LEN - 1 - upto)
+
+
+def _yinv(a):
+    """The inverse of a series with constant term 1."""
+    assert a[0] == [1]
+    out = [[Fraction(1)]]
+    for k in range(1, _LEN):
+        acc = []
+        for i in range(1, k + 1):
+            acc = _padd(acc, _pmul(a[i], out[k - i]))
+        out.append(_pscale(acc, -1))
+    return out
+
+
+def _s_power(k):
+    """(-s)^k = (-1 - y)^k as a polynomial in y."""
+    return [Fraction((-1) ** k * math.comb(k, j)) for j in range(k + 1)]
+
+
+_EXP_ST = [_pscale(_s_power(k), Fraction(1, math.factorial(k))) for k in range(_LEN)]
+_G = [_pscale(_s_power(k), Fraction(1, math.factorial(k + 1))) for k in range(_LEN)]
+Q_Y = _ymul(_EXP_ST, _yinv(_G))  # e^(-st) / g, then plus t
+Q_Y[1] = _padd(Q_Y[1], [Fraction(1)])
+F_OVER_T = _yinv(Q_Y)  # [t^i] f_y(t) / t, the image of b_i
+
+
+@functools.lru_cache(maxsize=None)
+def _mono(key):
+    """The product of F_OVER_T[i] over the parts i of a partition."""
+    return _pmul(_mono(key[1:]), F_OVER_T[key[0]]) if key else [Fraction(1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _denominator(w):
+    return math.lcm(*(c.denominator for alpha in partitions_of(w) for c in _mono(alpha)))
+
+
+def _chi_y(expr):
+    """sum_alpha c_alpha _mono(alpha), summed in integers over one
+    denominator per weight."""
+    sums = {}
+    for key, c in _image(expr, GENUS_N).terms.items():
+        w = sum(key)
+        acc = sums.setdefault(w, [0] * (w + 1))
+        for k, m in enumerate(_mono(key)):
+            acc[k] += c * m.numerator * (_denominator(w) // m.denominator)
+    polys = ([Fraction(a, _denominator(w)) for a in acc] for w, acc in sums.items())
+    return functools.reduce(_padd, polys, [])
+
+
+@functools.lru_cache(maxsize=None)
+def _q_power(k):
+    return [[Fraction(1)]] + [[]] * (_LEN - 1) if k == 0 else _ymul(_q_power(k - 1), Q_Y)
+
+
+def _chi_y_chow(n, degrees):
+    """[h^n] Q_y(h)^(N+1) prod_d f_y(d h) / h in the Chow ring of P^N,
+    N = n + len(degrees)."""
+    series = _q_power(n + len(degrees) + 1)
+    for d in degrees:
+        series = _ymul(series, [_pscale(c, d ** (k + 1)) for k, c in enumerate(F_OVER_T)],
+                       n)
+    return series[n]
+
+
+def _chi_y_milnor(m, n):
+    """[u^m v^n] Q_y(u)^(m+1) Q_y(v)^(n+1) f_y(u + v) on P^m x P^n."""
+    a, b = _q_power(m + 1), _q_power(n + 1)
+    total = []
+    for i in range(m + 1):
+        for j in range(n + 1):
+            if i + j:
+                f = _pscale(F_OVER_T[i + j - 1], math.comb(i + j, i))
+                total = _padd(total, _pmul(_pmul(a[m - i], b[n - j]), f))
+    return total
+
+
+def _chi_y_closed_form(expr):
+    if isinstance(expr, geo.Proj):
+        return _chi_y_chow(expr.n, ())
+    if isinstance(expr, geo.Hyp):
+        return _chi_y_chow(expr.n, (expr.d,))
+    if isinstance(expr, geo.CompInt):
+        return _chi_y_chow(expr.n, expr.degrees)
+    if isinstance(expr, geo.Milnor):
+        return _chi_y_milnor(expr.m, expr.n)
+    if isinstance(expr, geo.Product):
+        return functools.reduce(_pmul, (_chi_y_closed_form(f) for f in expr.factors))
+    if isinstance(expr, geo.DisjointUnion):
+        return functools.reduce(_padd, (_chi_y_closed_form(p) for p in expr.parts))
+    raise TypeError(expr)
+
+
+def _specializes(chi_y, expr):
+    """chi_y at y = -1, 0 and 1 against chi, chi(O) and the signature."""
+    expected = [_euler(expr), _todd(expr), _signature(expr)]
+    return [_pat(chi_y, y) for y in (-1, 0, 1)] == expected
+
+
+def test_chi_y_hand_values():
+    assert Q_Y[:3] == [[1], [Fraction(1, 2), Fraction(-1, 2)],
+                       [Fraction(1, 12), Fraction(1, 6), Fraction(1, 12)]]
+    assert F_OVER_T[:2] == [[1], [Fraction(-1, 2), Fraction(1, 2)]]
+    assert _chi_y(geo.Hyp(3, 1)) == []  # an elliptic curve
+    assert _chi_y(geo.Hyp(4, 2)) == [2, -20, 2]  # K3: h^(1,1) = 20
+    assert _chi_y(geo.Hyp(3, 2)) == [1, -7, 1]  # a cubic surface: h^(1,1) = 7
+
+
+def test_chi_y_of_projective_spaces():
+    for n in range(GENUS_N + 1):
+        expected = [(-1) ** k for k in range(n + 1)]
+        assert _chi_y(geo.Proj(n)) == _chi_y_chow(n, ()) == expected, n
+
+
+def test_chi_y_of_every_constructor():
+    for e in CONSTRUCTORS:
+        chi_y = _chi_y(e)
+        assert chi_y == _chi_y_closed_form(e), e
+        assert _specializes(chi_y, e), e
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_products(), _unions()))
+def test_chi_y_of_products_and_unions(expr):
+    chi_y = _chi_y(expr)
+    parts = [_chi_y(e) for e in getattr(expr, "factors", getattr(expr, "parts", ()))]
+    combine = _pmul if isinstance(expr, geo.Product) else _padd
+    assert chi_y == functools.reduce(combine, parts) == _chi_y_closed_form(expr)
+    assert _specializes(chi_y, expr)
