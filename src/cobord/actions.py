@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import DisjointUnion, Hyp, Milnor, Product, VarietyExpr, evaluate
+from .geometry import (DisjointUnion, Hyp, Milnor, Product, VarietyExpr,
+                       _check_truncation, evaluate)
 from .lazard import NEG_INF, base_basis, is_prime
 from .series import DEFAULT_TRUNCATION
 
@@ -97,8 +98,9 @@ def generator_action(
     side is a disjoint union acted on componentwise, so its fixed-locus
     dimension is the max of the component dimensions, at most floor(i/q).
     """
-    if not 1 <= i <= trunc:
+    if i < 1:
         raise ValueError(f"generator degree must lie in 1..{trunc}, got {i}")
+    _check_truncation(i, trunc)
     split = base_basis(trunc).splits[i]
     q = group.order
     pos, neg = [], []
@@ -135,8 +137,7 @@ def landweber_variety(
             f"group of rank {group.rank} is too small; need rank >= {s + 1}"
         )
     dim = p ** s - 1
-    if dim > trunc:
-        raise ValueError(f"dimension {dim} exceeds truncation {trunc}")
+    _check_truncation(dim, trunc)
     return ActionWitness(Hyp(p, dim), group, NEG_INF, "fixed-point-free-family")
 
 
@@ -161,8 +162,7 @@ def filtration_family(
         raise ValueError(
             f"level and dimension budget must be >= 0, got {d} and {max_dim}"
         )
-    if max_dim > trunc:
-        raise ValueError("max_dim exceeds truncation")
+    _check_truncation(max_dim, trunc)
     q = group.order
     candidates = []
     for i in range(1, max_dim + 1):

@@ -5,32 +5,27 @@ universal formal group law via F(x, y) = exp(log x + log y), where log is
 the compositional inverse of exp.  This module computes log, F, the
 multiplication-by-n series [n](t) = exp(n log t), and the coefficients
 u_m of the [p]-series whose p-power-indexed members v_n generate the
-Landweber ideals.  log is not inverted degree by degree: by Mishchenko's
-theorem its coefficients are the classes of projective spaces divided by
-their dimension plus one, which ``geometry`` already caches.
+Landweber ideals.  Nothing is inverted, composed or raised to a power:
+every coefficient is one of the two Lagrange-inversion closed forms of
+``geometry``, read off its cached rows [h^j] A^m.  log is the k = 1 case
+of [t^m] (log t)^k, Mishchenko's [P^(m-1)]/m; each [n] is read whole; and
+F(x, y) is the Taylor expansion of exp(log y + log x) in log x,
+F = sum_i L_i(x) D_i(y) with L_k = (log t)^k and
+D_i(y) = sum_j C(i+j, i) b_(i+j-1) L_j(y).
 
-Neither [n] nor F is a composition.  Both are read off one table, the
-powers L_k = (log t)^k of ``TruncSeries.powers``, built once per context:
-
-- [n](t) = sum_k n^k b_(k-1) L_k(t), so with the series b_(k-1) L_k kept
-  on the context every [n] costs integer scaling and addition only;
-- F(x, y) is the Taylor expansion of exp(log y + log x) in log x,
-  F = sum_i L_i(x) D_i(y) with D_i(y) = sum_j C(i+j, i) b_(i+j-1) L_j(y).
-
-Everything is truncated: partition weights at N, auxiliary degrees at
-N + 2, which covers every coefficient that can be nonzero for classes of
-dimension at most N.
+Everything is truncated at partition weight N: t^m has weight m - 1, so
+t^(N+1) is the last exponent with a nonzero coefficient.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 from . import _backend
-from .geometry import _divided, _power_rows
+from .geometry import log_power_coeff, n_series_coeff
 from .partitions import codec
-from .series import BPoly, TruncSeries, aux_cap, DEFAULT_TRUNCATION
+from .series import BPoly, TruncSeries, DEFAULT_TRUNCATION
 
 
 class FglContext:
@@ -42,11 +37,13 @@ class FglContext:
 
     def __init__(self, trunc: int = DEFAULT_TRUNCATION):
         self.trunc = trunc
-        self.cap = aux_cap(trunc)
+        self.cap = trunc + 1  # t^m has weight m - 1, so t^(N+2) is always 0
         self._n_cache: dict[int, TruncSeries] = {}
         self._log = None
         self._sum = None
-        self._exp_log_terms = None  # b_(k-1) L_k, k = 1 .. trunc + 1
+
+    def _series(self, coeffs) -> TruncSeries:
+        return TruncSeries(("t",), (self.cap,), self.cap, coeffs, trunc=self.trunc)
 
     # -- basic series -------------------------------------------------
 
@@ -54,32 +51,16 @@ class FglContext:
     def log(self) -> TruncSeries:
         """Compositional inverse of exp, read off projective spaces.
 
-        Mishchenko's theorem: log(t) = sum_n [P^(n-1)]/n t^n.  By Lagrange
-        inversion the t^n coefficient is (1/n) [h^(n-1)] (sum_i b_i h^i)^(-n),
-        which is row n - 1 of A^n in geometry's cached rows; the division
-        by n is exact.
+        Mishchenko's theorem: log(t) = sum_m [P^(m-1)]/m t^m, the k = 1
+        case of ``geometry.log_power_coeff``: row m - 1 of A^m over m.
         """
         if self._log is None:
-            coeffs = {}
-            for n in range(1, self.trunc + 2):  # t^n has weight n - 1
-                row = _power_rows(n, self.trunc)[n - 1]
-                coeffs[(n,)] = BPoly._raw(_divided(row, n, f"[P^{n - 1}]"), self.trunc)
-            self._log = TruncSeries(
-                ("t",), (self.cap,), self.cap, coeffs, trunc=self.trunc
-            )
+            self._log = self._series({(m,): log_power_coeff(1, m, self.trunc)
+                                      for m in range(1, self.cap + 1)})
         return self._log
 
     def t_var(self) -> TruncSeries:
-        return TruncSeries.variable(
-            "t", ("t",), (self.cap,), self.cap, trunc=self.trunc
-        )
-
-    @cached_property
-    def _log_powers(self) -> list[TruncSeries]:
-        """L_k = (log t)^k for k <= N + 1, capped at t^(N+1): the t^(N+2)
-        coefficient of L_k has weight N + 2 - k, and [n] and F multiply it
-        by weight at least k - 1, so it never reaches them."""
-        return self.log.truncate_total(self.trunc + 1).powers(self.trunc + 1)
+        return self._series({(1,): BPoly.one(self.trunc)})
 
     # -- the group law ------------------------------------------------
 
@@ -90,25 +71,29 @@ class FglContext:
         F = sum_i L_i(x) D_i(y), with D_i(y) = exp^(i)(log y) / i!: each
         D_i is a sum of one-part products of b_(i+j-1) with the L_j, and
         each x-coefficient of L_i times each y-coefficient of D_i is one
-        kernel product.
+        kernel product.  The L_k coefficients come from
+        ``geometry.log_power_coeff``.
         """
         if self._sum is None:
             trunc, cap = self.trunc, self.cap
-            powers = self._log_powers
             pack = codec(trunc)[0]
-            top = trunc + 1  # exp stops at b_trunc t^(trunc+1)
+            # powers[k][m]: the terms of [t^m] L_k, for k <= m <= cap
+            powers = [{0: {0: 1}}] + [
+                {m: log_power_coeff(k, m, trunc)._terms for m in range(k, cap + 1)}
+                for k in range(1, cap + 1)
+            ]
             acc = {}
-            for i in range(top + 1):
-                d_i = {}  # y-exponent -> terms of D_i(y)
-                for j in range(max(1 - i, 0), top - i + 1):
+            for i in range(cap + 1):
+                d_i = {}  # y-exponent -> terms of D_i(y), up to y^(cap - i)
+                for j in range(max(1 - i, 0), cap - i + 1):
                     b = {pack((i + j - 1,)): comb(i + j, i)}  # b_0 packs to 0
-                    for (c,), lj in powers[j].coeffs.items():
-                        _backend.mul_into(d_i.setdefault(c, {}), b, lj._terms, trunc)
-                for (a,), la in powers[i].coeffs.items():
+                    for c, lj in powers[j].items():
+                        if c <= cap - i:
+                            _backend.mul_into(d_i.setdefault(c, {}), b, lj, trunc)
+                for a, la in powers[i].items():
                     for c, dc in d_i.items():
                         if a + c <= cap:
-                            _backend.mul_into(acc.setdefault((a, c), {}), la._terms, dc,
-                                              trunc)
+                            _backend.mul_into(acc.setdefault((a, c), {}), la, dc, trunc)
             self._sum = TruncSeries(
                 ("x", "y"), (cap, cap), cap,
                 {exps: BPoly._raw(terms, trunc) for exps, terms in acc.items()},
@@ -122,22 +107,14 @@ class FglContext:
         return self.fgl_sum.truncate_total(cap).substitute([a, b])
 
     def n_series(self, n: int) -> TruncSeries:
-        """[n](t) = exp(n log t) = sum_k n^k b_(k-1) L_k(t), for every n.
+        """[n](t) = exp(n log t), each coefficient ``geometry.n_series_coeff``.
 
         ``verify fgl`` cross-checks the negative ones against the formal
         inverse route i([n](t)) of ``checks.formal_inverse``.
         """
         if n not in self._n_cache:
-            if self._exp_log_terms is None:
-                powers = self._log_powers
-                self._exp_log_terms = [
-                    powers[k] * BPoly.gen(k - 1, trunc=self.trunc)
-                    for k in range(1, self.trunc + 2)
-                ]
-            total = self._exp_log_terms[0]._shell({})
-            for k, term in enumerate(self._exp_log_terms, start=1):
-                total = total + term * n ** k
-            self._n_cache[n] = self.t_var()._shell(total.coeffs)  # cap N + 2
+            self._n_cache[n] = self._series({(m,): n_series_coeff(n, m, self.trunc)
+                                             for m in range(1, self.cap + 1)})
         return self._n_cache[n]
 
     # -- Landweber coefficients ----------------------------------------
@@ -154,9 +131,7 @@ class FglContext:
             raise ValueError(
                 f"v_{n} for p={p} has weight {m}, beyond truncation {self.trunc}"
             )
-        if n == 0:
-            return BPoly.const(p, trunc=self.trunc)
-        return self.n_series(p).coeff((m + 1,))
+        return self.n_series(p).coeff((m + 1,))  # v_0 = u_0 = p
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,10 @@ sparse kernel.
   is the case c = 1.
 - A Milnor hypersurface, a (1,1)-divisor in P^m x P^n, pairs rows of
   A^(m+1) and A^(n+1) through the expansion of L(h_1 + h_2).
+
+The same rows carry the universal formal group law: exp(t) = t L(t), so
+Lagrange inversion reads [t^m] (log t)^k and [t^m] [n](t) off A^m
+(Stanley, *Enumerative Combinatorics 2*, Thm 5.4.2).
 """
 
 from __future__ import annotations
@@ -305,6 +309,29 @@ def _power_rows(k: int, trunc: int) -> tuple:
                       trunc)
         rows.append(_divided(acc, j, f"row {j} of A^{k}"))
     return tuple(rows)
+
+
+def log_power_coeff(k: int, m: int, trunc: int) -> BPoly:
+    """[t^m] (log t)^k = (k/m) [h^(m-k)] A^m, for 1 <= k <= m.
+
+    Rows exist up to min(m - 1, trunc); a larger m - k gives zero.
+    """
+    rows = _power_rows(m, trunc)
+    row = rows[m - k] if m - k < len(rows) else {}
+    return BPoly._raw(_divided({key: k * v for key, v in row.items()}, m,
+                               f"[t^{m}] (log t)^{k}"), trunc)
+
+
+def n_series_coeff(n: int, m: int, trunc: int) -> BPoly:
+    """[t^m] [n](t) = (1/m) sum_k k n^k b_(k-1) [h^(m-k)] A^m, m <= trunc + 1.
+
+    [n](t) = exp(n log t) = sum_k n^k b_(k-1) (log t)^k, one merge and
+    one exact division; only the k with a row m - k contribute.
+    """
+    rows = _power_rows(m, trunc)
+    acc = _merged(((k - 1, k * n ** k, rows[m - k])
+                   for k in range(m - len(rows) + 1, m + 1)), trunc)
+    return BPoly._raw(_divided(acc, m, f"[t^{m}] [{n}](t)"), trunc)
 
 
 def _proj_image(n: int, trunc: int) -> BPoly:

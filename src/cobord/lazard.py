@@ -28,8 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import takewhile
 
-from . import fgl
-from .geometry import CobordismClass, Milnor, evaluate
+from .geometry import CobordismClass, Milnor, _check_truncation, evaluate, n_series_coeff
 from .partitions import Partition, codec, full_key, make, partitions_of, pi_q, union
 from .series import BPoly, DEFAULT_TRUNCATION, SparseAlgebra
 
@@ -141,9 +140,9 @@ class GeneratorBasis:
     I_p(r).  Each degree n = p^i - 1 <= trunc with i < r (``killed``)
     holds v_i - p^n * l_n: both summands are divisible by p, and as the
     xgcd makes c_(n)(l_n) = +p, its c_(n) is p(p^n - 1) - p^n * p = -p, so
-    the family still generates and I_p(r) is p plus these members.  v_i
-    is read from the FGL context of truncation n, the smallest that holds
-    it.  Only degrees <= trunc are replaced, so every rank is accepted.
+    the family still generates and I_p(r) is p plus these members.
+    ``geometry.n_series_coeff`` gives v_i = [t^(n+1)] [p](t) at trunc.
+    Only degrees <= trunc are replaced, so every rank is accepted.
     Every other degree holds the base basis's own generator object.
 
     ``tops`` maps each degree to the c_(i) of its generator, known before
@@ -177,21 +176,23 @@ class GeneratorBasis:
         return f"GeneratorBasis({self.trunc}, p={self.p}, r={self.r})"
 
     def gen(self, i: int) -> CobordismClass:
-        """The degree-i generator, built and validated on the first call."""
+        """The degree-i generator, 1 <= i <= trunc, built and validated once."""
         g = self._built.get(i)
         if g is not None:
             return g
-        if self.p is None:  # a degree outside 1..trunc raises KeyError
+        if i < 1:
+            raise ValueError(f"generator degree must lie in 1..{self.trunc}, got {i}")
+        _check_truncation(i, self.trunc)
+        if self.p is None:
             image = BPoly.zero(trunc=self.trunc)
             for m, n, c in self.splits[i]:
                 image = image + evaluate(Milnor(m, n), self.trunc).image.scaled(c)
             g = CobordismClass(image, dim=i)
         else:
             g = self._base.gen(i)
-            if i in self.killed:
-                v_i = fgl.context(i).v(self.p, prime_power(i + 1)[1])
-                v_i = CobordismClass(BPoly(v_i.terms, self.trunc), dim=i)
-                g = v_i - self.p ** i * g
+            if i in self.killed:  # v_s = [t^(i+1)] [p](t) for i = p^s - 1
+                v = n_series_coeff(self.p, i + 1, self.trunc)
+                g = CobordismClass(v, dim=i) - self.p ** i * g
         self._validate(i, g)
         self._built[i] = g
         return g

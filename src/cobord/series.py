@@ -16,9 +16,11 @@ always integers: reduction modulo p happens only in the generator
 coordinates of ``lazard.GenPoly``, after a class has been solved over Z.
 
 ``TruncSeries`` is a truncated power series in up to three auxiliary
-degree-1 variables with BPoly coefficients.  It doubles as the truncated
-Chow ring of (products of) projective spaces, where the variables are
-hyperplane classes with per-variable caps h_j^(n_j+1) = 0.
+degree-1 variables with BPoly coefficients, capped per variable and in
+total degree by its caller: the FGL series of ``fgl`` stop at t^(N+1),
+the last degree with a coefficient of weight at most N.  It doubles as
+the truncated Chow ring of (products of) projective spaces, where the
+variables are hyperplane classes with per-variable caps h_j^(n_j+1) = 0.
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ from . import _backend
 from .partitions import codec, full_key
 
 DEFAULT_TRUNCATION = 12
-
-
-def aux_cap(trunc: int) -> int:
-    # A degree-1 graded series has its t^k coefficient of weight k-1, so
-    # exponents beyond trunc+2 can never carry a nonzero coefficient.
-    return trunc + 2
 
 
 class CoefficientError(ValueError):

@@ -6,8 +6,6 @@ The [n]-series and formal-sum perturbations act on a fresh context, never
 on the shared one.
 """
 
-from functools import lru_cache
-
 import pytest
 
 from cobord import actions, checks, fgl, lazard
@@ -19,13 +17,10 @@ TRUNC = 12
 
 
 def fresh_context(monkeypatch):
-    """A fresh context in place of the shared one.  The adapted bases, the
-    one cache built from the context, get a cache of their own for the
-    test, so no perturbed basis outlives it."""
+    """A fresh context in place of the shared one.  No other cache reads
+    the context, so no perturbed series outlives the test."""
     ctx = fgl.FglContext(TRUNC)
     monkeypatch.setattr(fgl, "context", lambda trunc: ctx)
-    fresh_bases = lru_cache(maxsize=None)(lazard.adapted_basis.__wrapped__)
-    monkeypatch.setattr(lazard, "adapted_basis", fresh_bases)
     return ctx
 
 

@@ -254,6 +254,18 @@ def test_actions_rejects_a_negative_landweber_index(capsys):
     assert err == "error: the Landweber index s must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("argv, dim", [
+    (["--generator", "13", "--group", "1"], 13),
+    (["--family", "1", "--max-dim", "20", "--group", "1"], 20),
+    (["--landweber", "4", "--group", "1,1,1,1,1"], 15),
+])
+def test_actions_beyond_the_truncation_names_the_dimension(argv, dim, capsys):
+    code, out, err = run(["actions", *argv, "--p", "2", "--trunc", "12"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: dimension {dim} exceeds truncation 12; raise the truncation\n"
+
+
 def test_verify_rejects_a_negative_max_n_before_any_suite(capsys):
     code, out, err = run(["verify", "ideals", "--max-n", "-5"], capsys)
     assert code == 1

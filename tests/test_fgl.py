@@ -1,6 +1,7 @@
 import pytest
 
 from cobord import checks, fgl
+from cobord import geometry as geo
 from cobord.series import BPoly, TruncSeries
 from conftest import exp_series, graded_degree
 
@@ -131,7 +132,17 @@ def test_log_read_off_projective_spaces_is_the_inverse_of_exp(n):
     assert ctx.log == exp_series(ctx).comp_inverse()
 
 
-# -- the log-power routes against the composition routes they replace ------
+# -- the closed forms against the series routes they replace --------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 12, 14])
+def test_log_power_closed_form_equals_the_series_power(n):
+    ctx = fgl.FglContext(n)
+    assert ctx.cap == n + 1  # t^m has weight m - 1, so t^(N+1) is the last
+    for k in range(1, n + 2):
+        power = ctx.log ** k
+        for m in range(k, n + 2):
+            assert geo.log_power_coeff(k, m, n) == power.coeff((m,)), (k, m)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 6, 12, 14])
@@ -140,7 +151,7 @@ def test_n_series_equals_exp_of_n_log(n):
     exp = exp_series(ctx)
     for k in range(-16, 17):
         assert ctx.n_series(k) == exp.compose(ctx.log * k), k
-        assert ctx.n_series(k).total_cap == ctx.cap  # the t^(N+1)-capped table
+        assert ctx.n_series(k).total_cap == ctx.cap
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 6, 12, 14])

@@ -114,6 +114,20 @@ def test_v_i_from_the_smallest_context_matches_truncation_20():
     for p, i in cases:
         small = fgl.context(p ** i - 1).v(p, i)
         assert BPoly(small.terms, 20) == wide.v(p, i), (p, i)
+        for trunc in (p ** i - 1, 20, 30):  # v_i as ``GeneratorBasis.gen`` reads it
+            v_i = lz.n_series_coeff(p, p ** i, trunc)
+            assert BPoly(v_i.terms, 20) == wide.v(p, i), (p, i, trunc)
+
+
+def test_a_generator_degree_outside_the_truncation_is_rejected():
+    for basis in (lz.base_basis(TRUNC), lz.adapted_basis(2, 3, TRUNC)):
+        with pytest.raises(geo.TruncationError,
+                           match="dimension 13 exceeds truncation 12; raise"):
+            basis.gen(TRUNC + 1)
+        for i in (0, -1):
+            with pytest.raises(ValueError, match=f"must lie in 1..12, got {i}") as err:
+                basis.gen(i)
+            assert err.type is ValueError
 
 
 def test_a_cold_bound_builds_only_the_degrees_of_its_class(fresh_bases, capsys):
@@ -125,7 +139,7 @@ def test_a_cold_bound_builds_only_the_degrees_of_its_class(fresh_bases, capsys):
     assert capsys.readouterr().out
     assert sorted(basis._built) == [1, 2, 3, 4]
     assert sorted(lz.adapted_basis(2, 2, 30)._built) == [1, 2, 3, 4]
-    assert not fgl.context(30)._n_cache  # v_1, v_2 came from contexts 1 and 3
+    assert fgl.context.cache_info().currsize == 0  # v_1, v_2 need no FGL context
 
 
 @pytest.mark.parametrize("degree", [1, 4, 9])
@@ -156,19 +170,15 @@ def test_an_adapted_basis_shares_every_generator_it_does_not_replace(p, r):
 
 def test_a_killed_generator_outside_the_mod_p_kernel_fails_validation(
         fresh_bases, monkeypatch):
-    # v_2 at p = 2 shifted by b_1^3: c_(3) is unchanged, but the adapted
-    # generator in degree 3 gets an odd coefficient
-    exact = fgl.context
+    # v_2 = [t^4] [2](t) shifted by b_1^3: c_(3) is unchanged, but the
+    # adapted generator in degree 3 gets an odd coefficient
+    exact = lz.n_series_coeff
 
-    class Shifted:
-        def __init__(self, trunc):
-            self.ctx = exact(trunc)
+    def shifted(n, m, trunc):
+        shift = BPoly({(1, 1, 1): 1}, trunc) if (n, m) == (2, 4) else 0
+        return exact(n, m, trunc) + shift
 
-        def v(self, p, i):
-            shift = BPoly({(1, 1, 1): 1}, self.ctx.trunc) if i == 2 else 0
-            return self.ctx.v(p, i) + shift
-
-    monkeypatch.setattr(fgl, "context", Shifted)
+    monkeypatch.setattr(lz, "n_series_coeff", shifted)
     basis = lz.adapted_basis(2, 3, TRUNC)
     assert basis.killed == {1, 3}
     assert basis.gen(1).image.divisible_by(2)  # other degrees still build
