@@ -32,10 +32,14 @@ def iadd_terms(target, src):
 def mul_into(out, x, y, trunc):
     """Accumulate the product of term dicts ``x*y`` into ``out``.
 
-    Products whose partition weight exceeds ``trunc`` are discarded.
+    Products whose partition weight exceeds ``trunc`` are discarded.  Only
+    when some pair can cross that cut is ``y`` sorted, so that the inner
+    loop stops at its first crossing key.
     """
+    if not x or not y:
+        return out
     limit = (trunc + 1) << codec(trunc)[2]
-    ys = sorted(y.items())
+    ys = y.items() if max(x) + max(y) < limit else sorted(y.items())
     for ka, va in x.items():
         lim = limit - ka
         for kb, vb in ys:

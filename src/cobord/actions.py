@@ -12,20 +12,17 @@ free actions whenever the group has rank at least s + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .geometry import (DisjointUnion, Hyp, Milnor, Product, VarietyExpr,
-                       _check_truncation, evaluate)
+from .geometry import (DisjointUnion, Hyp, Milnor, Product, Record, _check_truncation,
+                       evaluate)
 from .lazard import NEG_INF, base_basis, is_prime
 from .series import DEFAULT_TRUNCATION
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record):
     """(p; a_1, ..., a_r): the product of cyclic p-groups of order p^a_i."""
 
-    p: int
-    exponents: tuple = ()
+    __slots__ = ("p", "exponents")
+    _defaults = {"exponents": ()}
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -46,8 +43,7 @@ class GroupDescriptor:
         return {"p": self.p, "exponents": list(self.exponents)}
 
 
-@dataclass(frozen=True)
-class ActionWitness:
+class ActionWitness(Record):
     """A variety together with a realized fixed-locus dimension.
 
     ``fixed_dim`` is the exact dimension achieved by the recorded
@@ -55,10 +51,7 @@ class ActionWitness:
     variety).  The bound engine must never exceed it.
     """
 
-    variety: VarietyExpr
-    group: GroupDescriptor
-    fixed_dim: float
-    provenance: str
+    __slots__ = ("variety", "group", "fixed_dim", "provenance")
 
     def cobordism_class(self, trunc=DEFAULT_TRUNCATION):
         return evaluate(self.variety, trunc)

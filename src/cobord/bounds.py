@@ -20,16 +20,14 @@ unit ideal.  This module therefore only accepts GroupDescriptor inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .actions import GroupDescriptor
-from .geometry import CobordismClass, TruncationError
+from .geometry import CobordismClass, Record, TruncationError
 from .lazard import (
     NEG_INF,
     GeneratorBasis,
-    GenPoly,
     base_basis,
     c_alpha_image_gcd,
     in_landweber_ideal,
@@ -46,16 +44,16 @@ from .partitions import (
 )
 
 
-@dataclass
-class BoundReport:
-    """Verdict of the bound engine for one class and one group."""
+class BoundReport(Record):
+    """Verdict of the bound engine for one class and one group.
 
-    class_dim: Optional[int]
-    group: GroupDescriptor
-    in_ideal: bool
-    reduced: GenPoly
-    lower_bound: float
-    certificate: Optional[tuple]
+    Fields: class_dim, the group, in_ideal, the ``reduced`` GenPoly, the
+    lower_bound, and the certificate, a (partition, coefficient) pair or
+    None.
+    """
+
+    __slots__ = ("class_dim", "group", "in_ideal", "reduced", "lower_bound",
+                 "certificate")
 
     def to_obj(self):
         cert = None

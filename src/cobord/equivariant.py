@@ -11,11 +11,10 @@ nothing here consults roots of unity, only which characters are trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _backend, fgl
-from .geometry import CheckReport, CobordismClass, Proj, evaluate
+from .geometry import CheckReport, CobordismClass, Proj, Record, evaluate
 from .lazard import in_landweber_ideal, reduce_mod_landweber
 from .series import BPoly, DEFAULT_TRUNCATION, SparseAlgebra, TruncSeries
 
@@ -115,13 +114,11 @@ class MPoly(SparseAlgebra):
         return {"kind": self.kind, "terms": out}
 
 
-@dataclass(frozen=True)
-class SplitBundleDescriptor:
+class SplitBundleDescriptor(Record):
     """A sum of line bundles L_j tensor (character g_j) over a product of
     projective spaces; every character must be nontrivial."""
 
-    base: tuple
-    summands: tuple
+    __slots__ = ("base", "summands")
 
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(self.base))

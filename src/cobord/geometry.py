@@ -26,7 +26,6 @@ Lagrange inversion reads [t^m] (log t)^k and [t^m] [n](t) off A^m
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Union
 
@@ -106,11 +105,73 @@ class CobordismClass:
         return f"CobordismClass(dim={self.dim}, image={self.image!r})"
 
 
+# -- value records --------------------------------------------------------
+
+
+class Record:
+    """A frozen value class whose fields are its ``__slots__``.
+
+    Positional and keyword arguments fill the fields in slot order, a
+    missing one from the class's ``_defaults``; a ``__post_init__``, if the
+    class has one, then normalizes or validates them.  Two records are
+    equal only if they have the same type and equal fields, equal records
+    hash alike, no field can be reassigned, and the ``repr`` reads
+    ``Proj(n=3)``.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, "
+                            f"got {len(args)}")
+        given = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in given:
+                raise TypeError(f"{type(self).__name__}: unexpected or repeated "
+                                f"field {name!r}")
+            given[name] = value
+        for name in names:
+            if name in given:
+                object.__setattr__(self, name, given[name])
+            elif name in self._defaults:
+                object.__setattr__(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__}: missing field {name!r}")
+        post_init = getattr(self, "__post_init__", None)
+        if post_init is not None:
+            post_init()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 # -- expression AST -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
+    __slots__ = ()
+
     def dimension(self):
         return 0
 
@@ -118,9 +179,8 @@ class Point:
         return "point"
 
 
-@dataclass(frozen=True)
-class Proj:
-    n: int
+class Proj(Record):
+    __slots__ = ("n",)
 
     def dimension(self):
         return self.n
@@ -129,10 +189,8 @@ class Proj:
         return {"proj": self.n}
 
 
-@dataclass(frozen=True)
-class Hyp:
-    d: int
-    n: int
+class Hyp(Record):
+    __slots__ = ("d", "n")
 
     def dimension(self):
         return self.n
@@ -141,10 +199,8 @@ class Hyp:
         return {"hyp": [self.d, self.n]}
 
 
-@dataclass(frozen=True)
-class CompInt:
-    degrees: tuple
-    n: int
+class CompInt(Record):
+    __slots__ = ("degrees", "n")
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
@@ -156,10 +212,8 @@ class CompInt:
         return {"ci": [list(self.degrees), self.n]}
 
 
-@dataclass(frozen=True)
-class Milnor:
-    m: int
-    n: int
+class Milnor(Record):
+    __slots__ = ("m", "n")
 
     def dimension(self):
         return self.m + self.n - 1
@@ -168,9 +222,8 @@ class Milnor:
         return {"milnor": [self.m, self.n]}
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(Record):
+    __slots__ = ("factors",)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -183,9 +236,8 @@ class Product:
         return {"prod": [f.to_obj() for f in self.factors]}
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
-    parts: tuple
+class DisjointUnion(Record):
+    __slots__ = ("parts",)
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -198,10 +250,8 @@ class DisjointUnion:
         return {"disj": [p.to_obj() for p in self.parts]}
 
 
-@dataclass(frozen=True)
-class Scaled:
-    k: int
-    expr: "VarietyExpr"
+class Scaled(Record):
+    __slots__ = ("k", "expr")
 
     def dimension(self):
         return self.expr.dimension()
@@ -435,9 +485,19 @@ def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismCla
 # -- check reports --------------------------------------------------------
 
 
-@dataclass
 class CheckReport:
-    entries: list
+    """The (name, ok, detail) entries of a check suite; true iff all passed."""
+
+    def __init__(self, entries: list):
+        self.entries = entries
+
+    def __eq__(self, other):
+        if type(other) is not CheckReport:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self):
+        return f"CheckReport(entries={self.entries!r})"
 
     @property
     def ok(self):

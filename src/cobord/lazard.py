@@ -24,7 +24,6 @@ every class; it is imported here, so ``lazard.CobordismClass`` resolves.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import takewhile
 
@@ -266,9 +265,11 @@ class GeneratorBasis:
                 column = self.image_of_monomial(alpha)._terms
                 q, rem = divmod(c, column[k])
                 if rem:
+                    # c / column[k] in lowest terms, the sign on the numerator
+                    g = math.gcd(c, column[k]) * (1 if column[k] > 0 else -1)
                     raise NotInLazardImage(
                         f"weight {n}: coordinate at {alpha} is "
-                        f"{Fraction(c, column[k])}, not an integer"
+                        f"{c // g}/{column[k] // g}, not an integer"
                     )
                 coords[alpha] = q
                 for key, v in column.items():
@@ -423,7 +424,7 @@ def reduce_mod_landweber(z: CobordismClass, p: int, r: int) -> GenPoly:
     coeffs = {
         beta: c
         for beta, c in z.gen_coords(basis).coeffs.items()
-        if not any(part in basis.killed for part in beta)
+        if basis.killed.isdisjoint(beta)
     }
     return GenPoly(coeffs, p, basis)
 

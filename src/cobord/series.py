@@ -238,13 +238,6 @@ class BPoly(SparseAlgebra):
     def one(cls, trunc=DEFAULT_TRUNCATION):
         return cls.const(1, trunc)
 
-    @classmethod
-    def gen(cls, i, trunc=DEFAULT_TRUNCATION):
-        """The generator b_i (b_0 is the unit)."""
-        if i == 0:
-            return cls.one(trunc)
-        return cls({(i,): 1}, trunc)
-
     def coeff(self, alpha) -> int:
         if sum(alpha) > self.trunc:
             return 0

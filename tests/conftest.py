@@ -33,9 +33,14 @@ def embed():
 # -- references that only the tests compare against ------------------------
 
 
+def b_gen(i, trunc):
+    """The generator b_i as a BPoly (b_0 is the unit)."""
+    return BPoly.one(trunc) if i == 0 else BPoly({(i,): 1}, trunc)
+
+
 def exp_series(ctx):
     """exp(t) = t + b_1 t^2 + b_2 t^3 + ... in the variable space of ``ctx``."""
-    coeffs = {(k,): BPoly.gen(k - 1, trunc=ctx.trunc) for k in range(1, ctx.trunc + 2)}
+    coeffs = {(k,): b_gen(k - 1, ctx.trunc) for k in range(1, ctx.trunc + 2)}
     return TruncSeries(("t",), (ctx.cap,), ctx.cap, coeffs, trunc=ctx.trunc)
 
 

@@ -1,7 +1,11 @@
 """The public API: the names ``cobord`` exports, the README tour that uses them,
-and the module layering that keeps every import at module level."""
+the module layering that keeps every import at module level, and a cold
+import that leaves ``dataclasses`` and ``fractions`` unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cobord
@@ -108,6 +112,19 @@ def test_no_module_imports_inside_a_function():
         found += [(path.name, name, line) for name, line in _function_imports(tree)
                   if (path.name, name) not in allowed]
     assert found == []
+
+
+def test_a_cold_process_imports_neither_dataclasses_nor_fractions():
+    # measured against the interpreter's own start, so a module that site
+    # loads through a .pth file is not counted
+    probe = ("import sys; before = set(sys.modules); "
+             "import cobord.cli, cobord.checks; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=path)).stdout.split()
+    assert {"cobord.cli", "cobord.checks", "cobord.geometry"} <= set(loaded)
+    assert set(loaded) & {"dataclasses", "inspect", "fractions", "decimal"} == set()
 
 
 def test_the_function_import_scan_sees_nested_imports():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cobord import geometry as geo
 from cobord.partitions import _sub_multisets, partitions_of
 from cobord.series import BPoly, TruncSeries
+from conftest import b_gen
 
 TRUNC = 12
 
@@ -262,7 +263,7 @@ def _ref_line_class(caps, multidegree, trunc):
     power = c1.constant(1)
     for i in range(1, min(total_cap, trunc) + 1):
         power = power * c1
-        total = total + power * BPoly.gen(i, trunc=trunc)
+        total = total + power * b_gen(i, trunc)
     return total
 
 
@@ -331,7 +332,7 @@ def test_power_rows_invert_powers_of_the_line_class():
     for k in range(1, 7):
         rows = [BPoly._raw(r, TRUNC) for r in geo._power_rows(k, TRUNC)]
         assert len(rows) == k
-        line = [BPoly.gen(i, trunc=TRUNC) for i in range(k)]
+        line = [b_gen(i, TRUNC) for i in range(k)]
         power = [BPoly.one(trunc=TRUNC)] + [BPoly.zero(trunc=TRUNC)] * (k - 1)
         for _ in range(k):
             power = [

@@ -3,7 +3,7 @@ caller reaches it through."""
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cobord
 from cobord import _backend, _kernel_py
@@ -138,6 +138,50 @@ def test_packed_mul_into_matches_the_tuple_kernel(out, x, y, trunc):
     expect = _reference_mul_into(dict(out), x, y, trunc)
     assert {unpack(k): v for k, v in packed.items()} == expect
     assert all(packed.values())
+
+
+def _all_pairs_mul_into(out, x, y, trunc):
+    """Every pair of terms, kept when its weight is at most ``trunc``."""
+    acc = dict(out)
+    for ka, va in x.items():
+        for kb, vb in y.items():
+            if sum(ka) + sum(kb) <= trunc:
+                kk = union(ka, kb)
+                acc[kk] = acc.get(kk, 0) + va * vb
+    return {k: v for k, v in acc.items() if v}
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_dicts, term_dicts, term_dicts, st.integers(0, KERNEL_N), st.booleans())
+@example(out={(1, 1): -1}, x={(1,): 1}, y={(2,): 1, (1,): 1}, trunc=2, heavy_first=True)
+@example(out={(2,): 3}, x={(1,): 1, (2,): 2}, y={(2,): -1, (1,): 1},
+         trunc=3, heavy_first=True)
+def test_mul_into_matches_all_pairs_filtered_by_weight(out, x, y, trunc, heavy_first):
+    # with y heaviest first, a crossing pair comes before the pairs that fit
+    out = {k: v for k, v in out.items() if sum(k) <= trunc}
+    x = {k: v for k, v in x.items() if sum(k) <= trunc}
+    y = {k: v for k, v in y.items() if sum(k) <= trunc}
+    if heavy_first:
+        y = dict(sorted(y.items(), key=lambda kv: -sum(kv[0])))
+    pack, unpack, _ = codec(trunc)
+    packed = _kernel_py.mul_into(
+        {pack(k): v for k, v in out.items()},
+        {pack(k): v for k, v in x.items()},
+        {pack(k): v for k, v in y.items()},
+        trunc,
+    )
+    assert {unpack(k): v for k, v in packed.items()} == _all_pairs_mul_into(out, x, y, trunc)
+
+
+def test_mul_into_cuts_crossing_pairs_and_cancels_into_out():
+    # b_2 * b_1 crosses weight 2 and is listed first; b_1 * b_1 cancels out's term
+    pack = codec(2)[0]
+    acc = {pack((1, 1)): -1, pack((2,)): 5}
+    assert _kernel_py.mul_into(acc, {pack((1,)): 1},
+                               {pack((2,)): 1, pack((1,)): 1}, 2) is acc
+    assert acc == {pack((2,)): 5}
+    assert _kernel_py.mul_into(acc, {}, {pack((1,)): 1}, 2) == {pack((2,)): 5}
+    assert _kernel_py.mul_into(acc, {pack((1,)): 1}, {}, 2) == {pack((2,)): 5}
 
 
 def test_cancellation_removes_keys():

@@ -9,6 +9,7 @@ from cobord import geometry as geo
 from cobord import lazard as lz
 from cobord.partitions import partitions_of, refines
 from cobord.series import BPoly
+from conftest import b_gen
 
 TRUNC = 12
 
@@ -268,7 +269,28 @@ def test_round_trip_constructor_classes(basis):
 def test_solve_rejects_non_lazard_input(basis):
     # b_1 alone has c_(1) = 1, impossible for a genuine class
     with pytest.raises(lz.NotInLazardImage):
-        lz.CobordismClass(BPoly.gen(1, trunc=TRUNC)).gen_coords(basis)
+        lz.CobordismClass(b_gen(1, TRUNC)).gen_coords(basis)
+
+
+@pytest.mark.parametrize("terms, text", [
+    ({(1,): 1}, "weight 1: coordinate at (1,) is -1/2, not an integer"),
+    ({(1,): -3}, "weight 1: coordinate at (1,) is 3/2, not an integer"),
+    ({(2,): 1}, "weight 2: coordinate at (2,) is 1/3, not an integer"),
+    ({(1, 1): 6}, "weight 2: coordinate at (1, 1) is 3/2, not an integer"),
+    ({(2, 1): 4}, "weight 3: coordinate at (2, 1) is -2/3, not an integer"),
+    ({(2, 1): -4}, "weight 3: coordinate at (2, 1) is 2/3, not an integer"),
+    ({(2, 1): 9}, "weight 3: coordinate at (2, 1) is -3/2, not an integer"),
+])
+def test_not_in_lazard_image_prints_the_reduced_quotient(terms, text):
+    # in the I_2(2)-adapted basis the weight-1 diagonal entry is -2, so
+    # (2, 1) has diagonal 3 * -2 = -6: the sign moves to the numerator
+    basis = lz.adapted_basis(2, 2, TRUNC)
+    (alpha, c), = terms.items()
+    diagonal = basis.image_of_monomial(alpha).coeff(alpha)
+    assert text.split(" is ")[1] == f"{Fraction(c, diagonal)}, not an integer"
+    with pytest.raises(lz.NotInLazardImage) as err:
+        lz.CobordismClass(BPoly(terms, TRUNC)).gen_coords(basis)
+    assert str(err.value) == text
 
 
 def test_decomposability():

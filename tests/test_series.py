@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from cobord import fgl
 from cobord.series import BPoly, CoefficientError, TruncSeries
-from conftest import exp_series, graded_degree
+from conftest import b_gen, exp_series, graded_degree
 
 N = 10
 
@@ -27,7 +27,7 @@ bpolys = st.builds(
 
 
 def b(i):
-    return BPoly.gen(i, trunc=N)
+    return b_gen(i, N)
 
 
 def one():
@@ -132,7 +132,7 @@ def test_comp_inverse_identity():
 def test_comp_inverse_quadratic_example():
     # f = t + b_1 t^2; its inverse starts t - b_1 t^2 + 2 b_1^2 t^3.
     t = t_series(6)
-    f = t + t._shell({(2,): BPoly.gen(1, trunc=N)})
+    f = t + t._shell({(2,): b_gen(1, N)})
     g = f.comp_inverse()
     assert g.coeff((1,)) == one()
     assert g.coeff((2,)) == -b(1)
@@ -332,12 +332,12 @@ def test_different_shapes_do_not_combine_and_compare_unequal(basis):
             with pytest.raises(CoefficientError):
                 op()
     # a coefficient of another truncation has packed keys of another codec
-    t, light = t_series(), BPoly.gen(2, trunc=N - 2)
-    assert t.constant(BPoly.gen(2, trunc=N)) != light
+    t, light = t_series(), b_gen(2, N - 2)
+    assert t.constant(b_gen(2, N)) != light
     for op in (lambda: t + light, lambda: light - t, lambda: t.constant(light)):
         with pytest.raises(CoefficientError, match="truncation mismatch"):
             op()
     # a BPoly is the one exception: its truncation only picks the key codec
-    assert BPoly.gen(1, trunc=N) == BPoly.gen(1, trunc=N - 2)
+    assert b_gen(1, N) == b_gen(1, N - 2)
     with pytest.raises(CoefficientError, match="truncation mismatch"):
-        BPoly.gen(1, trunc=N) + BPoly.gen(1, trunc=N - 2)
+        b_gen(1, N) + b_gen(1, N - 2)
