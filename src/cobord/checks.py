@@ -49,6 +49,46 @@ def formal_inverse(ctx: fgl.FglContext) -> TruncSeries:
     )
 
 
+def _packed(series, width):
+    """One series whose every integer coefficient is sum_j c_j 2^(j width),
+    c_j the same coefficient of series[j]: signed slots, one per series.
+
+    Packing is Z-linear, and injective while every slot value lies in
+    (-2^(width-1), 2^(width-1)); a packed value is 0 only when all its
+    slots are.  So packed(fs).compose(g) == packed([f(g) for f in fs]).
+    """
+    acc = {}
+    for j, s in enumerate(series):
+        for e, c in s._terms.items():
+            terms = acc.setdefault(e, {})
+            for k, v in c._terms.items():
+                terms[k] = terms.get(k, 0) + (v << j * width)
+    trunc = series[0].trunc
+    return series[0]._shell({
+        e: BPoly._raw(kept, trunc) for e, terms in acc.items()
+        if (kept := {k: v for k, v in terms.items() if v})
+    })
+
+
+def _slot_width(fs, g, expected):
+    """A slot width for the values of f(g), f in fs, and of ``expected``.
+
+    |[t^e] f(g)| <= sum_m |f_m|_1 |g^m|_1 in the l1 norm of the integer
+    coefficients, with g^m read off the ``powers`` memo that ``compose``
+    reads too; two spare bits keep every slot value below 2^(width-2).
+    """
+    def l1(c):
+        return sum(abs(v) for v in c._terms.values())
+
+    top = max((m for f in fs for (m,) in f._terms), default=0)
+    norms = [sum(map(l1, gm._terms.values())) for gm in g.powers(top)]
+    bound = max(sum(l1(c) * norms[m] for (m,), c in f._terms.items()
+                    if m < len(norms)) for f in fs)
+    largest = max((abs(v) for s in expected for c in s._terms.values()
+                   for v in c._terms.values()), default=0)
+    return max(bound, largest).bit_length() + 2
+
+
 def fgl_laws(p: int, trunc: int) -> CheckReport:
     """The group laws of F (associativity to total degree 6) and the
     [k]-series for |k| <= 4, the negative ones against ``formal_inverse``."""
@@ -65,11 +105,15 @@ def fgl_laws(p: int, trunc: int) -> CheckReport:
     checks.append((f"associativity to degree {deg}", left == right))
     t = ctx.t_var()
     checks.append(("F(t,t) = [2](t)", ctx.apply_sum(t, t) == ctx.n_series(2)))
+    ks = range(-4, 5)
+    fs = [ctx.n_series(a) for a in ks]
     comp_ok = True
-    for a in range(-4, 5):
-        for b in range(-4, 5):
-            if ctx.n_series(a).compose(ctx.n_series(b)) != ctx.n_series(a * b):
-                comp_ok = False
+    for b in ks:  # the nine [a]([b](t)) of one b in one packed compose
+        g = ctx.n_series(b)
+        expected = [ctx.n_series(a * b) for a in ks]
+        width = _slot_width(fs, g, expected)
+        if _packed(fs, width).compose(g) != _packed(expected, width):
+            comp_ok = False
     checks.append(("[a]([b](t)) = [ab](t) for |a|,|b| <= 4", comp_ok))
     inv = formal_inverse(ctx)
     inv_ok = all(inv.compose(ctx.n_series(k)) == ctx.n_series(-k)

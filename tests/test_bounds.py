@@ -1,3 +1,6 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from cobord import actions as ac
 from cobord import bounds as bd
 from cobord import geometry as geo
@@ -205,3 +208,83 @@ def test_report_serialization():
 
     rep0 = bd.fixed_dim_lower_bound(cls(geo.Hyp(2, 0)), G2)
     assert rep0.to_obj()["lower_bound"] is None
+
+
+# -- metamorphic laws of the bound, over random expressions -----------------
+#
+# Products add: the quotient by I_p(r) is a polynomial ring over F_p, a
+# domain, and the q-degree pi_q adds over monomials.  A subgroup bounds
+# no lower: the ideal of a smaller rank is smaller and pi_q of a smaller
+# order is larger.
+
+SMALL = 8
+SMALL_CONSTRUCTORS = (
+    [geo.Point()] + [geo.Proj(n) for n in range(1, SMALL + 1)]
+    + [geo.Hyp(d, n) for d in range(1, 5) for n in range(1, SMALL + 1)]
+    + [geo.CompInt((2, 3), n) for n in range(2, SMALL + 1)]
+    + [geo.Milnor(m, n) for n in range(1, SMALL + 1) for m in range(1, n + 1)
+       if m + n - 1 <= SMALL]
+)
+SMALL_GROUPS = [ac.GroupDescriptor(p, exps) for p in (2, 3)
+                for exps in [(1,), (2,), (1, 1), (1, 1, 1)]]
+
+
+def small_bound(expr, group):
+    return bd.fixed_dim_lower_bound(geo.evaluate(expr, SMALL), group).lower_bound
+
+
+@st.composite
+def small_varieties(draw, max_dim=SMALL):
+    """A constructor, a scaled one, or a disjoint union of two of one
+    dimension, of dimension at most ``max_dim``."""
+    pool = [e for e in SMALL_CONSTRUCTORS if e.dimension() <= max_dim]
+    expr = draw(st.sampled_from(pool))
+    kind = draw(st.sampled_from(["plain", "scaled", "union"]))
+    if kind == "scaled":
+        return geo.Scaled(draw(st.integers(-6, 6)), expr)
+    if kind == "union":
+        same = [e for e in pool if e.dimension() == expr.dimension()]
+        return geo.DisjointUnion((expr, draw(st.sampled_from(same))))
+    return expr
+
+
+@st.composite
+def small_pairs(draw):
+    x = draw(small_varieties(SMALL - 1))
+    return x, draw(small_varieties(SMALL - x.dimension()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_pairs(), st.sampled_from(SMALL_GROUPS))
+def test_the_bound_of_a_product_is_the_sum_of_the_bounds(pair, group):
+    x, y = pair
+    bx, by = small_bound(x, group), small_bound(y, group)
+    both = small_bound(geo.Product((x, y)), group)
+    assert both == bx + by, (x, y, group)
+    if NEG_INF in (bx, by):
+        assert both == NEG_INF
+
+
+SUBGROUPS = [(ac.GroupDescriptor(p, small), ac.GroupDescriptor(p, large))
+             for p in (2, 3)
+             for small, large in [((1,), (2,)), ((1,), (1, 1)), ((1, 1), (1, 1, 1))]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_varieties(), st.sampled_from(SUBGROUPS))
+def test_a_larger_group_never_has_a_larger_bound(expr, groups):
+    h, g = groups
+    assert small_bound(expr, g) <= small_bound(expr, h), (expr, h, g)
+
+
+@pytest.mark.parametrize("x, y, exps, expected", [
+    (geo.Proj(2), geo.Proj(4), (1,), 3),
+    (geo.Proj(4), geo.Proj(4), (1, 1), 2),
+    (geo.Proj(2), geo.Proj(4), (1, 1), 1),
+    (geo.Hyp(2, 0), geo.Proj(3), (1, 1), NEG_INF),  # Y_0 is in I_2(2)
+    (geo.Hyp(2, 1), geo.Hyp(2, 1), (1, 1), NEG_INF),
+])
+def test_product_law_on_hand_cases(x, y, exps, expected):
+    group = ac.GroupDescriptor(2, exps)
+    assert small_bound(x, group) + small_bound(y, group) == expected
+    assert small_bound(geo.Product((x, y)), group) == expected

@@ -3,15 +3,17 @@
 Each case perturbs one input of one suite with ``monkeypatch`` and asserts
 that the named checks report FAIL, so a check that always holds is caught.
 The [n]-series and formal-sum perturbations act on a fresh context, never
-on the shared one.
+on the shared one.  The packed composition behind the [a]([b](t)) check is
+also unpacked slot by slot against one composition at a time.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobord import actions, checks, fgl, lazard
 from cobord.geometry import Proj
 from cobord.lazard import NEG_INF
-from cobord.series import BPoly
+from cobord.series import BPoly, TruncSeries
 
 TRUNC = 12
 
@@ -98,6 +100,11 @@ CASES = [
     ("soundness", milnor_one_lower, {}, SOUNDNESS_P2),
     ("soundness", point_as_fixed_point_free, {},
      ["witness soundness for p=2, exponents=[1, 1]"]),
+    # the packed [a]([b](t)) check: the all-zero slot [0], the top slot [4]
+    # at the top degree t^13, and [-16], a series only the expected side packs
+    ("fgl", add_term, {"n": 0, "k": 3}, ["[a]([b](t)) = [ab](t) for |a|,|b| <= 4"]),
+    ("fgl", add_term, {"n": 4, "k": 13}, ["[a]([b](t)) = [ab](t) for |a|,|b| <= 4"]),
+    ("fgl", add_term, {"n": -16, "k": 13}, ["[a]([b](t)) = [ab](t) for |a|,|b| <= 4"]),
 ]
 
 
@@ -111,3 +118,83 @@ def test_each_check_reports_failure(suite, perturb, params, failing, monkeypatch
     status = {name: ok for name, ok, _ in report.entries}
     assert not report.ok
     assert all(status[name] is False for name in failing), status
+
+
+# -- the packed composition of ``fgl_laws`` ---------------------------------
+
+
+def unpack(series, width, count):
+    """The ``count`` series that ``checks._packed`` packed at ``width``:
+    each coefficient split into balanced digits, lowest slot first."""
+    slots = [{} for _ in range(count)]
+    half, full = 1 << (width - 1), 1 << width
+    for e, c in series.coeffs.items():
+        for k, v in c._terms.items():
+            for slot in slots:
+                d = v & (full - 1)
+                d = d - full if d >= half else d
+                if d:
+                    slot.setdefault(e, {})[k] = d
+                v = (v - d) >> width
+            assert v == 0, "a value beyond the last slot"
+    return [series._shell({e: BPoly._raw(t, series.trunc) for e, t in slot.items()})
+            for slot in slots]
+
+
+def max_bits(series):
+    return max((abs(v).bit_length() for s in series for c in s.coeffs.values()
+                for v in c._terms.values()), default=0)
+
+
+def assert_packed_compose_is_exact(fs, g):
+    # the outer series themselves need not fit the width: only the linear
+    # combination of them is composed, never unpacked
+    own = max_bits(fs) + 1
+    assert unpack(checks._packed(fs, own), own, len(fs)) == fs
+    expected = [f.compose(g) for f in fs]
+    # the l1 bound alone fits every slot value of the compositions as a
+    # signed (width - 1)-bit number, with a bit to spare
+    width = checks._slot_width(fs, g, [])
+    assert width >= max_bits(expected) + 2
+    assert unpack(checks._packed(fs, width).compose(g), width, len(fs)) == expected
+    assert checks._slot_width(fs, g, expected) == width
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 2, 6, 12])
+def test_packed_compose_of_the_n_series_unpacks_to_each_composition(trunc):
+    ctx = fgl.FglContext(trunc)
+    ks = range(-4, 5)
+    for b in ks:
+        fs = [ctx.n_series(a) for a in ks]
+        assert_packed_compose_is_exact(fs, ctx.n_series(b))
+        assert [f.compose(ctx.n_series(b)) for f in fs] == [ctx.n_series(a * b) for a in ks]
+
+
+def test_the_slot_width_fits_the_expected_side_too():
+    ctx = fgl.FglContext(6)
+    far = [ctx.n_series(3).scaled(1 << 100)]
+    assert checks._slot_width([ctx.n_series(1)], ctx.n_series(2), far) >= max_bits(far) + 2
+
+
+N = 6
+POOL = [(), (1,), (2,), (1, 1), (3,), (2, 1), (4,)]
+bpolys = st.builds(
+    lambda d: BPoly(d, trunc=N),
+    st.dictionaries(st.sampled_from(POOL), st.integers(-10 ** 6, 10 ** 6), max_size=4),
+)
+
+
+def one_variable(coeffs, start):
+    cap = N + 1
+    return TruncSeries(("t",), (cap,), cap,
+                       {(start + k,): c for k, c in enumerate(coeffs)}, trunc=N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(bpolys, max_size=8), min_size=1, max_size=9),
+       st.lists(bpolys, min_size=1, max_size=7))
+def test_packed_compose_of_random_series_unpacks_to_each_composition(fss, gs):
+    # outer series may have a constant term; the inner one has none
+    fs = [one_variable(coeffs, 0) for coeffs in fss]
+    assert_packed_compose_is_exact(fs, one_variable(gs, 1))
+
