@@ -142,17 +142,19 @@ class GeneratorBasis:
     the family still generates and I_p(r) is p plus these members.
     ``geometry.n_series_coeff`` gives v_i = [t^(n+1)] [p](t) at trunc.
     Only degrees <= trunc are replaced, so every rank is accepted.
-    Every other degree holds the base basis's own generator object.
+    An adapted basis owns only its killed degrees: every other generator,
+    and the image of every monomial without a killed part, is the base
+    basis's own object.
 
-    ``tops`` maps each degree to the c_(i) of its generator, known before
-    any generator is built.  ``gen(i)`` builds degree i on its first call
-    and checks it against ``tops`` and the generator criteria then, so a
-    query pays only for the degrees in its support.
+    ``tops`` maps each base degree to the c_(i) of its generator, known
+    before any generator is built; a killed degree's is -p.  ``gen(i)``
+    builds degree i on its first call and checks it against that value
+    and the generator criteria then, so a query pays only for the degrees
+    in its support.
     """
 
     def __init__(self, trunc: int, p=None, r=None):
         self.trunc, self.p, self.r = trunc, p, r
-        self.flavor = "base" if p is None else "adapted"
         if p is None:
             self.tops, self.splits = {}, {}
             for i in range(1, trunc + 1):
@@ -163,19 +165,18 @@ class GeneratorBasis:
             self.killed = frozenset()
         else:
             self._base = base_basis(trunc)
-            self.splits = self._base.splits
             self.killed = frozenset(takewhile(lambda n: n <= trunc,
                                               (p ** i - 1 for i in range(1, r))))
-            self.tops = {n: (-p if n in self.killed else c)
-                         for n, c in self._base.tops.items()}
         self._built = {}
-        self._mono_images = {(): BPoly.one(trunc=trunc)}
+        self._mono_images = {(): BPoly.one(trunc=trunc)} if p is None else {}
 
     def __repr__(self):
         return f"GeneratorBasis({self.trunc}, p={self.p}, r={self.r})"
 
     def gen(self, i: int) -> CobordismClass:
         """The degree-i generator, 1 <= i <= trunc, built and validated once."""
+        if self.p is not None and i not in self.killed:
+            return self._base.gen(i)
         g = self._built.get(i)
         if g is not None:
             return g
@@ -187,11 +188,9 @@ class GeneratorBasis:
             for m, n, c in self.splits[i]:
                 image = image + evaluate(Milnor(m, n), self.trunc).image.scaled(c)
             g = CobordismClass(image, dim=i)
-        else:
-            g = self._base.gen(i)
-            if i in self.killed:  # v_s = [t^(i+1)] [p](t) for i = p^s - 1
-                v = n_series_coeff(self.p, i + 1, self.trunc)
-                g = CobordismClass(v, dim=i) - self.p ** i * g
+        else:  # v_s = [t^(i+1)] [p](t) for i = p^s - 1
+            v = n_series_coeff(self.p, i + 1, self.trunc)
+            g = CobordismClass(v, dim=i) - self.p ** i * self._base.gen(i)
         self._validate(i, g)
         self._built[i] = g
         return g
@@ -204,9 +203,10 @@ class GeneratorBasis:
             raise BasisValidationError(
                 f"degree {i}: |c_(i)| = {abs(c)}, expected {expect}"
             )
-        if c != self.tops[i]:
+        top = -self.p if i in self.killed else self.tops[i]
+        if c != top:
             raise BasisValidationError(
-                f"degree {i}: c_(i) = {c}, but the construction gives {self.tops[i]}"
+                f"degree {i}: c_(i) = {c}, but the construction gives {top}"
             )
         if i in self.killed and not g.image.divisible_by(self.p):
             raise BasisValidationError(
@@ -214,20 +214,19 @@ class GeneratorBasis:
             )
 
     def describe(self):
-        """The flavor, p, r and sign(c_(i)) per degree; builds nothing."""
-        return {
-            "flavor": self.flavor,
-            "p": self.p,
-            "r": self.r,
-            "signs": [1 if c > 0 else -1 for c in self.tops.values()],
-        }
+        """The basis descriptor of the JSON output; builds nothing."""
+        flavor = "base" if self.p is None else "adapted"
+        return {"flavor": flavor, "p": self.p, "r": self.r}
 
     def image_of_monomial(self, beta: Partition) -> BPoly:
         """Z[b] image of the generator monomial indexed by ``beta``."""
         beta = tuple(beta)
         cached = self._mono_images.get(beta)
         if cached is None:
-            cached = self.image_of_monomial(beta[1:]) * self.gen(beta[0]).image
+            if self.p is not None and self.killed.isdisjoint(beta):
+                cached = self._base.image_of_monomial(beta)  # the same object
+            else:
+                cached = self.image_of_monomial(beta[1:]) * self.gen(beta[0]).image
             self._mono_images[beta] = cached
         return cached
 
@@ -246,8 +245,9 @@ class GeneratorBasis:
         come.  A nonzero remainder means the input is not in the image of
         the Lazard ring.  Residuals and columns are keyed by ``codec``.
         """
-        if image.trunc != self.trunc:
-            image = BPoly(image.terms, self.trunc)  # keys in this basis's codec
+        if image.trunc != self.trunc:  # re-key in this basis's codec, dropping nothing
+            _check_truncation(max(image.weights(), default=0), self.trunc)
+            image = BPoly(image.terms, self.trunc)
         shift = codec(self.trunc)[2]
         by_weight = {}
         for key, c in image._terms.items():
@@ -363,10 +363,9 @@ class GenPoly(SparseAlgebra):
         return max(pi_q(beta, q) for beta in self._terms)
 
     def to_obj(self):
-        b = self.basis
         return {
             "modulus": self.modulus,
-            "basis": {"flavor": b.flavor, "p": b.p, "r": b.r},
+            "basis": self.basis.describe(),
             "terms": [
                 {"partition": list(k), "coeff": str(self._terms[k])}
                 for k in self.support()
@@ -414,19 +413,18 @@ def reduce_mod_landweber(z: CobordismClass, p: int, r: int) -> GenPoly:
 
     For r >= 1 the ideal is generated by p and the replaced generators of
     the I_p(r)-adapted basis, so monomials containing a replaced generator
-    are deleted and the rest is reduced mod p.  For r = 0 the quotient is
-    the ring itself and the integer base-basis coordinates are returned
-    unchanged.
+    are deleted and the rest is reduced mod p.  z is solved in the lowest
+    rank with the same killed degrees, the base basis if none, so ranks
+    sharing a generator family share one solve.  For r = 0 the quotient
+    is the ring itself: the integer base-basis coordinates, unchanged.
     """
     if r == 0:
         return z.gen_coords(base_basis(z.trunc))
     basis = adapted_basis(p, r, z.trunc)
-    coeffs = {
-        beta: c
-        for beta, c in z.gen_coords(basis).coeffs.items()
-        if basis.killed.isdisjoint(beta)
-    }
-    return GenPoly(coeffs, p, basis)
+    killed = basis.killed
+    solver = adapted_basis(p, len(killed) + 1, z.trunc) if killed else base_basis(z.trunc)
+    coords = z.gen_coords(solver).coeffs
+    return GenPoly({b: c for b, c in coords.items() if killed.isdisjoint(b)}, p, basis)
 
 
 def c_alpha_image_gcd(alpha, basis: GeneratorBasis) -> int:

@@ -215,7 +215,10 @@ def test_report_serialization():
 # Products add: the quotient by I_p(r) is a polynomial ring over F_p, a
 # domain, and the q-degree pi_q adds over monomials.  A subgroup bounds
 # no lower: the ideal of a smaller rank is smaller and pi_q of a smaller
-# order is larger.
+# order is larger.  A disjoint union of one dimension bounds no higher
+# than its larger summand, since the reduction is additive, and exactly
+# as high when the two bounds differ: no monomial of the larger q-degree
+# can cancel.
 
 SMALL = 8
 SMALL_CONSTRUCTORS = (
@@ -234,10 +237,11 @@ def small_bound(expr, group):
 
 
 @st.composite
-def small_varieties(draw, max_dim=SMALL):
+def small_varieties(draw, max_dim=SMALL, dim=None):
     """A constructor, a scaled one, or a disjoint union of two of one
-    dimension, of dimension at most ``max_dim``."""
-    pool = [e for e in SMALL_CONSTRUCTORS if e.dimension() <= max_dim]
+    dimension, of dimension at most ``max_dim`` (exactly ``dim`` if given)."""
+    pool = [e for e in SMALL_CONSTRUCTORS
+            if e.dimension() <= max_dim and dim in (None, e.dimension())]
     expr = draw(st.sampled_from(pool))
     kind = draw(st.sampled_from(["plain", "scaled", "union"]))
     if kind == "scaled":
@@ -275,6 +279,35 @@ SUBGROUPS = [(ac.GroupDescriptor(p, small), ac.GroupDescriptor(p, large))
 def test_a_larger_group_never_has_a_larger_bound(expr, groups):
     h, g = groups
     assert small_bound(expr, g) <= small_bound(expr, h), (expr, h, g)
+
+
+@st.composite
+def same_dim_pairs(draw):
+    x = draw(small_varieties())
+    return x, draw(small_varieties(dim=x.dimension()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_dim_pairs(), st.sampled_from(SMALL_GROUPS))
+def test_a_union_never_bounds_higher_than_its_larger_summand(pair, group):
+    x, y = pair
+    bx, by = small_bound(x, group), small_bound(y, group)
+    union = small_bound(geo.DisjointUnion((x, y)), group)
+    assert union <= max(bx, by), (x, y, group)
+    if bx != by:
+        assert union == max(bx, by), (x, y, group)
+
+
+@pytest.mark.parametrize("x, y, p, exps, expected", [
+    (geo.Proj(4), geo.Hyp(2, 3), 2, (1,), (2, 1, 2)),
+    (geo.Product((geo.Proj(2), geo.Proj(2))), geo.Proj(4), 3, (1,), (0, 1, 1)),
+    (geo.Proj(4), geo.Proj(4), 2, (1, 1), (1, 1, NEG_INF)),  # 2 P^4 is in I_2(2)
+    (geo.Proj(4), geo.Proj(4), 3, (1,), (1, 1, 1)),
+])
+def test_union_law_on_hand_cases(x, y, p, exps, expected):
+    group = ac.GroupDescriptor(p, exps)
+    union = geo.DisjointUnion((x, y))
+    assert tuple(small_bound(e, group) for e in (x, y, union)) == expected
 
 
 @pytest.mark.parametrize("x, y, exps, expected", [

@@ -8,9 +8,10 @@ p in {2, 3} at ranks 1-3, plus ``verify all`` at p in {2, 3} and
 an intended output change re-records the table and says which entries
 moved and why.
 
-    PYTHONPATH=src python tests/test_cli_corpus.py
+    PYTHONPATH=src python tests/test_cli_corpus.py [--changed]
 
-prints the table for the current tree.
+prints the table for the current tree; with ``--changed`` only the entries
+whose exit code or digest differs from ``EXPECTED``, then their count.
 """
 
 import hashlib
@@ -61,21 +62,21 @@ CASES = [cmd + ("--trunc", str(t)) for t in (12, 14, 20, 24, 30) for cmd in COMM
 # " ".join(argv) -> (exit code, sha256 of stdout)
 EXPECTED = {
     'class point --trunc 12':
-        (0, '44a9989363dde406b5bc96dd1ea0e8579285a42292057e05d5c7f3b738fb864c'),
+        (0, '6d1b2ca2608a7a80f7fad0c2ba172b307fab66dbb7d656f4b7b585e02f59f9c2'),
     'class {"proj":3} --trunc 12':
-        (0, '9fe60a4f200352a8b571011785882f2f2d96c05199410dd31aa6e38a8f68041c'),
+        (0, '83fffffa40456eb4569c4799c3ca2da7d444c9e1157ea93239803be36c7c7eff'),
     'class {"hyp":[3,4]} --trunc 12':
-        (0, 'ea8c6b3e117f1c6abbdd8709758c248dbc328c002d8911baf4ad1ca7c0004399'),
+        (0, '484b031b8294ea4767a7d6852b0d83038383f9f39aff95d48f061dcb8469557a'),
     'class {"milnor":[3,5]} --trunc 12':
-        (0, 'fbf50afe8bbf64cc2afe9fff199f0392c00d4b9f474d65b2e43b2a0af797c700'),
+        (0, '305a2912b7cec94828e2e97a89c5b7dd1125fe7c84453a804d3432e2c63bef32'),
     'class {"ci":[[2,3],4]} --trunc 12':
-        (0, '1bd5a65594d3cb21b0d7f9c8e2f5c08588a53c11a5b7c6269cc2d4a3f1dae415'),
+        (0, 'ce33472e4cfd544c4d5fd89f455fbabb0d3f8293dcff276474c9bf75db4308b5'),
     'class {"prod":[{"proj":2},{"hyp":[3,4]}]} --trunc 12':
-        (0, '031768362532a19a1f09f077c9d522c0de9f83447628bac16fc0d39ba418a9e5'),
+        (0, 'd20ed1bd34ebf7a2c07d189d794e1e231106a262278b70e173e46ef63005ea8f'),
     'class {"disj":[{"proj":2},{"milnor":[2,3]}]} --trunc 12':
-        (0, '1b7604625a08eaac770327509cae4fb8523dd24f7446bbb43b544ecee450121e'),
+        (0, '360409b3a4b6c6a5f18ca11819f3663db4f2c30883d51ccd888473dbbf284917'),
     'class {"scale":[-3,{"ci":[[2,2],4]}]} --trunc 12':
-        (0, 'b6c109125721d2f9a30f11803cb1d42dc72bfde308925cb6f9fa76eff52cca9c'),
+        (0, 'b34c91fa25917e975cbdcee5910cd890102c6a6731e5f94cbfef7d710ce2f3b9'),
     'bound {"hyp":[3,4]} --p 2 --group 1 --trunc 12':
         (0, 'c1afd9134fb2f688043693b10ec95353ba3a86f483decf36071209ccba2ae2b1'),
     'bound {"milnor":[3,5]} --p 2 --group 1,1 --trunc 12':
@@ -109,21 +110,21 @@ EXPECTED = {
     'actions --family 1 --max-dim 5 --p 2 --group 1 --trunc 12':
         (0, '1765c14cc05984b4917336b833bd990d08b3d667cd052309978b37f563474851'),
     'class point --trunc 14':
-        (0, '1106cb506c8c3f7fcbcb3eab4742c00b19c047f829a7d5132028e195907a2c51'),
+        (0, '6d1b2ca2608a7a80f7fad0c2ba172b307fab66dbb7d656f4b7b585e02f59f9c2'),
     'class {"proj":3} --trunc 14':
-        (0, '5c616a00d3fb518d4cb586de9be2979978a6123a8028a114f70122f0d29180f1'),
+        (0, '83fffffa40456eb4569c4799c3ca2da7d444c9e1157ea93239803be36c7c7eff'),
     'class {"hyp":[3,4]} --trunc 14':
-        (0, '559c86e2fc5a35e7615ad068ae4909071443213655f380a89a4beac2140a87be'),
+        (0, '484b031b8294ea4767a7d6852b0d83038383f9f39aff95d48f061dcb8469557a'),
     'class {"milnor":[3,5]} --trunc 14':
-        (0, '69d477f67aa37b4b601699da55c1bec7611698129f36bb8af2fb0dd0da36a8ec'),
+        (0, '305a2912b7cec94828e2e97a89c5b7dd1125fe7c84453a804d3432e2c63bef32'),
     'class {"ci":[[2,3],4]} --trunc 14':
-        (0, '38be4d42fbf33db30d8db607307d989f29bb8e50f42d580a6167903c58341f76'),
+        (0, 'ce33472e4cfd544c4d5fd89f455fbabb0d3f8293dcff276474c9bf75db4308b5'),
     'class {"prod":[{"proj":2},{"hyp":[3,4]}]} --trunc 14':
-        (0, 'cdd4a320aad89be57a88d0bde0b5dccc8265a5c2209df91837892ea6dda54d72'),
+        (0, 'd20ed1bd34ebf7a2c07d189d794e1e231106a262278b70e173e46ef63005ea8f'),
     'class {"disj":[{"proj":2},{"milnor":[2,3]}]} --trunc 14':
-        (0, '7f225a82155d0ed973efd6d9cae8152a128cfe2f944728906029cece360ab462'),
+        (0, '360409b3a4b6c6a5f18ca11819f3663db4f2c30883d51ccd888473dbbf284917'),
     'class {"scale":[-3,{"ci":[[2,2],4]}]} --trunc 14':
-        (0, '22c546b0af14ab8108a0da0e9182749348affc27fc8d0c9131fecc6877dc1602'),
+        (0, 'b34c91fa25917e975cbdcee5910cd890102c6a6731e5f94cbfef7d710ce2f3b9'),
     'bound {"hyp":[3,4]} --p 2 --group 1 --trunc 14':
         (0, 'c1afd9134fb2f688043693b10ec95353ba3a86f483decf36071209ccba2ae2b1'),
     'bound {"milnor":[3,5]} --p 2 --group 1,1 --trunc 14':
@@ -157,21 +158,21 @@ EXPECTED = {
     'actions --family 1 --max-dim 5 --p 2 --group 1 --trunc 14':
         (0, '1765c14cc05984b4917336b833bd990d08b3d667cd052309978b37f563474851'),
     'class point --trunc 20':
-        (0, '1da7a40e5cb20ba7304f41f337ad1c4519c952fde99572dfe3567c6b750e1182'),
+        (0, '6d1b2ca2608a7a80f7fad0c2ba172b307fab66dbb7d656f4b7b585e02f59f9c2'),
     'class {"proj":3} --trunc 20':
-        (0, '245eb1966f651c20b2075e45aa7db1efbddfb7456f2ef998ddb39abb81efdbbb'),
+        (0, '83fffffa40456eb4569c4799c3ca2da7d444c9e1157ea93239803be36c7c7eff'),
     'class {"hyp":[3,4]} --trunc 20':
-        (0, '060761ac56c7fec8cc03af1c1b348ee3815f643d714756cd4aeb4414ee473c67'),
+        (0, '484b031b8294ea4767a7d6852b0d83038383f9f39aff95d48f061dcb8469557a'),
     'class {"milnor":[3,5]} --trunc 20':
-        (0, 'c171399fd189b6d9c51cb1996e4120b6f800f37bfa94c11859b04f27b5eee41f'),
+        (0, '305a2912b7cec94828e2e97a89c5b7dd1125fe7c84453a804d3432e2c63bef32'),
     'class {"ci":[[2,3],4]} --trunc 20':
-        (0, '2b9777e53e256c771b9fcd91bbd1a7f88a2dc9948e48af4a58c90273430a80cb'),
+        (0, 'ce33472e4cfd544c4d5fd89f455fbabb0d3f8293dcff276474c9bf75db4308b5'),
     'class {"prod":[{"proj":2},{"hyp":[3,4]}]} --trunc 20':
-        (0, '930767d17ac55ab65e11b70b11cf5517d2b2d43d222fedf78c4a4501eaf5aaea'),
+        (0, 'd20ed1bd34ebf7a2c07d189d794e1e231106a262278b70e173e46ef63005ea8f'),
     'class {"disj":[{"proj":2},{"milnor":[2,3]}]} --trunc 20':
-        (0, '7e4af02abfb95a4d4becd6af07c36446567a81ac933104d42d1b26bdedd022b2'),
+        (0, '360409b3a4b6c6a5f18ca11819f3663db4f2c30883d51ccd888473dbbf284917'),
     'class {"scale":[-3,{"ci":[[2,2],4]}]} --trunc 20':
-        (0, '1e5fd60f535997a1ad1ae7f1c1df5e61606d6ab6f6536c37f7fd69bd49b1406f'),
+        (0, 'b34c91fa25917e975cbdcee5910cd890102c6a6731e5f94cbfef7d710ce2f3b9'),
     'bound {"hyp":[3,4]} --p 2 --group 1 --trunc 20':
         (0, 'c1afd9134fb2f688043693b10ec95353ba3a86f483decf36071209ccba2ae2b1'),
     'bound {"milnor":[3,5]} --p 2 --group 1,1 --trunc 20':
@@ -205,21 +206,21 @@ EXPECTED = {
     'actions --family 1 --max-dim 5 --p 2 --group 1 --trunc 20':
         (0, '1765c14cc05984b4917336b833bd990d08b3d667cd052309978b37f563474851'),
     'class point --trunc 24':
-        (0, '355922416d02fdd0b2f4db22b8c94654a2e8d256842ea238f77bedd16c367232'),
+        (0, '6d1b2ca2608a7a80f7fad0c2ba172b307fab66dbb7d656f4b7b585e02f59f9c2'),
     'class {"proj":3} --trunc 24':
-        (0, '37e6eb78db1d1dadcdf96ed884369c70442512363dc169f50fc40e2a40c0cf3d'),
+        (0, '83fffffa40456eb4569c4799c3ca2da7d444c9e1157ea93239803be36c7c7eff'),
     'class {"hyp":[3,4]} --trunc 24':
-        (0, '954d270cc55d9293100cf749c1b189913d1d4dad6760619f1d512977f87bd53d'),
+        (0, '484b031b8294ea4767a7d6852b0d83038383f9f39aff95d48f061dcb8469557a'),
     'class {"milnor":[3,5]} --trunc 24':
-        (0, 'ed3e83559f5e4e9778931b919f20373de96a756bfe982181e5a2ca965b528de2'),
+        (0, '305a2912b7cec94828e2e97a89c5b7dd1125fe7c84453a804d3432e2c63bef32'),
     'class {"ci":[[2,3],4]} --trunc 24':
-        (0, 'd4d94dc70b39b2765bb3267de3572a0c30b6d0fc9c885c8c55b2e9d11fda4524'),
+        (0, 'ce33472e4cfd544c4d5fd89f455fbabb0d3f8293dcff276474c9bf75db4308b5'),
     'class {"prod":[{"proj":2},{"hyp":[3,4]}]} --trunc 24':
-        (0, 'fa23eab30f1c8b9eb68a7bc44830bd9dda363dbfc2655d3713cf7181c0a15489'),
+        (0, 'd20ed1bd34ebf7a2c07d189d794e1e231106a262278b70e173e46ef63005ea8f'),
     'class {"disj":[{"proj":2},{"milnor":[2,3]}]} --trunc 24':
-        (0, '81ee59bfc9d2d2a0de086a36597e3f3a2f769bb462d5f0931f451f0fab027e8e'),
+        (0, '360409b3a4b6c6a5f18ca11819f3663db4f2c30883d51ccd888473dbbf284917'),
     'class {"scale":[-3,{"ci":[[2,2],4]}]} --trunc 24':
-        (0, 'fcc7cc2e4e128f0ae21a0f7ef1f4174b4e9b6e137f1e883892d3518ec6207610'),
+        (0, 'b34c91fa25917e975cbdcee5910cd890102c6a6731e5f94cbfef7d710ce2f3b9'),
     'bound {"hyp":[3,4]} --p 2 --group 1 --trunc 24':
         (0, 'c1afd9134fb2f688043693b10ec95353ba3a86f483decf36071209ccba2ae2b1'),
     'bound {"milnor":[3,5]} --p 2 --group 1,1 --trunc 24':
@@ -253,21 +254,21 @@ EXPECTED = {
     'actions --family 1 --max-dim 5 --p 2 --group 1 --trunc 24':
         (0, '1765c14cc05984b4917336b833bd990d08b3d667cd052309978b37f563474851'),
     'class point --trunc 30':
-        (0, 'abc801d92fd91ce357723c560308baa8b5d3a7e18c394c5aa051e9a61fc87e6f'),
+        (0, '6d1b2ca2608a7a80f7fad0c2ba172b307fab66dbb7d656f4b7b585e02f59f9c2'),
     'class {"proj":3} --trunc 30':
-        (0, '4f801d8728e4ade47f60f40a8a1c4dfb8ba0c2f5bc158d1f100b88f6d4b88216'),
+        (0, '83fffffa40456eb4569c4799c3ca2da7d444c9e1157ea93239803be36c7c7eff'),
     'class {"hyp":[3,4]} --trunc 30':
-        (0, 'ad80e7f4f688e56fdfc61804e745e60770c678088a88d1a3f92140a248274de0'),
+        (0, '484b031b8294ea4767a7d6852b0d83038383f9f39aff95d48f061dcb8469557a'),
     'class {"milnor":[3,5]} --trunc 30':
-        (0, 'c246b70d1c0db32731de5f428d0854d2e613fc25de1c3d77c42e255a8ceee20d'),
+        (0, '305a2912b7cec94828e2e97a89c5b7dd1125fe7c84453a804d3432e2c63bef32'),
     'class {"ci":[[2,3],4]} --trunc 30':
-        (0, 'd3bb6534e4c8e0c29fd33142c015005c017db2b15e663d18b87a446bf214b7a6'),
+        (0, 'ce33472e4cfd544c4d5fd89f455fbabb0d3f8293dcff276474c9bf75db4308b5'),
     'class {"prod":[{"proj":2},{"hyp":[3,4]}]} --trunc 30':
-        (0, '78b7a0ccd7aa8d7f8da717a6b3ace09fc8dc5a4ffa1575857c91956d604b6463'),
+        (0, 'd20ed1bd34ebf7a2c07d189d794e1e231106a262278b70e173e46ef63005ea8f'),
     'class {"disj":[{"proj":2},{"milnor":[2,3]}]} --trunc 30':
-        (0, 'f8daccb86aae8fd1136cd93d1992033fcb15748fb2ee43028930f24c73acdbd5'),
+        (0, '360409b3a4b6c6a5f18ca11819f3663db4f2c30883d51ccd888473dbbf284917'),
     'class {"scale":[-3,{"ci":[[2,2],4]}]} --trunc 30':
-        (0, '38e6e1c59e272fed28f3787a3f96998b2b1917c867fe0272762c14407378ab29'),
+        (0, 'b34c91fa25917e975cbdcee5910cd890102c6a6731e5f94cbfef7d710ce2f3b9'),
     'bound {"hyp":[3,4]} --p 2 --group 1 --trunc 30':
         (0, 'c1afd9134fb2f688043693b10ec95353ba3a86f483decf36071209ccba2ae2b1'),
     'bound {"milnor":[3,5]} --p 2 --group 1,1 --trunc 30':
@@ -332,6 +333,20 @@ def test_table_matches_corpus():
 
 
 if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(description="Print the corpus table for this tree.")
+    parser.add_argument("--changed", action="store_true",
+                        help="print only the entries that differ from EXPECTED, and their count")
+    changed_only = parser.parse_args().changed
+    changed = 0
     for argv in CASES:
+        key = " ".join(argv)
         code, digest = _run(argv)
-        sys.stdout.write(f"    {' '.join(argv)!r}:\n        ({code}, {digest!r}),\n")
+        if (code, digest) != EXPECTED.get(key):
+            changed += 1
+        elif changed_only:
+            continue
+        sys.stdout.write(f"    {key!r}:\n        ({code}, {digest!r}),\n")
+    if changed_only:
+        sys.stdout.write(f"{changed} of {len(CASES)} entries changed\n")

@@ -133,13 +133,13 @@ def test_a_generator_degree_outside_the_truncation_is_rejected():
 
 def test_a_cold_bound_builds_only_the_degrees_of_its_class(fresh_bases, capsys):
     basis = lz.base_basis(30)
-    assert basis.describe()["signs"] == [1] * 30
+    assert set(basis.describe()) == {"flavor", "p", "r"}
     assert not basis._built
     assert cli.main(["bound", '{"hyp":[3,4]}', "--p", "2", "--group", "1,1",
                      "--trunc", "30"]) == 0
     assert capsys.readouterr().out
     assert sorted(basis._built) == [1, 2, 3, 4]
-    assert sorted(lz.adapted_basis(2, 2, 30)._built) == [1, 2, 3, 4]
+    assert sorted(lz.adapted_basis(2, 2, 30)._built) == [1]  # its one killed degree
     assert fgl.context.cache_info().currsize == 0  # v_1, v_2 need no FGL context
 
 
@@ -185,6 +185,54 @@ def test_a_killed_generator_outside_the_mod_p_kernel_fails_validation(
     assert basis.gen(1).image.divisible_by(2)  # other degrees still build
     with pytest.raises(lz.BasisValidationError, match="degree 3 is not in the mod-2"):
         basis.gen(3)
+
+
+def _count_solves(monkeypatch):
+    """Record the basis of every ``GeneratorBasis.solve`` call from now on."""
+    solved, solve = [], lz.GeneratorBasis.solve
+
+    def counted(basis, image):
+        solved.append(basis)
+        return solve(basis, image)
+
+    monkeypatch.setattr(lz.GeneratorBasis, "solve", counted)
+    return solved
+
+
+def test_one_class_under_three_rank_one_groups_is_solved_once_per_truncation(
+        fresh_bases, monkeypatch, capsys):
+    # Z/2, Z/3 and Z/4 kill no degree, so they and ``class`` share the base solve
+    solved = _count_solves(monkeypatch)
+    for trunc in ("12", "14"):
+        for p, group in (("2", "1"), ("3", "1"), ("2", "2")):
+            assert cli.main(["bound", '{"hyp":[3,4]}', "--p", p, "--group", group,
+                             "--trunc", trunc]) == 0
+        assert cli.main(["class", '{"hyp":[3,4]}', "--trunc", trunc]) == 0
+    assert capsys.readouterr().out
+    assert solved == [lz.base_basis(12), lz.base_basis(14)]
+
+
+def test_ranks_that_kill_the_same_degrees_share_one_solve(fresh_bases, monkeypatch):
+    solved = _count_solves(monkeypatch)
+    z = cls(geo.Product((geo.Proj(2), geo.Hyp(3, 4))))
+    high, low = lz.reduce_mod_landweber(z, 2, 6), lz.reduce_mod_landweber(z, 2, 4)
+    assert solved == [lz.adapted_basis(2, 4, TRUNC)]
+    assert high.coeffs == low.coeffs == {(4, 2): 1}
+    assert high.basis is lz.adapted_basis(2, 6, TRUNC)
+    assert high.to_obj()["basis"] == {"flavor": "adapted", "p": 2, "r": 6}
+
+
+def test_a_solve_across_truncations_refuses_a_heavier_image():
+    basis = lz.base_basis(TRUNC)
+    heavy = geo.evaluate(geo.Proj(13), 14)
+    with pytest.raises(geo.TruncationError, match="dimension 13 exceeds truncation 12; raise"):
+        basis.solve(heavy.image)
+    with pytest.raises(geo.TruncationError, match="dimension 13 exceeds truncation 12; raise"):
+        heavy.gen_coords(basis)
+    light = geo.evaluate(geo.Proj(3), 14)
+    assert light.gen_coords(basis).coeffs == cls(geo.Proj(3)).gen_coords(basis).coeffs
+    assert cls(geo.Proj(3)).gen_coords(lz.base_basis(14)).coeffs == light.gen_coords(
+        lz.base_basis(14)).coeffs
 
 
 def test_triangularity_to_weight_8(basis):
@@ -514,11 +562,10 @@ def test_random_lazard_elements_round_trip(basis):
 
 def test_basis_describe_and_genpoly_json(basis):
     desc = basis.describe()
-    assert desc["flavor"] == "base"
-    assert set(desc["signs"]) <= {1, -1}
+    assert desc == {"flavor": "base", "p": None, "r": None}
     g = lz.GenPoly({(2, 1): 5, (3,): -1}, None, basis)
     obj = g.to_obj()
-    assert obj["basis"]["flavor"] == "base"
+    assert obj["basis"] == desc
     assert obj["terms"][0]["partition"] == [3]
 
 
@@ -530,6 +577,18 @@ SOLVE_BASES = [(None, None)] + [(p, r) for p in (2, 3) for r in (1, 2, 3)]
 
 def _solve_basis(p, r):
     return lz.base_basis(TRUNC) if p is None else lz.adapted_basis(p, r, TRUNC)
+
+
+@pytest.mark.parametrize("p, r", SOLVE_BASES)
+def test_an_adapted_basis_shares_every_killed_free_monomial_image(p, r):
+    adapted, base, shared = _solve_basis(p, r), lz.base_basis(TRUNC), 0
+    for beta in (beta for w in range(TRUNC + 1) for beta in partitions_of(w)):
+        if adapted.killed.isdisjoint(beta):
+            assert adapted.image_of_monomial(beta) is base.image_of_monomial(beta), beta
+            shared += 1
+        else:
+            assert adapted.image_of_monomial(beta) is not base.image_of_monomial(beta), beta
+    assert shared > 0
 
 
 def reference_solve(basis, image):
