@@ -221,12 +221,11 @@ class GeneratorBasis:
     def image_of_monomial(self, beta: Partition) -> BPoly:
         """Z[b] image of the generator monomial indexed by ``beta``."""
         beta = tuple(beta)
+        if self.p is not None and self.killed.isdisjoint(beta):
+            return self._base.image_of_monomial(beta)
         cached = self._mono_images.get(beta)
         if cached is None:
-            if self.p is not None and self.killed.isdisjoint(beta):
-                cached = self._base.image_of_monomial(beta)  # the same object
-            else:
-                cached = self.image_of_monomial(beta[1:]) * self.gen(beta[0]).image
+            cached = self.image_of_monomial(beta[1:]) * self.gen(beta[0]).image
             self._mono_images[beta] = cached
         return cached
 

@@ -8,10 +8,9 @@ p in {2, 3} at ranks 1-3, plus ``verify all`` at p in {2, 3} and
 an intended output change re-records the table and says which entries
 moved and why.
 
-    PYTHONPATH=src python tests/test_cli_corpus.py [--changed]
+    PYTHONPATH=src python tests/test_cli_corpus.py
 
-prints the table for the current tree; with ``--changed`` only the entries
-whose exit code or digest differs from ``EXPECTED``, then their count.
+prints the table for the current tree.
 """
 
 import hashlib
@@ -333,20 +332,6 @@ def test_table_matches_corpus():
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description="Print the corpus table for this tree.")
-    parser.add_argument("--changed", action="store_true",
-                        help="print only the entries that differ from EXPECTED, and their count")
-    changed_only = parser.parse_args().changed
-    changed = 0
     for argv in CASES:
-        key = " ".join(argv)
         code, digest = _run(argv)
-        if (code, digest) != EXPECTED.get(key):
-            changed += 1
-        elif changed_only:
-            continue
-        sys.stdout.write(f"    {key!r}:\n        ({code}, {digest!r}),\n")
-    if changed_only:
-        sys.stdout.write(f"{changed} of {len(CASES)} entries changed\n")
+        sys.stdout.write(f"    {' '.join(argv)!r}:\n        ({code}, {digest!r}),\n")
