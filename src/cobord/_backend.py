@@ -1,4 +1,4 @@
-"""The sparse-multiplication kernel every product in the package calls.
+"""The sparse-multiplication kernel every term-dict product calls.
 
 Callers reach the kernel through this module's attributes rather than
 importing ``_kernel_py`` directly, so one binding point names the

@@ -288,8 +288,6 @@ def parse_expr(obj) -> VarietyExpr:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"not a variety expression: {obj!r}")
     key, val = next(iter(obj.items()))
-    if key == "point":
-        return Point()
     if key == "proj":
         return Proj(_int(val))
     if key == "hyp":

@@ -281,6 +281,16 @@ def test_a_larger_group_never_has_a_larger_bound(expr, groups):
     assert small_bound(expr, g) <= small_bound(expr, h), (expr, h, g)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_varieties(), st.sampled_from(SMALL_GROUPS))
+def test_the_report_at_the_class_dimension_is_the_report_at_16(expr, group):
+    # the bound reads a class in degrees up to its own dimension, so a
+    # higher truncation only guards the query
+    own = bd.fixed_dim_lower_bound(geo.evaluate(expr, expr.dimension()), group)
+    wide = bd.fixed_dim_lower_bound(geo.evaluate(expr, 16), group)
+    assert own.to_obj() == wide.to_obj()
+
+
 @st.composite
 def same_dim_pairs(draw):
     x = draw(small_varieties())

@@ -105,6 +105,10 @@ CASES = [
     ("fgl", add_term, {"n": 0, "k": 3}, ["[a]([b](t)) = [ab](t) for |a|,|b| <= 4"]),
     ("fgl", add_term, {"n": 4, "k": 13}, ["[a]([b](t)) = [ab](t) for |a|,|b| <= 4"]),
     ("fgl", add_term, {"n": -16, "k": 13}, ["[a]([b](t)) = [ab](t) for |a|,|b| <= 4"]),
+    # for q = p the leading term is compared with v_n of the formal sum,
+    # which a perturbed [p](t) does not move
+    ("presentation", add_term, {"n": 2, "k": 2}, ["q=2,n=1: t^2 coefficient is v_1^1"]),
+    ("presentation", add_term, {"n": 2, "k": 4}, ["q=2,n=2: t^4 coefficient is v_2^1"]),
 ]
 
 

@@ -165,7 +165,8 @@ def test_verify_presentation_suite(capsys):
 
 @pytest.mark.parametrize(
     "expr",
-    ['{"prod":5}', '{"hyp":[true,2]}', '{"scale":[2.5,"point"]}', '{"proj":"3"}'],
+    ['{"prod":5}', '{"hyp":[true,2]}', '{"scale":[2.5,"point"]}', '{"proj":"3"}',
+     '{"point":5}', '{"point":null}'],
 )
 def test_malformed_expression_is_a_one_line_error(expr, capsys):
     code, out, err = run(["class", expr], capsys)

@@ -223,6 +223,8 @@ def test_parse_rejects_garbage():
         {"hyp": [True, 2]},
         {"scale": [2.5, "point"]},
         {"proj": "3"},
+        {"point": 5},
+        {"point": None},
     ]:
         with pytest.raises(ValueError):
             geo.parse_expr(bad)
