@@ -7,6 +7,9 @@ runs the suites of ``checks.SUITES`` and prints one line per check, with
 exit code 0 iff every check holds; only ``verify`` imports ``checks``.
 The truncation weight defaults to 12 and may be overridden per call with
 ``--trunc`` or globally with the COBORD_TRUNC environment variable.
+``class``, ``bound``, ``fixedpoint`` and ``chern-bound`` compute at the
+smaller of the truncation and the query's own weight, so a large
+truncation costs nothing; ``actions`` and ``verify`` use it as given.
 """
 
 from __future__ import annotations
@@ -68,6 +71,28 @@ def _parse_expr_arg(text: str):
     return geometry.parse_expr(obj)
 
 
+def _weight(expr) -> int:
+    """The top weight of an expression's class, 0 for an invalid dimension."""
+    if isinstance(expr, geometry.Product):
+        return sum(map(_weight, expr.factors))
+    if isinstance(expr, geometry.DisjointUnion):
+        return max(map(_weight, expr.parts), default=0)
+    if isinstance(expr, geometry.Scaled):
+        return _weight(expr.expr)
+    return max(expr.dimension(), 0)
+
+
+def _evaluate(expr, args, floor=0):
+    """The class of ``expr`` at min(--trunc, max(its weight, ``floor``)).
+
+    No answer reads a degree above the class's weight, so a larger
+    ``--trunc`` would only build rows, codecs and generators that cannot
+    change the output; below the weight, evaluation fails as before.
+    """
+    args.trunc = min(args.trunc, max(_weight(expr), floor))
+    return geometry.evaluate(expr, args.trunc)
+
+
 # the suite names of ``checks.SUITES``, in order; a test keeps the two equal
 SUITE_NAMES = ("fgl", "ideals", "presentation", "soundness")
 
@@ -81,7 +106,7 @@ def _fmt_bound(b):
 
 def cmd_class(args) -> int:
     expr = _parse_expr_arg(args.expr)
-    cl = geometry.evaluate(expr, args.trunc)
+    cl = _evaluate(expr, args)
     basis = lazard.base_basis(args.trunc)
     coords = cl.gen_coords(basis)
     obj = {
@@ -107,7 +132,7 @@ def cmd_class(args) -> int:
 def cmd_bound(args) -> int:
     expr = _parse_expr_arg(args.expr)
     group = _parse_group(args)
-    cl = geometry.evaluate(expr, args.trunc)
+    cl = _evaluate(expr, args)
     report = bounds_mod.fixed_dim_lower_bound(cl, group)
     obj = {"expr": expr.to_obj()}
     obj.update(report.to_obj())
@@ -128,7 +153,7 @@ def cmd_bound(args) -> int:
 def cmd_fixedpoint(args) -> int:
     expr = _parse_expr_arg(args.expr)
     group = _parse_group(args)
-    cl = geometry.evaluate(expr, args.trunc)
+    cl = _evaluate(expr, args)
     forced = bounds_mod.has_forced_fixed_point(cl, group)
     obj = {
         "expr": expr.to_obj(),
@@ -147,7 +172,11 @@ def cmd_fixedpoint(args) -> int:
 def cmd_chern_bound(args) -> int:
     expr = _parse_expr_arg(args.expr)
     group = _parse_group(args)
-    cl = geometry.evaluate(expr, args.trunc)
+    try:
+        weight = sum(make(_int_list("--alpha", args.alpha)))
+    except ValueError:
+        weight = 0  # raised below, after the class's own errors, as always
+    cl = _evaluate(expr, args, weight)
     alpha = make(_int_list("--alpha", args.alpha))
     bound = bounds_mod.chern_bound(cl, alpha, group)
     obj = {

@@ -17,8 +17,12 @@ Ideal membership and reduction for the Landweber ideal I_p(n) use the
 adapted basis, in which the generators in degrees p^i - 1 (i < n) are
 replaced by classes of the form v_i + p*a_i; the ideal is then generated
 by p together with those generators, so membership is visible monomial
-by monomial.  ``CobordismClass`` lives in ``geometry``, which creates
-every class; it is imported here, so ``lazard.CobordismClass`` resolves.
+by monomial.  I_p(n + 1) is I_p(n) plus v_n (Landweber, 1973), so the
+adapted bases form a chain: each rank owns the one generator it replaces
+beyond the rank below, with the monomial images that contain it, and
+reads everything else from that rank.  ``CobordismClass`` lives in
+``geometry``, which creates every class; it is imported here, so
+``lazard.CobordismClass`` resolves.
 """
 
 from __future__ import annotations
@@ -45,18 +49,39 @@ class BasisValidationError(AssertionError):
 # -- small arithmetic helpers -----------------------------------------
 
 
+# Miller-Rabin with the first 12 primes as bases is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality for n < ``MR_LIMIT``.
+
+    A composite above the limit that some base witnesses is still
+    rejected; a number that passes every base there raises ValueError.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= MR_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: primality is "
+                         f"exact only below {MR_LIMIT}")
     return True
 
 
@@ -142,9 +167,16 @@ class GeneratorBasis:
     the family still generates and I_p(r) is p plus these members.
     ``geometry.n_series_coeff`` gives v_i = [t^(n+1)] [p](t) at trunc.
     Only degrees <= trunc are replaced, so every rank is accepted.
-    An adapted basis owns only its killed degrees: every other generator,
-    and the image of every monomial without a killed part, is the base
-    basis's own object.
+
+    The ranks form a chain, because I_p(r + 1) is I_p(r) plus v_r: rank
+    r owns only the one degree p^(r-1) - 1 that it kills beyond rank
+    r - 1, and delegates every other generator, and the image of every
+    monomial without that degree, to ``adapted_basis(p, r - 1)``; rank 2
+    delegates to the base basis.  A rank whose next killed degree is
+    above the truncation owns nothing and delegates straight to the
+    lowest rank with the same killed degrees (rank 1 to the base basis),
+    so a chain is at most log_p(trunc + 1) + 1 delegations deep at any
+    rank, and each generator and monomial image exists once per process.
 
     ``tops`` maps each base degree to the c_(i) of its generator, known
     before any generator is built; a killed degree's is -p.  ``gen(i)``
@@ -163,10 +195,14 @@ class GeneratorBasis:
                 self.tops[i], coeffs = xgcd_list(values)
                 self.splits[i] = [(m, n, c) for (m, n), c in zip(cands, coeffs) if c]
             self.killed = frozenset()
+            self._own = None
         else:
-            self._base = base_basis(trunc)
             self.killed = frozenset(takewhile(lambda n: n <= trunc,
                                               (p ** i - 1 for i in range(1, r))))
+            s = len(self.killed)  # rank s + 1 is the lowest with these degrees
+            self._own = p ** s - 1 if s and r == s + 1 else None
+            below = s if self._own else s + 1  # the rank below, or that lowest one
+            self._parent = adapted_basis(p, below, trunc) if below > 1 else base_basis(trunc)
         self._built = {}
         self._mono_images = {(): BPoly.one(trunc=trunc)} if p is None else {}
 
@@ -175,8 +211,8 @@ class GeneratorBasis:
 
     def gen(self, i: int) -> CobordismClass:
         """The degree-i generator, 1 <= i <= trunc, built and validated once."""
-        if self.p is not None and i not in self.killed:
-            return self._base.gen(i)
+        if self.p is not None and i != self._own:
+            return self._parent.gen(i)
         g = self._built.get(i)
         if g is not None:
             return g
@@ -190,7 +226,7 @@ class GeneratorBasis:
             g = CobordismClass(image, dim=i)
         else:  # v_s = [t^(i+1)] [p](t) for i = p^s - 1
             v = n_series_coeff(self.p, i + 1, self.trunc)
-            g = CobordismClass(v, dim=i) - self.p ** i * self._base.gen(i)
+            g = CobordismClass(v, dim=i) - self.p ** i * self._parent.gen(i)
         self._validate(i, g)
         self._built[i] = g
         return g
@@ -221,8 +257,8 @@ class GeneratorBasis:
     def image_of_monomial(self, beta: Partition) -> BPoly:
         """Z[b] image of the generator monomial indexed by ``beta``."""
         beta = tuple(beta)
-        if self.p is not None and self.killed.isdisjoint(beta):
-            return self._base.image_of_monomial(beta)
+        if self.p is not None and self._own not in beta:
+            return self._parent.image_of_monomial(beta)
         cached = self._mono_images.get(beta)
         if cached is None:
             cached = self.image_of_monomial(beta[1:]) * self.gen(beta[0]).image
@@ -293,7 +329,9 @@ def adapted_basis(p: int, r: int, trunc: int = DEFAULT_TRUNCATION) -> GeneratorB
     """The shared ``GeneratorBasis(trunc, p, r)`` adapted to I_p(r).
 
     p must be prime and r >= 1.  A rank whose killed degrees p^i - 1 pass
-    the truncation gives the same generators as the largest one that fits.
+    the truncation gives the same generators as the largest one that fits,
+    and holds none of them: it delegates to that rank, which owns one
+    degree and delegates the rest down the chain of ``GeneratorBasis``.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -365,3 +366,73 @@ def test_group_and_alpha_fields_may_be_padded_or_empty(capsys):
                  "--group", "1,1"], capsys)
     assert padded == plain
     assert plain[0] == 0 and json.loads(plain[1])["alpha"] == [2, 2]
+
+
+# -- a query computes at its own weight -------------------------------------
+
+CAPPED = """
+import resource, sys
+cap = 256 << 20  # a regression raises MemoryError here instead of swapping
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from cobord import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["class", '{"proj":12}'],
+    ["bound", '{"disj":[{"proj":3},{"hyp":[3,6]}]}', "--p", "3", "--group", "1,1"],
+    ["fixedpoint", '{"prod":[{"proj":2},{"milnor":[2,4]}]}', "--group", "1,1,1"],
+    ["chern-bound", '{"proj":4}', "--alpha", "3,2", "--p", "2", "--group", "1"],
+])
+def test_a_huge_truncation_prints_the_answer_at_12(argv, capsys):
+    # before, codec(10^6) alone needed memory quadratic in the truncation
+    code, out, err = run(argv + ["--trunc", "12"], capsys)
+    assert code == 0 and out and not err
+    src = str(Path(cli.__file__).parents[1])
+    res = subprocess.run([sys.executable, "-c", CAPPED, *argv, "--trunc", "1000000"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=60)
+    assert (res.returncode, res.stdout, res.stderr) == (0, out, "")
+
+
+def test_chern_bound_computes_at_least_at_the_partition_weight(capsys):
+    # the class has weight 4, the partition 6: c_alpha is 0, no bound
+    code, out, _ = run(["chern-bound", '{"proj":4}', "--alpha", "3,3",
+                        "--group", "1", "--trunc", "40"], capsys)
+    assert code == 0 and json.loads(out)["bound"] is None
+    code, _, err = run(["chern-bound", '{"proj":4}', "--alpha", "3,3",
+                        "--group", "1", "--trunc", "5"], capsys)
+    assert code == 1
+    assert err == "error: partition weight 6 exceeds truncation 5; raise the truncation\n"
+
+
+def test_a_bad_alpha_is_reported_after_the_class_as_before(capsys):
+    code, _, err = run(["chern-bound", '{"proj":4}', "--alpha", "2,x", "--trunc", "3"],
+                       capsys)
+    assert (code, err) == (1, "error: dimension 4 exceeds truncation 3; raise the truncation\n")
+    code, _, err = run(["chern-bound", '{"proj":4}', "--alpha", "2,x"], capsys)
+    assert (code, err) == (1, "error: --alpha needs comma-separated integers, got '2,x'\n")
+
+
+# -- primes of any size below the Miller-Rabin limit ------------------------
+
+
+def test_a_19_digit_prime_answers_at_once(capsys):
+    p = 10 ** 18 + 3
+    start = time.perf_counter()
+    code, out, _ = run(["bound", '{"proj":4}', "--p", str(p), "--group", "1"], capsys)
+    assert time.perf_counter() - start < 1.0  # trial division took minutes
+    assert code == 0
+    assert json.loads(out)["certificate"] == {"coeff": p - 1, "partition": [4]}
+
+
+def test_a_prime_candidate_above_the_limit_is_a_one_line_error(capsys):
+    code, out, err = run(["fixedpoint", '{"proj":2}', "--p", str(2 ** 89 - 1),
+                          "--group", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: cannot decide whether {2 ** 89 - 1} is prime: primality "
+                   "is exact only below 3317044064679887385961981\n")
+    code, _, err = run(["fixedpoint", '{"proj":2}', "--p", str(10 ** 30),
+                        "--group", "1"], capsys)
+    assert (code, err) == (1, f"error: {10 ** 30} is not prime\n")

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobord import actions as ac
+from cobord import bounds as bd
 from cobord import cli, fgl
 from cobord import geometry as geo
 from cobord import lazard as lz
@@ -132,14 +134,15 @@ def test_a_generator_degree_outside_the_truncation_is_rejected():
 
 
 def test_a_cold_bound_builds_only_the_degrees_of_its_class(fresh_bases, capsys):
-    basis = lz.base_basis(30)
+    basis = lz.base_basis(4)  # the CLI computes at the class's own weight
     assert set(basis.describe()) == {"flavor", "p", "r"}
     assert not basis._built
     assert cli.main(["bound", '{"hyp":[3,4]}', "--p", "2", "--group", "1,1",
                      "--trunc", "30"]) == 0
     assert capsys.readouterr().out
     assert sorted(basis._built) == [1, 2, 3, 4]
-    assert sorted(lz.adapted_basis(2, 2, 30)._built) == [1]  # its one killed degree
+    assert sorted(lz.adapted_basis(2, 2, 4)._built) == [1]  # its one killed degree
+    assert lz.base_basis.cache_info().currsize == 1  # no truncation-30 basis
     assert fgl.context.cache_info().currsize == 0  # v_1, v_2 need no FGL context
 
 
@@ -199,17 +202,18 @@ def _count_solves(monkeypatch):
     return solved
 
 
-def test_one_class_under_three_rank_one_groups_is_solved_once_per_truncation(
+def test_one_class_under_three_rank_one_groups_is_solved_once_at_its_own_weight(
         fresh_bases, monkeypatch, capsys):
-    # Z/2, Z/3 and Z/4 kill no degree, so they and ``class`` share the base solve
+    # Z/2, Z/3 and Z/4 kill no degree, so they and ``class`` share the base
+    # solve, and the CLI computes at the class's own weight 4 at every --trunc
     solved = _count_solves(monkeypatch)
-    for trunc in ("12", "14"):
+    for trunc in ("12", "14", "30"):
         for p, group in (("2", "1"), ("3", "1"), ("2", "2")):
             assert cli.main(["bound", '{"hyp":[3,4]}', "--p", p, "--group", group,
                              "--trunc", trunc]) == 0
         assert cli.main(["class", '{"hyp":[3,4]}', "--trunc", trunc]) == 0
     assert capsys.readouterr().out
-    assert solved == [lz.base_basis(12), lz.base_basis(14)]
+    assert solved == [lz.base_basis(4)]
 
 
 def test_ranks_that_kill_the_same_degrees_share_one_solve(fresh_bases, monkeypatch):
@@ -393,6 +397,89 @@ def test_adapted_basis_p3_r2_matches_v1_mod_decomposables(ctx):
     # no linear b_n term survives mod 3: every coefficient of a term of
     # length < 2 is divisible by 3
     assert all(c % 3 == 0 for alpha, c in diff.terms.items() if len(alpha) < 2)
+
+
+# -- primality ------------------------------------------------------------
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division_below_10_5():
+    assert [n for n in range(-3, 10 ** 5) if lz.is_prime(n) != _trial_division(n)] == []
+
+
+def test_strong_pseudoprimes_are_rejected():
+    # 3215031751 passes bases 2, 3, 5, 7; 3825123056546413051 every prime base
+    # up to 23 (Jaeschke; Zhang & Tang)
+    for n in (3215031751, 3825123056546413051):
+        assert not _trial_division(n) and not lz.is_prime(n)
+    assert lz.is_prime(10 ** 18 + 3) and lz.is_prime(2 ** 61 - 1)
+
+
+def test_primality_above_the_limit_is_decided_only_for_composites():
+    assert not lz.is_prime(2 ** 89 + 1) and not lz.is_prime(10 ** 30 + 1)
+    # the limit itself is the least composite that passes all twelve bases
+    for n in (lz.MR_LIMIT, 2 ** 89 - 1):
+        with pytest.raises(ValueError,
+                           match="exact only below 3317044064679887385961981$"):
+            lz.is_prime(n)
+
+
+# -- the rank chain of adapted bases ----------------------------------------
+
+
+def test_a_rank_owns_only_the_degree_it_kills_beyond_the_rank_below(fresh_bases):
+    rank3, rank2 = lz.adapted_basis(2, 3, 14), lz.adapted_basis(2, 2, 14)
+    assert rank3.image_of_monomial((1, 1)) is rank2.image_of_monomial((1, 1))
+    assert rank3.gen(1) is rank2.gen(1)
+    assert rank3.image_of_monomial((3, 1)) is not rank2.image_of_monomial((3, 1))
+    for w in range(15):
+        for beta in partitions_of(w):
+            rank3.image_of_monomial(beta)
+    assert sorted(rank3._built) == [3]
+    assert sorted(rank2._built) == [1]
+    assert all(3 in beta for beta in rank3._mono_images)
+    assert all(1 in beta for beta in rank2._mono_images)
+
+
+def test_a_rank_past_the_truncation_owns_nothing(fresh_bases):
+    high, owner = lz.adapted_basis(3, 5, TRUNC), lz.adapted_basis(3, 3, TRUNC)
+    assert high.killed == owner.killed == {2, 8}
+    z = geo.evaluate(geo.Product((geo.Hyp(3, 2), geo.Proj(8))), TRUNC)
+    assert z.gen_coords(high).coeffs == z.gen_coords(owner).coeffs
+    for beta in ((8,), (8, 2), (2, 2, 1)):
+        assert high.image_of_monomial(beta) is owner.image_of_monomial(beta)
+    assert high.gen(8) is owner.gen(8) and high.gen(2) is owner.gen(2)
+    assert not high._built and not high._mono_images
+
+
+def test_rank_2000_reads_the_rank_with_the_same_killed_degrees(fresh_bases):
+    # the answers of the code before the chain, which built rank 2000 whole
+    group = ac.GroupDescriptor(2, (1,) * 2000)
+    for expr, beta in ((geo.Proj(12), (12,)),
+                       (geo.Product((geo.Proj(2), geo.Hyp(3, 4))), (4, 2))):
+        report = bd.fixed_dim_lower_bound(geo.evaluate(expr, TRUNC), group)
+        assert (report.in_ideal, report.lower_bound, report.certificate) == (
+            False, 0, (beta, 1))
+        assert report.reduced.coeffs == {beta: 1}
+        assert report.reduced.basis.describe() == {"flavor": "adapted", "p": 2,
+                                                   "r": 2000}
+    assert lz.adapted_basis(2, 2000, TRUNC)._parent is lz.adapted_basis(2, 4, TRUNC)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_every_monomial_image_is_the_product_of_its_generators(p):
+    for r in (1, 2, 3, 4):
+        basis = lz.adapted_basis(p, r, TRUNC)
+        for w in range(9):
+            for beta in partitions_of(w):
+                # multiplied smallest part first, the reverse of the cache's order
+                expect = BPoly.one(TRUNC)
+                for i in reversed(beta):
+                    expect = expect * basis.gen(i).image
+                assert basis.image_of_monomial(beta) == expect, (p, r, beta)
 
 
 def test_adapted_basis_out_of_range():
