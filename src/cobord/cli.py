@@ -83,7 +83,8 @@ def _weight(expr) -> int:
 
 
 def _evaluate(expr, args, floor=0):
-    """The class of ``expr`` at min(--trunc, max(its weight, ``floor``)).
+    """The class of ``expr`` at min(--trunc, max(its weight, ``floor``)),
+    which becomes ``args.trunc`` for the rest of the command.
 
     No answer reads a degree above the class's weight, so a larger
     ``--trunc`` would only build rows, codecs and generators that cannot
