@@ -71,27 +71,14 @@ def _parse_expr_arg(text: str):
     return geometry.parse_expr(obj)
 
 
-def _weight(expr) -> int:
-    """The top weight of an expression's class, 0 for an invalid dimension."""
-    if isinstance(expr, geometry.Product):
-        return sum(map(_weight, expr.factors))
-    if isinstance(expr, geometry.DisjointUnion):
-        return max(map(_weight, expr.parts), default=0)
-    if isinstance(expr, geometry.Scaled):
-        return _weight(expr.expr)
-    return max(expr.dimension(), 0)
-
-
-def _evaluate(expr, args, floor=0):
-    """The class of ``expr`` at min(--trunc, max(its weight, ``floor``)),
-    which becomes ``args.trunc`` for the rest of the command.
+def _evaluate(expr, trunc, floor=0):
+    """The class of ``expr`` at min(``trunc``, max(its weight, ``floor``)).
 
     No answer reads a degree above the class's weight, so a larger
-    ``--trunc`` would only build rows, codecs and generators that cannot
+    truncation would only build rows, codecs and generators that cannot
     change the output; below the weight, evaluation fails as before.
     """
-    args.trunc = min(args.trunc, max(_weight(expr), floor))
-    return geometry.evaluate(expr, args.trunc)
+    return geometry.evaluate(expr, min(trunc, max(expr.weight(), floor)))
 
 
 # the suite names of ``checks.SUITES``, in order; a test keeps the two equal
@@ -107,8 +94,8 @@ def _fmt_bound(b):
 
 def cmd_class(args) -> int:
     expr = _parse_expr_arg(args.expr)
-    cl = _evaluate(expr, args)
-    basis = lazard.base_basis(args.trunc)
+    cl = _evaluate(expr, args.trunc)
+    basis = lazard.base_basis(cl.trunc)
     coords = cl.gen_coords(basis)
     obj = {
         "expr": expr.to_obj(),
@@ -133,7 +120,7 @@ def cmd_class(args) -> int:
 def cmd_bound(args) -> int:
     expr = _parse_expr_arg(args.expr)
     group = _parse_group(args)
-    cl = _evaluate(expr, args)
+    cl = _evaluate(expr, args.trunc)
     report = bounds_mod.fixed_dim_lower_bound(cl, group)
     obj = {"expr": expr.to_obj()}
     obj.update(report.to_obj())
@@ -154,7 +141,7 @@ def cmd_bound(args) -> int:
 def cmd_fixedpoint(args) -> int:
     expr = _parse_expr_arg(args.expr)
     group = _parse_group(args)
-    cl = _evaluate(expr, args)
+    cl = _evaluate(expr, args.trunc)
     forced = bounds_mod.has_forced_fixed_point(cl, group)
     obj = {
         "expr": expr.to_obj(),
@@ -174,11 +161,11 @@ def cmd_chern_bound(args) -> int:
     expr = _parse_expr_arg(args.expr)
     group = _parse_group(args)
     try:
-        weight = sum(make(_int_list("--alpha", args.alpha)))
+        alpha = make(_int_list("--alpha", args.alpha))
     except ValueError:
-        weight = 0  # raised below, after the class's own errors, as always
-    cl = _evaluate(expr, args, weight)
-    alpha = make(_int_list("--alpha", args.alpha))
+        _evaluate(expr, args.trunc)  # the class's own errors come first
+        raise
+    cl = _evaluate(expr, args.trunc, sum(alpha))
     bound = bounds_mod.chern_bound(cl, alpha, group)
     obj = {
         "expr": expr.to_obj(),

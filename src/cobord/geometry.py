@@ -169,7 +169,18 @@ class Record:
 # -- expression AST -----------------------------------------------------
 
 
-class Point(Record):
+class Expr(Record):
+    """A variety expression.  ``dimension()`` is None for a disjoint union
+    of mixed dimensions; ``weight()`` is the top weight of the class, the
+    largest degree any of its Chern numbers can have."""
+
+    __slots__ = ()
+
+    def weight(self) -> int:
+        return max(self.dimension(), 0)  # 0 for an invalid negative dimension
+
+
+class Point(Expr):
     __slots__ = ()
 
     def dimension(self):
@@ -179,7 +190,7 @@ class Point(Record):
         return "point"
 
 
-class Proj(Record):
+class Proj(Expr):
     __slots__ = ("n",)
 
     def dimension(self):
@@ -189,7 +200,7 @@ class Proj(Record):
         return {"proj": self.n}
 
 
-class Hyp(Record):
+class Hyp(Expr):
     __slots__ = ("d", "n")
 
     def dimension(self):
@@ -199,7 +210,7 @@ class Hyp(Record):
         return {"hyp": [self.d, self.n]}
 
 
-class CompInt(Record):
+class CompInt(Expr):
     __slots__ = ("degrees", "n")
 
     def __post_init__(self):
@@ -212,7 +223,7 @@ class CompInt(Record):
         return {"ci": [list(self.degrees), self.n]}
 
 
-class Milnor(Record):
+class Milnor(Expr):
     __slots__ = ("m", "n")
 
     def dimension(self):
@@ -222,7 +233,7 @@ class Milnor(Record):
         return {"milnor": [self.m, self.n]}
 
 
-class Product(Record):
+class Product(Expr):
     __slots__ = ("factors",)
 
     def __post_init__(self):
@@ -232,11 +243,14 @@ class Product(Record):
         dims = [f.dimension() for f in self.factors]
         return None if any(d is None for d in dims) else sum(dims)
 
+    def weight(self):
+        return sum(f.weight() for f in self.factors)
+
     def to_obj(self):
         return {"prod": [f.to_obj() for f in self.factors]}
 
 
-class DisjointUnion(Record):
+class DisjointUnion(Expr):
     __slots__ = ("parts",)
 
     def __post_init__(self):
@@ -246,15 +260,21 @@ class DisjointUnion(Record):
         dims = {p.dimension() for p in self.parts}
         return dims.pop() if len(dims) == 1 else None
 
+    def weight(self):
+        return max((p.weight() for p in self.parts), default=0)
+
     def to_obj(self):
         return {"disj": [p.to_obj() for p in self.parts]}
 
 
-class Scaled(Record):
+class Scaled(Expr):
     __slots__ = ("k", "expr")
 
     def dimension(self):
         return self.expr.dimension()
+
+    def weight(self):
+        return self.expr.weight()
 
     def to_obj(self):
         return {"scale": [self.k, self.expr.to_obj()]}

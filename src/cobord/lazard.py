@@ -49,9 +49,11 @@ class BasisValidationError(AssertionError):
 # -- small arithmetic helpers -----------------------------------------
 
 
-# Miller-Rabin with the first 12 primes as bases is exact below this bound
-# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2015).
-MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as bases is exact below this bound,
+# the least strong pseudoprime to all of them (psi_13, OEIS A014233; Sorenson
+# & Webster, "Strong pseudoprimes to twelve prime bases", 2015).  The first
+# 12 bases alone are fooled from psi_12 = 318665857834031151167461 on.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_LIMIT = 3317044064679887385961981
 
 
@@ -459,7 +461,7 @@ def reduce_mod_landweber(z: CobordismClass, p: int, r: int) -> GenPoly:
         return z.gen_coords(base_basis(z.trunc))
     basis = adapted_basis(p, r, z.trunc)
     killed = basis.killed
-    solver = adapted_basis(p, len(killed) + 1, z.trunc) if killed else base_basis(z.trunc)
+    solver = basis if basis._own is not None else basis._parent
     coords = z.gen_coords(solver).coeffs
     return GenPoly({b: c for b, c in coords.items() if killed.isdisjoint(b)}, p, basis)
 

@@ -436,3 +436,10 @@ def test_a_prime_candidate_above_the_limit_is_a_one_line_error(capsys):
     code, _, err = run(["fixedpoint", '{"proj":2}', "--p", str(10 ** 30),
                         "--group", "1"], capsys)
     assert (code, err) == (1, f"error: {10 ** 30} is not prime\n")
+
+
+def test_a_strong_pseudoprime_to_the_first_twelve_prime_bases_is_not_a_prime(capsys):
+    psi_12 = 318665857834031151167461  # below the limit, witnessed only by base 41
+    code, out, err = run(["fixedpoint", '{"proj":2}', "--p", str(psi_12),
+                          "--group", "1"], capsys)
+    assert (code, out, err) == (1, "", f"error: {psi_12} is not prime\n")

@@ -743,3 +743,20 @@ def test_chi_y_of_products_and_unions(expr):
     combine = _pmul if isinstance(expr, geo.Product) else _padd
     assert chi_y == functools.reduce(combine, parts) == _chi_y_closed_form(expr)
     assert _specializes(chi_y, expr)
+
+
+def test_weight_is_the_top_weight_of_the_class():
+    mixed = geo.DisjointUnion((geo.Proj(3), geo.Scaled(-2, geo.Hyp(2, 5))))
+    cases = [
+        (geo.Point(), 0),
+        (geo.Milnor(2, 4), 5),
+        (geo.CompInt((2, 3), 4), 4),
+        (mixed, 5),
+        (geo.Product((mixed, geo.Proj(2), geo.Point())), 7),
+        (geo.DisjointUnion(()), 0),
+    ]
+    for expr, weight in cases:
+        assert expr.weight() == weight, expr
+        image = geo.evaluate(expr, 10).image
+        assert max(image.weights(), default=0) <= weight, expr
+    assert geo.Proj(-1).weight() == 0  # evaluation rejects it at any truncation

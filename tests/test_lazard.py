@@ -146,6 +146,18 @@ def test_a_cold_bound_builds_only_the_degrees_of_its_class(fresh_bases, capsys):
     assert fgl.context.cache_info().currsize == 0  # v_1, v_2 need no FGL context
 
 
+def test_a_bound_at_a_large_truncation_builds_only_the_degrees_of_its_class(
+        fresh_bases):
+    # the library is keyed by the truncation it is given, not the class's weight
+    basis = lz.base_basis(30)
+    assert not basis._built
+    bd.fixed_dim_lower_bound(geo.evaluate(geo.Hyp(3, 4), 30),
+                             ac.GroupDescriptor(2, (1, 1)))
+    assert sorted(basis._built) == [1, 2, 3, 4]
+    assert sorted(lz.adapted_basis(2, 2, 30)._built) == [1]  # its one killed degree
+    assert fgl.context.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("degree", [1, 4, 9])
 def test_a_wrong_closed_form_fails_validation_when_its_degree_is_built(
         degree, fresh_bases, monkeypatch):
@@ -418,9 +430,17 @@ def test_strong_pseudoprimes_are_rejected():
     assert lz.is_prime(10 ** 18 + 3) and lz.is_prime(2 ** 61 - 1)
 
 
+def test_the_least_strong_pseudoprime_to_the_first_twelve_prime_bases_is_rejected():
+    # psi_12 passes every base up to 37; base 41 witnesses it, because the
+    # least strong pseudoprime to the first 13 prime bases is MR_LIMIT
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441 and not lz.is_prime(psi_12)
+    assert lz.MR_BASES[-1] == 41 and len(lz.MR_BASES) == 13
+
+
 def test_primality_above_the_limit_is_decided_only_for_composites():
     assert not lz.is_prime(2 ** 89 + 1) and not lz.is_prime(10 ** 30 + 1)
-    # the limit itself is the least composite that passes all twelve bases
+    # the limit itself is the least composite that passes all thirteen bases
     for n in (lz.MR_LIMIT, 2 ** 89 - 1):
         with pytest.raises(ValueError,
                            match="exact only below 3317044064679887385961981$"):
