@@ -7,9 +7,9 @@ runs the suites of ``checks.SUITES`` and prints one line per check, with
 exit code 0 iff every check holds; only ``verify`` imports ``checks``.
 The truncation weight defaults to 12 and may be overridden per call with
 ``--trunc`` or globally with the COBORD_TRUNC environment variable.
-``class``, ``bound``, ``fixedpoint`` and ``chern-bound`` compute at the
-smaller of the truncation and the query's own weight, so a large
-truncation costs nothing; ``actions`` and ``verify`` use it as given.
+``class``, ``bound``, ``fixedpoint``, ``chern-bound`` and ``actions``
+compute at the smaller of the truncation and the query's own weight, so a
+large truncation costs nothing; ``verify`` uses it as given.
 """
 
 from __future__ import annotations
@@ -184,15 +184,21 @@ def cmd_chern_bound(args) -> int:
 
 def cmd_actions(args) -> int:
     group = _parse_group(args)
-    witnesses = []
+    # the witnesses' own weight, as ``_evaluate``; where an argument is out
+    # of range the truncation stays as given, so its error reads as before
+    witnesses, trunc = [], args.trunc
     if args.generator is not None:
-        witnesses.extend(actions_mod.generator_action(args.generator, group, args.trunc))
+        if args.generator >= 1:
+            trunc = min(trunc, args.generator)
+        witnesses.extend(actions_mod.generator_action(args.generator, group, trunc))
     elif args.landweber is not None:
-        witnesses.append(actions_mod.landweber_variety(args.landweber, group, args.trunc))
+        if 0 <= args.landweber < group.rank:
+            trunc = min(trunc, group.p ** args.landweber - 1)
+        witnesses.append(actions_mod.landweber_variety(args.landweber, group, trunc))
     elif args.family is not None:
         witnesses.extend(
             actions_mod.filtration_family(
-                args.family, group, args.max_dim, args.trunc
+                args.family, group, args.max_dim, min(trunc, args.max_dim)
             )
         )
     else:

@@ -25,6 +25,8 @@ variables are hyperplane classes with per-variable caps h_j^(n_j+1) = 0.
 
 from __future__ import annotations
 
+from operator import add
+
 from . import _backend
 from .partitions import codec, full_key
 
@@ -381,6 +383,8 @@ class TruncSeries(SparseAlgebra):
 
     def _mul(self, y):
         caps, total = self.caps, self.total_cap
+        # a cap at or above the total cap never binds: exponents are >= 0
+        capped = any(cap < total for cap in caps)
         xs = sorted((sum(e), e, c) for e, c in self._terms.items())
         ys = sorted((sum(e), e, c) for e, c in y.items())
         buckets = {}
@@ -389,8 +393,8 @@ class TruncSeries(SparseAlgebra):
             for db, eb, cb in ys:
                 if db > lim:
                     break
-                exps = tuple(a + b for a, b in zip(ea, eb))
-                if any(e > cap for e, cap in zip(exps, caps)):
+                exps = tuple(map(add, ea, eb))
+                if capped and any(e > cap for e, cap in zip(exps, caps)):
                     continue
                 acc = buckets.get(exps)
                 if acc is None:

@@ -3,8 +3,9 @@
 Each case perturbs one input of one suite with ``monkeypatch`` and asserts
 that the named checks report FAIL, so a check that always holds is caught.
 The [n]-series and formal-sum perturbations act on a fresh context, never
-on the shared one.  The packed composition behind the [a]([b](t)) check is
-also unpacked slot by slot against one composition at a time.
+on the shared one.  The packed composition behind the [a]([b](t)) and
+i([n](t)) checks is also unpacked slot by slot against one composition at
+a time, and a failure is named by the slot that differs.
 """
 
 import pytest
@@ -42,6 +43,18 @@ def add_to_sum(monkeypatch, exps):
     """F(x, y) gains the term x^i y^j."""
     ctx = fresh_context(monkeypatch)
     ctx._sum = ctx.fgl_sum + ctx.fgl_sum._shell({exps: BPoly.one(trunc=TRUNC)})
+
+
+def add_to_inverse(monkeypatch, k):
+    """i(t) gains the term t^k."""
+    inverse = checks.formal_inverse
+
+    def perturbed(ctx):
+        i = inverse(ctx)
+        return i + i._shell({(k,): BPoly.one(trunc=TRUNC)})
+
+    fresh_context(monkeypatch)
+    monkeypatch.setattr(checks, "formal_inverse", perturbed)
 
 
 def milnor_one_lower(monkeypatch):
@@ -105,6 +118,8 @@ CASES = [
     ("fgl", add_term, {"n": 0, "k": 3}, ["[a]([b](t)) = [ab](t) for |a|,|b| <= 4"]),
     ("fgl", add_term, {"n": 4, "k": 13}, ["[a]([b](t)) = [ab](t) for |a|,|b| <= 4"]),
     ("fgl", add_term, {"n": -16, "k": 13}, ["[a]([b](t)) = [ab](t) for |a|,|b| <= 4"]),
+    # the formal inverse shares the packed composition as its tenth slot
+    ("fgl", add_to_inverse, {"k": 5}, ["[-n](t) = i([n](t)) for 1 <= n <= 4"]),
     # for q = p the leading term is compared with v_n of the formal sum,
     # which a perturbed [p](t) does not move
     ("presentation", add_term, {"n": 2, "k": 2}, ["q=2,n=1: t^2 coefficient is v_1^1"]),
@@ -122,6 +137,22 @@ def test_each_check_reports_failure(suite, perturb, params, failing, monkeypatch
     status = {name: ok for name, ok, _ in report.entries}
     assert not report.ok
     assert all(status[name] is False for name in failing), status
+
+
+COMP = "[a]([b](t)) = [ab](t) for |a|,|b| <= 4"
+INV = "[-n](t) = i([n](t)) for 1 <= n <= 4"
+
+
+@pytest.mark.parametrize("perturb, params, failing", [
+    (add_to_inverse, {"k": 5}, [INV]),
+    (add_term, {"n": 0, "k": 3}, [COMP]),
+    (add_term, {"n": -16, "k": 13}, [COMP]),
+], ids=["inverse", "zero-series", "expected-only"])
+def test_the_slot_split_fails_only_the_check_of_the_differing_slot(
+        perturb, params, failing, monkeypatch):
+    perturb(monkeypatch, **params)
+    report = checks.fgl_laws(2, TRUNC)
+    assert [name for name, ok, _ in report.entries if not ok] == failing
 
 
 # -- the packed composition of ``fgl_laws`` ---------------------------------
@@ -160,18 +191,24 @@ def assert_packed_compose_is_exact(fs, g):
     # signed (width - 1)-bit number, with a bit to spare
     width = checks._slot_width(fs, g, [])
     assert width >= max_bits(expected) + 2
-    assert unpack(checks._packed(fs, width).compose(g), width, len(fs)) == expected
+    got = checks._packed(fs, width).compose(g)
+    assert unpack(got, width, len(fs)) == expected
     assert checks._slot_width(fs, g, expected) == width
+    assert checks._mismatched_slots(got - checks._packed(expected, width), width) == set()
+    for j in range(len(fs)):  # one slot off by one term: only that slot differs
+        off = expected[:j] + [expected[j] + 1] + expected[j + 1:]
+        assert checks._mismatched_slots(got - checks._packed(off, width), width) == {j}
 
 
 @pytest.mark.parametrize("trunc", [0, 1, 2, 6, 12])
 def test_packed_compose_of_the_n_series_unpacks_to_each_composition(trunc):
     ctx = fgl.FglContext(trunc)
     ks = range(-4, 5)
+    fs = [ctx.n_series(a) for a in ks] + [checks.formal_inverse(ctx)]  # i(t) tenth
     for b in ks:
-        fs = [ctx.n_series(a) for a in ks]
         assert_packed_compose_is_exact(fs, ctx.n_series(b))
-        assert [f.compose(ctx.n_series(b)) for f in fs] == [ctx.n_series(a * b) for a in ks]
+        assert ([f.compose(ctx.n_series(b)) for f in fs]
+                == [ctx.n_series(a * b) for a in ks] + [ctx.n_series(-b)])
 
 
 def test_the_slot_width_fits_the_expected_side_too():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cobord import cli, geometry
+from cobord import cli, fgl, geometry, lazard
 
 
 def run(argv, capsys):
@@ -394,6 +394,35 @@ def test_a_huge_truncation_prints_the_answer_at_12(argv, capsys):
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                          text=True, timeout=60)
     assert (res.returncode, res.stdout, res.stderr) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--generator", "3", "--p", "2", "--group", "1"],
+    ["--family", "1", "--max-dim", "3", "--p", "3", "--group", "1"],
+    ["--landweber", "1", "--p", "2", "--group", "1,1", "--format", "table"],
+])
+def test_actions_compute_at_the_witnesses_own_weight(argv, capsys, monkeypatch):
+    # the own weight is 3 for each; a basis at 10^6 would take hours
+    caches = (lazard.base_basis, lazard.adapted_basis, fgl.context)
+    for cache in caches:
+        cache.cache_clear()
+    built, init = [], lazard.GeneratorBasis.__init__
+
+    def recording(self, trunc, *args):
+        assert trunc <= 3, f"a basis at truncation {trunc}"
+        built.append(trunc)
+        init(self, trunc, *args)
+
+    monkeypatch.setattr(lazard.GeneratorBasis, "__init__", recording)
+    try:
+        small = run(["actions", *argv, "--trunc", "3"], capsys)
+        huge = run(["actions", *argv, "--trunc", "1000000"], capsys)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert small[0] == 0 and small[1] and not small[2]
+    assert huge == small
+    assert set(built) <= {3}
 
 
 def test_chern_bound_computes_at_least_at_the_partition_weight(capsys):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -107,6 +109,49 @@ def test_series_mul_respects_caps():
     )
     assert (s * s).coeff((2,)) == one()
     assert ((s * s) * s).is_zero()
+
+
+nonzero_bpolys = st.builds(
+    lambda d: BPoly(d, trunc=N),
+    st.dictionaries(st.sampled_from(PARTITION_POOL), st.integers(1, 9),
+                    min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(2, 3))
+def test_products_under_binding_caps_match_a_term_by_term_reference(data, nvars):
+    # every per-variable cap lies below the total cap, so each one binds
+    total = data.draw(st.integers(2, 5))
+    caps = tuple(data.draw(st.lists(st.integers(0, total - 1), min_size=nvars,
+                                    max_size=nvars)))
+    exps = st.sampled_from([e for e in product(*(range(c + 1) for c in caps))
+                            if sum(e) <= total])
+    x, y = (TruncSeries("xyz"[:nvars], caps, total,
+                        data.draw(st.dictionaries(exps, nonzero_bpolys, max_size=6)),
+                        trunc=N)
+            for _ in range(2))
+    reference = {}
+    for ea, ca in x.coeffs.items():
+        for eb, cb in y.coeffs.items():
+            e = tuple(a + b for a, b in zip(ea, eb))
+            if sum(e) <= total and all(k <= cap for k, cap in zip(e, caps)):
+                reference[e] = reference.get(e, BPoly.zero(N)) + ca * cb
+    assert (x * y).coeffs == {e: c for e, c in reference.items() if c}
+
+
+def test_the_fgl_suite_makes_one_compose_per_inner_series(monkeypatch):
+    from cobord import checks
+    calls = []
+    compose = TruncSeries.compose
+
+    def counted(self, g):
+        calls.append(g)
+        return compose(self, g)
+
+    monkeypatch.setattr(TruncSeries, "compose", counted)
+    assert checks.fgl_laws(2, 12).ok
+    assert len(calls) == 9  # one ten-slot composition per [b](t), |b| <= 4
 
 
 def test_compose_identity_and_square():
