@@ -89,8 +89,12 @@ def _slot_width(fs, g, expected):
     power, norms = [1] + [0] * cap, []  # G^m truncated at t^cap; its sums
     for _ in range(top + 1):
         norms.append(sum(power))
-        power = [sum(power[i] * major[e - i] for i in range(e + 1))
-                 for e in range(cap + 1)]
+        nxt = [0] * (cap + 1)
+        for i, v in enumerate(power):
+            if v:
+                for e in range(cap + 1 - i):
+                    nxt[i + e] += v * major[e]
+        power = nxt
     bound = max((sum(l1(c) * norms[m] for (m,), c in f._terms.items())
                  for f in fs), default=0)
     largest = max((abs(v) for s in expected for c in s._terms.values()
