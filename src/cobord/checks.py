@@ -74,9 +74,10 @@ def _slot_width(fs, g, expected):
     """A slot width for the values of f(g), f in fs, and of ``expected``.
 
     |[t^e] f(g)| <= sum_m |f_m|_1 |g^m|_1 in the l1 norm of the integer
-    coefficients, and |[t^e] g^m|_1 <= [t^e] G^m for the integer majorant
-    G = sum_e |g_e|_1 t^e, so no power of g itself is read; two spare bits
-    keep every slot value below 2^(width-2).
+    coefficients, and |g^m|_1 = sum_e |[t^e] g^m|_1 <= sum_e [t^e] G^m
+    over the truncated powers of the integer majorant G = sum_e |g_e|_1 t^e,
+    so no power of g itself is computed; two spare bits keep every slot
+    value below 2^(width-2).
     """
     def l1(c):
         return sum(map(abs, c._terms.values()))
@@ -105,19 +106,15 @@ def _slot_width(fs, g, expected):
 def _mismatched_slots(diff, width):
     """The slots j with a nonzero value in the packed series ``diff``, each
     slot value in (-2^(width-1), 2^(width-1)), read as balanced digits."""
-    half, full = 1 << (width - 1), (1 << width) - 1
-    slots = set()
+    half, slots = 1 << (width - 1), set()
     for c in diff._terms.values():
         for v in c._terms.values():
             j = 0
             while v:
-                d = v & full
-                if d >= half:
-                    d -= full + 1
+                d = (v + half) % (2 * half) - half
                 if d:
                     slots.add(j)
-                v = (v - d) >> width
-                j += 1
+                v, j = (v - d) >> width, j + 1
     return slots
 
 
@@ -142,7 +139,7 @@ def fgl_laws(p: int, trunc: int) -> CheckReport:
     # [a]([b](t)) and i([b](t)) at once, checked against [ab](t) and
     # [-b](t).  Only b = 1..4 count for the inverse check.
     ks = range(-4, 5)
-    n = {k: ctx.n_series(k) for k in sorted({a * b for a in ks for b in ks})}
+    n = {k: ctx.n_series(k) for k in {a * b for a in ks for b in ks}}
     outer = [n[a] for a in ks] + [formal_inverse(ctx)]
     # one width for all nine inner series, each expected [n](t) read once
     width = max(max(_slot_width(outer, n[b], ()) for b in ks),
