@@ -70,34 +70,38 @@ def _packed(series, width):
     })
 
 
-def _slot_width(fs, g, expected):
-    """A slot width for the values of f(g), f in fs, and of ``expected``.
+def _slot_width(fs, gs, expected):
+    """A slot width for the values of f(g), f in fs and g in gs, and of
+    ``expected``.
 
     |[t^e] f(g)| <= sum_m |f_m|_1 |g^m|_1 in the l1 norm of the integer
     coefficients, and |g^m|_1 = sum_e |[t^e] g^m|_1 <= sum_e [t^e] G^m
     over the truncated powers of the integer majorant G = sum_e |g_e|_1 t^e,
-    so no power of g itself is computed; two spare bits keep every slot
-    value below 2^(width-2).
+    so no power of g itself is computed.  The norms |f_m|_1 are taken once
+    for all of gs; two spare bits keep every slot value below 2^(width-2).
     """
     def l1(c):
         return sum(map(abs, c._terms.values()))
 
-    cap = g.total_cap
-    top = max((m for f in fs for (m,) in f._terms), default=0)
-    major = [0] * (cap + 1)
-    for (e,), c in g._terms.items():
-        major[e] = l1(c)
-    power, norms = [1] + [0] * cap, []  # G^m truncated at t^cap; its sums
-    for _ in range(top + 1):
-        norms.append(sum(power))
-        nxt = [0] * (cap + 1)
-        for i, v in enumerate(power):
-            if v:
-                for e in range(cap + 1 - i):
-                    nxt[i + e] += v * major[e]
-        power = nxt
-    bound = max((sum(l1(c) * norms[m] for (m,), c in f._terms.items())
-                 for f in fs), default=0)
+    outer = [[(m, l1(c)) for (m,), c in f._terms.items()] for f in fs]
+    top = max((m for f in outer for m, _ in f), default=0)
+    bound = 0
+    for g in gs:
+        cap = g.total_cap
+        major = [0] * (cap + 1)
+        for (e,), c in g._terms.items():
+            major[e] = l1(c)
+        power, norms = [1] + [0] * cap, []  # G^m truncated at t^cap; its sums
+        for _ in range(top + 1):
+            norms.append(sum(power))
+            nxt = [0] * (cap + 1)
+            for i, v in enumerate(power):
+                if v:
+                    for e in range(cap + 1 - i):
+                        nxt[i + e] += v * major[e]
+            power = nxt
+        bound = max(bound, max((sum(a * norms[m] for m, a in f) for f in outer),
+                               default=0))
     largest = max((abs(v) for s in expected for c in s._terms.values()
                    for v in c._terms.values()), default=0)
     return max(bound, largest).bit_length() + 2
@@ -142,8 +146,7 @@ def fgl_laws(p: int, trunc: int) -> CheckReport:
     n = {k: ctx.n_series(k) for k in {a * b for a in ks for b in ks}}
     outer = [n[a] for a in ks] + [formal_inverse(ctx)]
     # one width for all nine inner series, each expected [n](t) read once
-    width = max(max(_slot_width(outer, n[b], ()) for b in ks),
-                _slot_width((), n[1], n.values()))
+    width = _slot_width(outer, [n[b] for b in ks], n.values())
     packed = _packed(outer, width)
     comp_ok = inv_ok = True
     for b in ks:

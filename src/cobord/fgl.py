@@ -102,7 +102,14 @@ class FglContext:
         return self._sum
 
     def apply_sum(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
-        """The formal sum a +_F b of two series in a common variable space."""
+        """The formal sum a +_F b of two series in a common variable space.
+
+        The whole F(x, y) of this context, to total degree N + 1, is built
+        (once, then cached) before it is cut to the operands' total cap:
+        operands capped far below N + 1 still pay for the full F.  A caller
+        that needs only a low-degree sum should use a context of that
+        truncation, as ``equivariant.verify_presentation`` does.
+        """
         cap = min(a.total_cap, b.total_cap)
         return self.fgl_sum.truncate_total(cap).substitute([a, b])
 

@@ -47,15 +47,24 @@ class CobordismClass:
     Generator coordinates are computed lazily per ``lazard.GeneratorBasis``
     and cached under the basis itself; the triangular solve asserts
     integrality, which certifies that the image really lies in the Lazard
-    subring.
+    subring.  ``gen_coords`` is always that integer solve.
+
+    ``evaluate`` records how it built a ``Product``, ``DisjointUnion`` or
+    ``Scaled`` class in ``_parts``: ("prod", factors), ("sum", parts) or
+    ("scale", (k, class)), over the classes it evaluated for them; every
+    other class has None.  Reduction modulo a Landweber ideal is a ring
+    map, so ``lazard.reduce_mod_landweber`` combines the reductions of
+    those parts instead of solving the class, and caches each reduction
+    in ``_coords`` under (p, basis), beside the integer coordinates.
     """
 
-    __slots__ = ("image", "dim", "_coords")
+    __slots__ = ("image", "dim", "_coords", "_parts")
 
     def __init__(self, image: BPoly, dim=None):
         self.image = image
         self.dim = dim
         self._coords = {}
+        self._parts = None
 
     def c_alpha(self, alpha) -> int:
         return self.image.coeff(alpha)
@@ -479,7 +488,7 @@ def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismCla
             raise ValueError("Milnor hypersurface needs 0 <= m <= n, n >= 1")
         return CobordismClass(_milnor_image(expr.m, expr.n, trunc), dim=dim)
     if isinstance(expr, Product):
-        factors = [evaluate(f, trunc) for f in expr.factors]
+        factors = tuple(evaluate(f, trunc) for f in expr.factors)
         if dim is None:
             # a mixed-dimension factor: Z[b] is a domain, so the factors' top
             # components multiply to a nonzero class of the summed weight
@@ -487,17 +496,21 @@ def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismCla
             if all(weights):
                 _check_truncation(sum(map(max, weights)), trunc)
         one = CobordismClass(BPoly.one(trunc=trunc), dim=0)
-        return reduce(lambda a, b: a * b, factors, one)
+        return _built(reduce(lambda a, b: a * b, factors, one), "prod", factors)
     if isinstance(expr, DisjointUnion):
-        total = CobordismClass(BPoly.zero(trunc=trunc), dim=dim)
-        for part in expr.parts:
-            total = CobordismClass(
-                total.image + evaluate(part, trunc).image, dim
-            )
-        return total
+        parts = tuple(evaluate(part, trunc) for part in expr.parts)
+        total = sum((part.image for part in parts), BPoly.zero(trunc=trunc))
+        return _built(CobordismClass(total, dim), "sum", parts)
     if isinstance(expr, Scaled):
-        return evaluate(expr.expr, trunc) * expr.k
+        inner = evaluate(expr.expr, trunc)
+        return _built(inner * expr.k, "scale", (expr.k, inner))
     raise TypeError(f"not a variety expression: {expr!r}")
+
+
+def _built(cl: CobordismClass, kind: str, operands: tuple) -> CobordismClass:
+    """``cl``, a new class, with the parts it was built from."""
+    cl._parts = (kind, operands)
+    return cl
 
 
 # -- check reports --------------------------------------------------------

@@ -28,7 +28,8 @@ reads everything else from that rank.  ``CobordismClass`` lives in
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from itertools import takewhile
 
 from .geometry import CobordismClass, Milnor, _check_truncation, evaluate, n_series_coeff
@@ -452,18 +453,42 @@ def reduce_mod_landweber(z: CobordismClass, p: int, r: int) -> GenPoly:
 
     For r >= 1 the ideal is generated by p and the replaced generators of
     the I_p(r)-adapted basis, so monomials containing a replaced generator
-    are deleted and the rest is reduced mod p.  z is solved in the lowest
-    rank with the same killed degrees, the base basis if none, so ranks
-    sharing a generator family share one solve.  For r = 0 the quotient
-    is the ring itself: the integer base-basis coordinates, unchanged.
+    are deleted and the rest is reduced mod p.  The quotient map is a ring
+    map, so a class that ``evaluate`` built as a product, union or scaling
+    reduces to the same combination of its parts' reductions, and only
+    the other classes are solved, each at its own weight; every reduction
+    is cached on its class.  A solve runs in the lowest rank with the same
+    killed degrees, the base basis if none, so ranks sharing a generator
+    family share one solve.  For r = 0 the quotient is the ring itself:
+    the integer base-basis coordinates, unchanged, and always a solve.
     """
     if r == 0:
         return z.gen_coords(base_basis(z.trunc))
-    basis = adapted_basis(p, r, z.trunc)
-    killed = basis.killed
-    solver = basis if basis._own is not None else basis._parent
-    coords = z.gen_coords(solver).coeffs
-    return GenPoly({b: c for b, c in coords.items() if killed.isdisjoint(b)}, p, basis)
+    return _reduced(z, adapted_basis(p, r, z.trunc))
+
+
+def _reduced(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
+    p = basis.p
+    red = z._coords.get((p, basis))
+    if red is not None:
+        return red
+    if z._parts is None:
+        solver = basis if basis._own is not None else basis._parent
+        killed = basis.killed
+        coords = z.gen_coords(solver).coeffs
+        red = GenPoly({b: c for b, c in coords.items() if killed.isdisjoint(b)}, p, basis)
+    else:
+        kind, operands = z._parts
+        if kind == "scale":
+            k, inner = operands
+            red = _reduced(inner, basis).scaled(k)
+        elif not operands:  # the empty product is the unit, the empty union 0
+            red = GenPoly({(): 1} if kind == "prod" else {}, p, basis)
+        else:
+            reds = [_reduced(x, basis) for x in operands]
+            red = reduce(operator.mul if kind == "prod" else operator.add, reds)
+    z._coords[p, basis] = red
+    return red
 
 
 def c_alpha_image_gcd(alpha, basis: GeneratorBasis) -> int:

@@ -189,11 +189,11 @@ def assert_packed_compose_is_exact(fs, g):
     expected = [f.compose(g) for f in fs]
     # the l1 bound alone fits every slot value of the compositions as a
     # signed (width - 1)-bit number, with a bit to spare
-    width = checks._slot_width(fs, g, [])
+    width = checks._slot_width(fs, [g], [])
     assert width >= max_bits(expected) + 2
     got = checks._packed(fs, width).compose(g)
     assert unpack(got, width, len(fs)) == expected
-    assert checks._slot_width(fs, g, expected) == width
+    assert checks._slot_width(fs, [g], expected) == width
     assert checks._mismatched_slots(got - checks._packed(expected, width), width) == set()
     for j in range(len(fs)):  # one slot off by one term: only that slot differs
         off = expected[:j] + [expected[j] + 1] + expected[j + 1:]
@@ -211,10 +211,20 @@ def test_packed_compose_of_the_n_series_unpacks_to_each_composition(trunc):
                 == [ctx.n_series(a * b) for a in ks] + [ctx.n_series(-b)])
 
 
+def test_one_slot_width_for_many_inner_series_is_the_widest_of_each_alone():
+    ctx = fgl.FglContext(12)
+    fs = [ctx.n_series(a) for a in range(-4, 5)] + [checks.formal_inverse(ctx)]
+    gs = [ctx.n_series(b) for b in range(-4, 5)]
+    expected = [ctx.n_series(n) for n in range(-16, 17)]
+    assert checks._slot_width(fs, gs, expected) == max(
+        [checks._slot_width(fs, [g], []) for g in gs]
+        + [checks._slot_width([], [], expected)])
+
+
 def test_the_slot_width_fits_the_expected_side_too():
     ctx = fgl.FglContext(6)
     far = [ctx.n_series(3).scaled(1 << 100)]
-    assert checks._slot_width([ctx.n_series(1)], ctx.n_series(2), far) >= max_bits(far) + 2
+    assert checks._slot_width([ctx.n_series(1)], [ctx.n_series(2)], far) >= max_bits(far) + 2
 
 
 N = 6

@@ -202,12 +202,13 @@ def test_a_killed_generator_outside_the_mod_p_kernel_fails_validation(
         basis.gen(3)
 
 
-def _count_solves(monkeypatch):
-    """Record the basis of every ``GeneratorBasis.solve`` call from now on."""
+def _count_solves(monkeypatch, images=False):
+    """Record the basis of every ``GeneratorBasis.solve`` call from now on,
+    paired with the solved image if ``images``."""
     solved, solve = [], lz.GeneratorBasis.solve
 
     def counted(basis, image):
-        solved.append(basis)
+        solved.append((basis, image) if images else basis)
         return solve(basis, image)
 
     monkeypatch.setattr(lz.GeneratorBasis, "solve", counted)
@@ -229,10 +230,16 @@ def test_one_class_under_three_rank_one_groups_is_solved_once_at_its_own_weight(
 
 
 def test_ranks_that_kill_the_same_degrees_share_one_solve(fresh_bases, monkeypatch):
-    solved = _count_solves(monkeypatch)
+    # ranks 4 and 6 both kill {1, 3, 7} at truncation 12; the product is
+    # reduced from its factors, and each factor is solved once, in rank 4
+    solved = _count_solves(monkeypatch, images=True)
     z = cls(geo.Product((geo.Proj(2), geo.Hyp(3, 4))))
     high, low = lz.reduce_mod_landweber(z, 2, 6), lz.reduce_mod_landweber(z, 2, 4)
-    assert solved == [lz.adapted_basis(2, 4, TRUNC)]
+    bases = [basis for basis, _ in solved]
+    assert bases == [lz.adapted_basis(2, 4, TRUNC)] * 2
+    assert lz.adapted_basis(2, 6, TRUNC) not in bases
+    assert [image for _, image in solved] == [cls(geo.Proj(2)).image,
+                                              cls(geo.Hyp(3, 4)).image]
     assert high.coeffs == low.coeffs == {(4, 2): 1}
     assert high.basis is lz.adapted_basis(2, 6, TRUNC)
     assert high.to_obj()["basis"] == {"flavor": "adapted", "p": 2, "r": 6}
@@ -582,6 +589,63 @@ def test_reduce_is_ring_homomorphism():
                 w, p, r
             )
             assert left == right, (p, r, z, w)
+
+
+def _constructors(n):
+    """Constructors of dimension n."""
+    if n == 0:
+        return [geo.Point()]
+    return [geo.Proj(n), geo.Hyp(2, n), geo.Hyp(3, n), geo.CompInt((2, 3), n)] + [
+        geo.Milnor(m, k) for m, k in lz.milnor_candidates(n)]
+
+
+@st.composite
+def expr_trees(draw, budget, depth=3):
+    """A variety expression of weight at most ``budget``: products, unions
+    (empty ones and mixed dimensions included) and scalings of constructors."""
+    kind = draw(st.sampled_from(("leaf", "prod", "sum", "scale") if depth else ("leaf",)))
+    if kind == "leaf":
+        return draw(st.sampled_from(_constructors(draw(st.integers(0, budget)))))
+    if kind == "scale":
+        return geo.Scaled(draw(st.sampled_from((-3, 0, 2, 5))),
+                          draw(expr_trees(budget, depth - 1)))
+    if kind == "sum":
+        return geo.DisjointUnion(draw(st.lists(expr_trees(budget, depth - 1), max_size=3)))
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        left = budget - sum(f.weight() for f in factors)
+        factors.append(draw(expr_trees(left, depth - 1)))
+    return geo.Product(factors)
+
+
+@settings(max_examples=120, deadline=None)
+@given(expr_trees(TRUNC), st.sampled_from((2, 3)), st.integers(1, 4))
+def test_a_composite_reduces_as_the_ring_map_of_its_parts(expr, p, r):
+    # the same image without parts takes the solve at the composite's weight
+    cl = cls(expr)
+    solved = lz.reduce_mod_landweber(geo.CobordismClass(cl.image, cl.dim), p, r)
+    reduced = lz.reduce_mod_landweber(cl, p, r)
+    assert reduced == solved
+    assert reduced.to_obj() == solved.to_obj()
+
+
+@settings(max_examples=40, deadline=None)
+@given(expr_trees(TRUNC), st.sampled_from((2, 3)), st.integers(1, 4))
+def test_a_second_bound_on_a_class_reads_its_cached_reduction(expr, p, r):
+    group = ac.GroupDescriptor(p, (1,) * r)
+    cl = cls(expr)
+    first = bd.fixed_dim_lower_bound(cl, group)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((lz.GeneratorBasis, "solve"), (lz.GenPoly, "__mul__"),
+                            (lz.GenPoly, "__add__"), (lz.GenPoly, "scaled")):
+            def counted(*args, _name=name, _original=getattr(owner, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            mp.setattr(owner, name, counted)
+        assert bd.fixed_dim_lower_bound(cl, group) == first
+    assert calls == []
 
 
 def test_q_degree_examples(basis):
