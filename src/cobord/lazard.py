@@ -206,6 +206,7 @@ class GeneratorBasis:
             self._own = p ** s - 1 if s and r == s + 1 else None
             below = s if self._own else s + 1  # the rank below, or that lowest one
             self._parent = adapted_basis(p, below, trunc) if below > 1 else base_basis(trunc)
+            self._memo_key = (p, self)  # a class caches its reduction here under this one tuple
         self._built = {}
         self._mono_images = {(): BPoly.one(trunc=trunc)} if p is None else {}
 
@@ -468,8 +469,8 @@ def reduce_mod_landweber(z: CobordismClass, p: int, r: int) -> GenPoly:
 
 
 def _reduced(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
-    p = basis.p
-    red = z._coords.get((p, basis))
+    p, key = basis.p, basis._memo_key
+    red = z._coords.get(key)
     if red is not None:
         return red
     if z._parts is None:
@@ -487,7 +488,7 @@ def _reduced(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
         else:
             reds = [_reduced(x, basis) for x in operands]
             red = reduce(operator.mul if kind == "prod" else operator.add, reds)
-    z._coords[p, basis] = red
+    z._coords[key] = red
     return red
 
 

@@ -627,6 +627,12 @@ def test_a_composite_reduces_as_the_ring_map_of_its_parts(expr, p, r):
     reduced = lz.reduce_mod_landweber(cl, p, r)
     assert reduced == solved
     assert reduced.to_obj() == solved.to_obj()
+    # and the integer solve in the adapted basis, reduced here
+    basis = lz.adapted_basis(p, r, TRUNC)
+    coords = basis.solve(cl.image).coeffs
+    assert reduced.modulus == p and reduced.basis is basis
+    assert reduced.coeffs == {beta: c % p for beta, c in coords.items()
+                              if basis.killed.isdisjoint(beta) and c % p}
 
 
 @settings(max_examples=40, deadline=None)
