@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .geometry import (DisjointUnion, Hyp, Milnor, Product, Record, _check_truncation,
                        evaluate)
-from .lazard import NEG_INF, base_basis, is_prime
+from .lazard import NEG_INF, is_prime, milnor_split
 from .series import DEFAULT_TRUNCATION
 
 
@@ -94,10 +94,9 @@ def generator_action(
     if i < 1:
         raise ValueError(f"generator degree must lie in 1..{trunc}, got {i}")
     _check_truncation(i, trunc)
-    split = base_basis(trunc).splits[i]
     q = group.order
     pos, neg = [], []
-    for (m, n, c) in split:
+    for (m, n, c) in milnor_split(i)[1]:
         target = pos if c > 0 else neg
         target.extend([Milnor(m, n)] * abs(c))
 

@@ -132,7 +132,7 @@ def fgl_laws(p: int, trunc: int) -> CheckReport:
     checks = [("unit law F(x,0)=x", unit), ("symmetry", sym)]
     deg = min(6, trunc)
     xyz = ("x", "y", "z")
-    x, y, z = (TruncSeries.variable(v, xyz, (deg,) * 3, deg, trunc=trunc) for v in xyz)
+    x, y, z = (TruncSeries.variable(v, xyz, deg, trunc=trunc) for v in xyz)
     left = ctx.apply_sum(ctx.apply_sum(x, y), z)
     right = ctx.apply_sum(x, ctx.apply_sum(y, z))
     checks.append((f"associativity to degree {deg}", left == right))

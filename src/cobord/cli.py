@@ -7,9 +7,11 @@ runs the suites of ``checks.SUITES`` and prints one line per check, with
 exit code 0 iff every check holds; only ``verify`` imports ``checks``.
 The truncation weight defaults to 12 and may be overridden per call with
 ``--trunc`` or globally with the COBORD_TRUNC environment variable.
-``class``, ``bound``, ``fixedpoint``, ``chern-bound`` and ``actions``
-compute at the smaller of the truncation and the query's own weight, so a
-large truncation costs nothing; ``verify`` uses it as given.
+``class``, ``bound``, ``fixedpoint`` and ``chern-bound`` compute at the
+smaller of the truncation and the query's own weight, so a large
+truncation costs nothing.  ``actions`` builds no class and no basis: the
+truncation only bounds the witnesses' dimensions.  ``verify`` uses it as
+given.
 """
 
 from __future__ import annotations
@@ -184,23 +186,14 @@ def cmd_chern_bound(args) -> int:
 
 def cmd_actions(args) -> int:
     group = _parse_group(args)
-    # the witnesses' own weight, as ``_evaluate``; where an argument is out
-    # of range the truncation stays as given, so its error reads as before
-    witnesses, trunc = [], args.trunc
+    witnesses, trunc = [], args.trunc  # a guard only: no class or basis is built
     if args.generator is not None:
-        if args.generator >= 1:
-            trunc = min(trunc, args.generator)
         witnesses.extend(actions_mod.generator_action(args.generator, group, trunc))
     elif args.landweber is not None:
-        if 0 <= args.landweber < group.rank:
-            trunc = min(trunc, group.p ** args.landweber - 1)
         witnesses.append(actions_mod.landweber_variety(args.landweber, group, trunc))
     elif args.family is not None:
         witnesses.extend(
-            actions_mod.filtration_family(
-                args.family, group, args.max_dim, min(trunc, args.max_dim)
-            )
-        )
+            actions_mod.filtration_family(args.family, group, args.max_dim, trunc))
     else:
         raise ValueError("pick one of --generator, --landweber, --family")
     obj = {"witnesses": [w.to_obj() for w in witnesses]}

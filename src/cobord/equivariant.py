@@ -12,6 +12,7 @@ nothing here consults roots of unity, only which characters are trivial.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import le
 
 from . import _backend, fgl
 from .geometry import CheckReport, CobordismClass, Proj, Record, evaluate
@@ -137,18 +138,22 @@ class SplitBundleDescriptor(Record):
 def q_class(E: SplitBundleDescriptor, trunc: int = DEFAULT_TRUNCATION) -> MPoly:
     """Multiplicative class of the bundle: an a-polynomial whose
     coefficients lie in the Chow ring of its base.  A summand with first
-    Chern class c_1 and character g contributes sum_i c_1^i a[i, g]."""
-    caps = E.base
-    names = tuple(f"h{i}" for i in range(len(caps)))
-    chow_zero = TruncSeries.zero(names, caps, sum(caps), trunc=trunc)
+    Chern class c_1 and character g contributes sum_i c_1^i a[i, g].  It is
+    computed at the total cap sum(n_j); the h_j^(n_j+1) span a monomial
+    ideal, so they are set to zero once, on the result."""
+    dim = sum(E.base)
+    names = tuple(f"h{i}" for i in range(len(E.base)))
+    chow_zero = TruncSeries.zero(names, dim, trunc=trunc)
     result = MPoly({(): chow_zero.constant(1)}, "a", trunc)
     for multidegree, g in E.summands:
         c1 = chow_zero
         for name, k in zip(names, multidegree):
-            c1 = c1 + TruncSeries.variable(name, names, caps, sum(caps), trunc) * k
-        powers = enumerate(c1.powers(sum(caps)))
+            c1 = c1 + TruncSeries.variable(name, names, dim, trunc) * k
+        powers = enumerate(c1.powers(dim))
         result = result * MPoly({((i, g),): c for i, c in powers}, "a", trunc)
-    return result
+    return MPoly({key: chow._shell({e: c for e, c in chow.coeffs.items()
+                                    if all(map(le, e, E.base))})
+                  for key, chow in result.terms.items()}, "a", trunc)
 
 
 def push_class(E: SplitBundleDescriptor, trunc: int = DEFAULT_TRUNCATION) -> MPoly:

@@ -43,7 +43,7 @@ class FglContext:
         self._sum = None
 
     def _series(self, coeffs) -> TruncSeries:
-        return TruncSeries(("t",), (self.cap,), self.cap, coeffs, trunc=self.trunc)
+        return TruncSeries(("t",), self.cap, coeffs, trunc=self.trunc)
 
     # -- basic series -------------------------------------------------
 
@@ -95,7 +95,7 @@ class FglContext:
                         if a + c <= cap:
                             _backend.mul_into(acc.setdefault((a, c), {}), la, dc, trunc)
             self._sum = TruncSeries(
-                ("x", "y"), (cap, cap), cap,
+                ("x", "y"), cap,
                 {exps: BPoly._raw(terms, trunc) for exps, terms in acc.items()},
                 trunc=trunc,
             )

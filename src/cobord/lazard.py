@@ -154,14 +154,25 @@ def milnor_top_chern(m: int, n: int) -> int:
     return -n if m == 0 else math.comb(m + n, m)
 
 
+@lru_cache(maxsize=None)
+def milnor_split(i: int) -> tuple:
+    """(top, split) of the degree-i base generator, for any truncation.
+
+    ``top`` is the gcd of the ``milnor_top_chern`` values of degree i, +-1
+    or +-p, and ``split`` the extended-gcd combination (m, n, coefficient)
+    of Milnor hypersurfaces that realizes it.
+    """
+    cands = milnor_candidates(i)
+    top, coeffs = xgcd_list([milnor_top_chern(m, n) for m, n in cands])
+    return top, tuple((m, n, c) for (m, n), c in zip(cands, coeffs) if c)
+
+
 class GeneratorBasis:
     """Polynomial generators l_1, ..., l_N of the Lazard ring, N = ``trunc``.
 
-    ``GeneratorBasis(trunc)`` is the base basis.  The achievable c_(i) in
-    degree i are the closed-form top Chern numbers of the Milnor
-    hypersurfaces, -(i+1) for m = 0 (a projective space) and C(i+1, m) for
-    2 <= m <= n, and ``splits[i]`` lists the extended-gcd combination
-    (m, n, coefficient) that realizes the minimal value +-1 or +-p.
+    ``GeneratorBasis(trunc)`` is the base basis.  Its degree-i generator
+    is the Milnor combination of ``milnor_split(i)``, which realizes the
+    minimal c_(i), +-1 or +-p.
 
     ``GeneratorBasis(trunc, p, r)``, p prime and r >= 1, is adapted to
     I_p(r).  Each degree n = p^i - 1 <= trunc with i < r (``killed``)
@@ -181,22 +192,15 @@ class GeneratorBasis:
     so a chain is at most log_p(trunc + 1) + 1 delegations deep at any
     rank, and each generator and monomial image exists once per process.
 
-    ``tops`` maps each base degree to the c_(i) of its generator, known
-    before any generator is built; a killed degree's is -p.  ``gen(i)``
-    builds degree i on its first call and checks it against that value
-    and the generator criteria then, so a query pays only for the degrees
-    in its support.
+    A new basis holds no generator.  ``gen(i)`` builds degree i on its
+    first call and checks it against the generator criteria and its c_(i)
+    against the top of ``milnor_split(i)``, -p for a killed degree, so a
+    query pays only for the degrees in its support.
     """
 
     def __init__(self, trunc: int, p=None, r=None):
         self.trunc, self.p, self.r = trunc, p, r
         if p is None:
-            self.tops, self.splits = {}, {}
-            for i in range(1, trunc + 1):
-                cands = milnor_candidates(i)
-                values = [milnor_top_chern(m, n) for m, n in cands]
-                self.tops[i], coeffs = xgcd_list(values)
-                self.splits[i] = [(m, n, c) for (m, n), c in zip(cands, coeffs) if c]
             self.killed = frozenset()
             self._own = None
         else:
@@ -225,7 +229,7 @@ class GeneratorBasis:
         _check_truncation(i, self.trunc)
         if self.p is None:
             image = BPoly.zero(trunc=self.trunc)
-            for m, n, c in self.splits[i]:
+            for m, n, c in milnor_split(i)[1]:
                 image = image + evaluate(Milnor(m, n), self.trunc).image.scaled(c)
             g = CobordismClass(image, dim=i)
         else:  # v_s = [t^(i+1)] [p](t) for i = p^s - 1
@@ -243,7 +247,7 @@ class GeneratorBasis:
             raise BasisValidationError(
                 f"degree {i}: |c_(i)| = {abs(c)}, expected {expect}"
             )
-        top = -self.p if i in self.killed else self.tops[i]
+        top = -self.p if i in self.killed else milnor_split(i)[0]
         if c != top:
             raise BasisValidationError(
                 f"degree {i}: c_(i) = {c}, but the construction gives {top}"

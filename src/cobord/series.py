@@ -16,11 +16,12 @@ always integers: reduction modulo p happens only in the generator
 coordinates of ``lazard.GenPoly``, after a class has been solved over Z.
 
 ``TruncSeries`` is a truncated power series in up to three auxiliary
-degree-1 variables with BPoly coefficients, capped per variable and in
-total degree by its caller: the FGL series of ``fgl`` stop at t^(N+1),
-the last degree with a coefficient of weight at most N.  It doubles as
-the truncated Chow ring of (products of) projective spaces, where the
-variables are hyperplane classes with per-variable caps h_j^(n_j+1) = 0.
+degree-1 variables with BPoly coefficients, capped in total degree by its
+caller: the FGL series of ``fgl`` stop at t^(N+1), the last degree with a
+coefficient of weight at most N.  It doubles as the Chow ring of a product
+of projective spaces P^(n_j), capped at the total degree sum(n_j); the
+relations h_j^(n_j+1) = 0 span a monomial ideal, so ``equivariant.q_class``
+applies them once, to its result.
 """
 
 from __future__ import annotations
@@ -303,9 +304,9 @@ class BPoly(SparseAlgebra):
 class TruncSeries(SparseAlgebra):
     """Truncated graded power series with BPoly coefficients.
 
-    ``caps`` bounds each variable's exponent, ``total_cap`` the total
-    auxiliary degree; coefficients are keyed by exponent tuples.  Ints and
-    BPolys are its constants and its scalars.
+    ``total_cap`` bounds the total auxiliary degree; coefficients are
+    keyed by exponent tuples.  Ints and BPolys are its constants and its
+    scalars.
 
     A series is read-only once built.  ``powers`` memoizes g^0, g^1, ...
     in a slot of the series itself, so ``substitute`` builds each power
@@ -313,13 +314,11 @@ class TruncSeries(SparseAlgebra):
     memo.
     """
 
-    __slots__ = ("vars", "caps", "total_cap", "trunc", "_powers")
+    __slots__ = ("vars", "total_cap", "trunc", "_powers")
     _scalars = (int, BPoly)
 
-    def __init__(self, vars, caps, total_cap, coeffs=None,
-                 trunc=DEFAULT_TRUNCATION):
+    def __init__(self, vars, total_cap, coeffs=None, trunc=DEFAULT_TRUNCATION):
         self.vars = tuple(vars)
-        self.caps = tuple(caps)
         self.total_cap = total_cap
         self.trunc = trunc
         self._powers = None
@@ -329,23 +328,19 @@ class TruncSeries(SparseAlgebra):
                 exps = tuple(exps)
                 if len(exps) != len(self.vars):
                     raise ValueError("exponent vector length mismatch")
-                if sum(exps) > total_cap or any(
-                    e > cap for e, cap in zip(exps, self.caps)
-                ):
-                    continue
-                if c:
+                if c and sum(exps) <= total_cap:
                     clean[exps] = c
         self._terms = clean
 
     def _shell(self, coeffs):
         s = object.__new__(TruncSeries)
-        s.vars, s.caps, s.total_cap = self.vars, self.caps, self.total_cap
+        s.vars, s.total_cap = self.vars, self.total_cap
         s.trunc, s._terms, s._powers = self.trunc, coeffs, None
         return s
 
     @property
     def _shape(self):
-        return (self.vars, self.caps, self.total_cap)
+        return (self.vars, self.total_cap)
 
     def _lift(self, c):
         if isinstance(c, int):
@@ -365,14 +360,14 @@ class TruncSeries(SparseAlgebra):
         return self._terms
 
     @classmethod
-    def zero(cls, vars, caps, total_cap, trunc=DEFAULT_TRUNCATION):
-        return cls(vars, caps, total_cap, {}, trunc)
+    def zero(cls, vars, total_cap, trunc=DEFAULT_TRUNCATION):
+        return cls(vars, total_cap, {}, trunc)
 
     @classmethod
-    def variable(cls, name, vars, caps, total_cap, trunc=DEFAULT_TRUNCATION):
+    def variable(cls, name, vars, total_cap, trunc=DEFAULT_TRUNCATION):
         idx = tuple(vars).index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(vars)))
-        return cls(vars, caps, total_cap, {exps: BPoly.one(trunc)}, trunc)
+        return cls(vars, total_cap, {exps: BPoly.one(trunc)}, trunc)
 
     def constant(self, c) -> "TruncSeries":
         """A constant series over the same variable space."""
@@ -382,9 +377,7 @@ class TruncSeries(SparseAlgebra):
         return self._terms.get(tuple(exps), BPoly.zero(self.trunc))
 
     def _mul(self, y):
-        caps, total = self.caps, self.total_cap
-        # a cap at or above the total cap never binds: exponents are >= 0
-        capped = any(cap < total for cap in caps)
+        total = self.total_cap
         xs = sorted((sum(e), e, c) for e, c in self._terms.items())
         ys = sorted((sum(e), e, c) for e, c in y.items())
         buckets = {}
@@ -394,8 +387,6 @@ class TruncSeries(SparseAlgebra):
                 if db > lim:
                     break
                 exps = tuple(map(add, ea, eb))
-                if capped and any(e > cap for e, cap in zip(exps, caps)):
-                    continue
                 acc = buckets.get(exps)
                 if acc is None:
                     acc = buckets[exps] = {}
@@ -422,9 +413,7 @@ class TruncSeries(SparseAlgebra):
 
     def truncate_total(self, k: int) -> "TruncSeries":
         """Copy with the total-degree cap lowered to ``k``."""
-        caps = tuple(min(c, k) for c in self.caps)
-        return TruncSeries(self.vars, caps, min(self.total_cap, k), self._terms,
-                           self.trunc)
+        return TruncSeries(self.vars, min(self.total_cap, k), self._terms, self.trunc)
 
     def powers(self, top: int) -> list["TruncSeries"]:
         """[g^0, g^1, ..., g^top], stopping before the first zero power.

@@ -22,7 +22,7 @@ def _embed(f, slot, vars=("x", "y")):
     coeffs = {}
     for (k,), c in f.coeffs.items():
         coeffs[tuple(k if i == slot else 0 for i in range(n))] = c
-    return TruncSeries(vars, (f.total_cap,) * n, f.total_cap, coeffs, trunc=f.trunc)
+    return TruncSeries(vars, f.total_cap, coeffs, trunc=f.trunc)
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +41,7 @@ def b_gen(i, trunc):
 def exp_series(ctx):
     """exp(t) = t + b_1 t^2 + b_2 t^3 + ... in the variable space of ``ctx``."""
     coeffs = {(k,): b_gen(k - 1, ctx.trunc) for k in range(1, ctx.trunc + 2)}
-    return TruncSeries(("t",), (ctx.cap,), ctx.cap, coeffs, trunc=ctx.trunc)
+    return TruncSeries(("t",), ctx.cap, coeffs, trunc=ctx.trunc)
 
 
 def graded_degree(series):

@@ -237,7 +237,7 @@ bpolys = st.builds(
 
 def one_variable(coeffs, start):
     cap = N + 1
-    return TruncSeries(("t",), (cap,), cap,
+    return TruncSeries(("t",), cap,
                        {(start + k,): c for k, c in enumerate(coeffs)}, trunc=N)
 
 

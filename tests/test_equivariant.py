@@ -1,4 +1,7 @@
+from operator import add
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobord import equivariant as eq
 from cobord import geometry as geo
@@ -45,6 +48,60 @@ def test_q_class_over_p1_has_nilpotent_tail():
     assert set(q.terms) == {((0, G),), ((1, G),)}
     assert q.terms[((0, G),)].coeff((0,)) == BPoly.one(trunc=TRUNC)
     assert q.terms[((1, G),)].coeff((1,)) == BPoly.one(trunc=TRUNC)
+
+
+def _chow_mul(x, y, dims):
+    """Product of integer dicts exponent -> coefficient in Z[h]/(h_j^(dims_j + 1))."""
+    out = {}
+    for ea, ca in x.items():
+        for eb, cb in y.items():
+            e = tuple(map(add, ea, eb))
+            if all(k <= n for k, n in zip(e, dims)):
+                out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_q_class(E):
+    """a-monomial -> Chow coefficient of prod_k sum_i c_1(L_k)^i a[i, g_k],
+    each factor expanded and multiplied term by term in the Chow ring."""
+    dims = E.base
+    unit = {(0,) * len(dims): 1}
+    result = {(): unit}
+    for multidegree, g in E.summands:
+        c1 = _chow_mul(unit, {tuple(int(j == k) for k in range(len(dims))): d
+                              for j, d in enumerate(multidegree)}, dims)
+        factor, power, i = {}, unit, 0
+        while power:
+            factor[((i, g),)] = power
+            power, i = _chow_mul(power, c1, dims), i + 1
+        new = {}
+        for ka, ca in result.items():
+            for kb, cb in factor.items():
+                acc = new.setdefault(tuple(sorted(ka + kb)), {})
+                for e, c in _chow_mul(ca, cb, dims).items():
+                    acc[e] = acc.get(e, 0) + c
+        result = {k: nz for k, v in new.items()
+                  if (nz := {e: c for e, c in v.items() if c})}
+    return result
+
+
+@st.composite
+def split_bundles(draw):
+    base = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    characters = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+    summands = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(-2, 3)] * len(base)), characters),
+        min_size=1, max_size=3))
+    return eq.SplitBundleDescriptor(base, summands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_bundles())
+def test_q_class_matches_a_term_by_term_chow_ring_reference(E):
+    # every Chow coefficient, with h_j^(n_j + 1) = 0 applied at every step
+    got = {key: chow.coeffs for key, chow in eq.q_class(E, TRUNC).terms.items()}
+    assert got == {key: {e: BPoly.const(c, TRUNC) for e, c in chow.items()}
+                   for key, chow in _ref_q_class(E).items()}
 
 
 def test_trivial_character_rejected():

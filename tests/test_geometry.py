@@ -246,19 +246,22 @@ def test_constructor_validation():
 # -- an independent reference: the bivariate Chow ring of the ambient space --
 
 
-def _ref_line_class(caps, multidegree, trunc):
-    """sum_i c_1(O(k))^i b_i in the truncated Chow ring Z[b][h_j]/(h_j^(caps_j + 1)).
+def _ref_line_class(dims, multidegree, trunc):
+    """sum_i c_1(O(k))^i b_i in Z[b][h_j] truncated at total degree sum(dims).
 
-    The reference inverts and raises these classes as bivariate series, a
-    route independent of geometry's univariate rows.
+    The Chow ring of the product of the P^(dims_j) is its quotient by the
+    monomial ideal of the h_j^(dims_j + 1), so a coefficient read inside
+    that box is the Chow ring's.  The reference inverts and raises these
+    classes as bivariate series, a route independent of geometry's
+    univariate rows.
     """
-    names = tuple(f"h{j}" for j in range(len(caps)))
-    total_cap = sum(caps)
+    names = tuple(f"h{j}" for j in range(len(dims)))
+    total_cap = sum(dims)
 
     def var(j):
-        return TruncSeries.variable(names[j], names, caps, total_cap, trunc=trunc)
+        return TruncSeries.variable(names[j], names, total_cap, trunc=trunc)
 
-    c1 = TruncSeries.zero(names, caps, total_cap, trunc=trunc)
+    c1 = TruncSeries.zero(names, total_cap, trunc=trunc)
     for j, k in enumerate(multidegree):
         c1 = c1 + var(j) * k
     total = c1.constant(1)
@@ -276,17 +279,17 @@ def _ref_image(expr, trunc):
         expr = geo.CompInt((expr.d,), expr.n)
     if isinstance(expr, geo.CompInt):
         n, degrees = expr.n, expr.degrees
-        caps = (n + len(degrees),)
-        s = _ref_line_class(caps, (1,), trunc).inverse() ** (n + len(degrees) + 1)
+        dims = (n + len(degrees),)
+        s = _ref_line_class(dims, (1,), trunc).inverse() ** (n + len(degrees) + 1)
         for d in degrees:
-            s = s * _ref_line_class(caps, (d,), trunc)
+            s = s * _ref_line_class(dims, (d,), trunc)
         return s.coeff((n,)).scaled(math.prod(degrees))
     m, n = expr.m, expr.n
-    caps = (m, n)
+    dims = (m, n)
     s = (
-        (_ref_line_class(caps, (1, 0), trunc).inverse() ** (m + 1))
-        * (_ref_line_class(caps, (0, 1), trunc).inverse() ** (n + 1))
-        * _ref_line_class(caps, (1, 1), trunc)
+        (_ref_line_class(dims, (1, 0), trunc).inverse() ** (m + 1))
+        * (_ref_line_class(dims, (0, 1), trunc).inverse() ** (n + 1))
+        * _ref_line_class(dims, (1, 1), trunc)
     )
     img = s.coeff((m, n - 1))
     if m >= 1:

@@ -80,7 +80,7 @@ def test_generators_are_milnor_combinations(basis):
     # the recorded split must reproduce the generator image exactly
     for i in range(1, TRUNC + 1):
         img = BPoly.zero(trunc=TRUNC)
-        for (m, n, c) in basis.splits[i]:
+        for (m, n, c) in lz.milnor_split(i)[1]:
             assert m + n - 1 == i and m != 1
             img = img + cls(geo.Milnor(m, n)).image.scaled(c)
         assert img == basis.gen(i).image
@@ -91,9 +91,9 @@ def test_generators_are_milnor_combinations(basis):
 
 @pytest.fixture
 def fresh_bases():
-    """Empty the basis and FGL caches before and after a test that inspects
-    or perturbs their construction."""
-    caches = (lz.base_basis, lz.adapted_basis, fgl.context)
+    """Empty the basis, split and FGL caches before and after a test that
+    inspects or perturbs their construction."""
+    caches = (lz.base_basis, lz.adapted_basis, lz.milnor_split, fgl.context)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -156,6 +156,16 @@ def test_a_bound_at_a_large_truncation_builds_only_the_degrees_of_its_class(
     assert sorted(basis._built) == [1, 2, 3, 4]
     assert sorted(lz.adapted_basis(2, 2, 30)._built) == [1]  # its one killed degree
     assert fgl.context.cache_info().currsize == 0
+
+
+def test_a_basis_splits_only_the_degrees_it_builds(fresh_bases):
+    lz.GeneratorBasis(1000)
+    assert lz.milnor_split.cache_info().currsize == 0
+    lz.GeneratorBasis(TRUNC).gen(3)
+    assert lz.milnor_split.cache_info().currsize == 1
+    misses = lz.milnor_split.cache_info().misses
+    lz.milnor_split(3)
+    assert lz.milnor_split.cache_info().misses == misses  # the one split is degree 3
 
 
 @pytest.mark.parametrize("degree", [1, 4, 9])
