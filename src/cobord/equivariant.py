@@ -14,9 +14,9 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import le
 
-from . import _backend, fgl
-from .geometry import CheckReport, CobordismClass, Proj, Record, evaluate
-from .lazard import in_landweber_ideal, reduce_mod_landweber
+from . import _backend
+from .checks import verify_presentation  # perfbench/tracer.py times the suite here
+from .geometry import Proj, Record, evaluate
 from .series import BPoly, DEFAULT_TRUNCATION, SparseAlgebra, TruncSeries
 
 Character = tuple
@@ -202,64 +202,3 @@ def p_to_a(poly: MPoly, trunc: int = DEFAULT_TRUNCATION) -> MPoly:
             term = term * push_generator(i, g, trunc)
         out = out + term
     return out
-
-
-# -- desk verification of the quotient model ------------------------------
-
-
-def verify_presentation(
-    p: int, cases, trunc: int = DEFAULT_TRUNCATION
-) -> CheckReport:
-    """Leading-term identities for multiplication by prime powers.
-
-    For each case (a, n) with q = p^a: modulo the n-th Landweber ideal,
-    the series [q](t) starts v_n^((q^n-1)/(p^n-1)) t^(q^n), so all lower
-    coefficients reduce to zero and the t^(q^n) coefficient reduces to
-    the stated power of v_n, which is not zero.  Also checks u_m
-    membership below v_n.
-
-    v_n is read off the p-fold formal sum t +_F ... +_F t, not off [p](t)
-    itself, so that for q = p the leading term is not compared with itself;
-    the sum is taken at v_n's own weight, where the formal sum is small.
-    """
-    ctx = fgl.context(trunc)
-    entries = []
-    for (a, n) in cases:
-        q = p ** a
-        qn = q ** n
-        label = f"q={q},n={n}"
-        if qn - 1 > trunc:
-            entries.append(
-                (label, False, f"t^{qn} coefficient has weight beyond {trunc}")
-            )
-            continue
-        series = ctx.n_series(q)
-        low_ok = True
-        for k in range(1, qn):
-            coeff = series.coeff((k,))
-            red = reduce_mod_landweber(CobordismClass(coeff), p, n)
-            if not red.is_zero():
-                low_ok = False
-                break
-        entries.append((f"{label}: vanishing below t^{qn}", low_ok, ""))
-        lead = reduce_mod_landweber(CobordismClass(series.coeff((qn,))), p, n)
-        e = (qn - 1) // (p ** n - 1)
-        small = fgl.context(p ** n - 1)
-        t = total = small.t_var()
-        for _ in range(p - 1):
-            total = small.apply_sum(total, t)
-        v_n = BPoly(total.coeff((p ** n,)).terms, trunc)
-        expected = reduce_mod_landweber(CobordismClass(v_n ** e), p, n)
-        entries.append(
-            (
-                f"{label}: t^{qn} coefficient is v_{n}^{e}",
-                lead == expected and not lead.is_zero(),
-                "",
-            )
-        )
-        mem_ok = all(
-            in_landweber_ideal(CobordismClass(u_m), p, n)
-            for u_m in ctx.landweber_coeffs(p)[: p ** n - 1]
-        )
-        entries.append((f"{label}: u_m membership below v_{n}", mem_ok, ""))
-    return CheckReport(entries)

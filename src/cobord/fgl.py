@@ -108,7 +108,7 @@ class FglContext:
         (once, then cached) before it is cut to the operands' total cap:
         operands capped far below N + 1 still pay for the full F.  A caller
         that needs only a low-degree sum should use a context of that
-        truncation, as ``equivariant.verify_presentation`` does.
+        truncation, as ``checks.verify_presentation`` does.
         """
         cap = min(a.total_cap, b.total_cap)
         return self.fgl_sum.truncate_total(cap).substitute([a, b])

@@ -55,7 +55,11 @@ class CobordismClass:
     other class has None.  Reduction modulo a Landweber ideal is a ring
     map, so ``lazard.reduce_mod_landweber`` combines the reductions of
     those parts instead of solving the class, and caches each reduction
-    in ``_coords`` under (p, basis), beside the integer coordinates.
+    in ``_coords`` under (p, basis), beside the integer coordinates.  Any
+    other class is reduced from its base-basis coordinates, with each
+    killed generator g_n replaced by its residue D-bar_n: the adapted
+    generator is -g_n plus a decomposable, as its c_(n) is -p against
+    +p, so one base solve per class serves every prime and rank.
     """
 
     __slots__ = ("image", "dim", "_coords", "_parts")

@@ -14,12 +14,18 @@ an exact quotient by a diagonal entry, and only the nonzero entries of
 that generator monomial's image are subtracted from the residual.
 
 Ideal membership and reduction for the Landweber ideal I_p(n) use the
-adapted basis, in which the generators in degrees p^i - 1 (i < n) are
-replaced by classes of the form v_i + p*a_i; the ideal is then generated
-by p together with those generators, so membership is visible monomial
-by monomial.  I_p(n + 1) is I_p(n) plus v_n (Landweber, 1973), so the
-adapted bases form a chain: each rank owns the one generator it replaces
-beyond the rank below, with the monomial images that contain it, and
+adapted basis, in which the generators g_k in the killed degrees
+k = p^i - 1 (i < n) are replaced by classes g'_k of the form v_i + p*a_i;
+the ideal is then generated by p together with those generators, so
+membership is visible monomial by monomial.  The reduction never solves
+in an adapted basis.  In base coordinates g'_k = -g_k + D_k with D_k
+decomposable, the coefficient -1 being c_(k)(g'_k) / c_(k)(g_k) = -p / p,
+so modulo the ideal g_k is D_k: each killed g_k in a class's base
+coordinates is replaced by D-bar_k, D_k mod p with the lower killed
+degrees substituted, and one base solve serves every quotient.
+I_p(n + 1) is I_p(n) plus v_n (Landweber, 1973), so the adapted bases
+form a chain: each rank owns the one generator it replaces beyond the
+rank below, with its D-bar and the monomial images that contain it, and
 reads everything else from that rank.  ``CobordismClass`` lives in
 ``geometry``, which creates every class; it is imported here, so
 ``lazard.CobordismClass`` resolves.
@@ -184,13 +190,20 @@ class GeneratorBasis:
 
     The ranks form a chain, because I_p(r + 1) is I_p(r) plus v_r: rank
     r owns only the one degree p^(r-1) - 1 that it kills beyond rank
-    r - 1, and delegates every other generator, and the image of every
-    monomial without that degree, to ``adapted_basis(p, r - 1)``; rank 2
-    delegates to the base basis.  A rank whose next killed degree is
-    above the truncation owns nothing and delegates straight to the
-    lowest rank with the same killed degrees (rank 1 to the base basis),
-    so a chain is at most log_p(trunc + 1) + 1 delegations deep at any
-    rank, and each generator and monomial image exists once per process.
+    r - 1, with its ``residue``, and delegates every other generator and
+    residue, and the image of every monomial without that degree, to
+    ``adapted_basis(p, r - 1)``; rank 2 delegates to the base basis.  A
+    rank whose next killed degree is above the truncation owns nothing
+    and delegates straight to the lowest rank with the same killed
+    degrees (rank 1 to the base basis), so a chain is at most
+    log_p(trunc + 1) + 1 delegations deep at any rank, and each
+    generator and monomial image exists once per process.
+
+    Reduction mod I_p(r) reads base coordinates only: the killed
+    generator g'_n is -g_n plus a decomposable D_n over Z, so g_n maps
+    to ``residue(n)``.  An adapted basis builds a killed generator only
+    for that residue, and its monomial images only for an explicit
+    ``solve``, which stays the generic solve of any basis.
 
     A new basis holds no generator.  ``gen(i)`` builds degree i on its
     first call and checks it against the generator criteria and its c_(i)
@@ -213,6 +226,7 @@ class GeneratorBasis:
             self._memo_key = (p, self)  # a class caches its reduction here under this one tuple
         self._built = {}
         self._mono_images = {(): BPoly.one(trunc=trunc)} if p is None else {}
+        self._residue = None  # the owned degree's g_n mod I_p(r), once asked for
 
     def __repr__(self):
         return f"GeneratorBasis({self.trunc}, p={self.p}, r={self.r})"
@@ -256,6 +270,25 @@ class GeneratorBasis:
             raise BasisValidationError(
                 f"adapted generator in degree {i} is not in the mod-{self.p} kernel"
             )
+
+    def residue(self, i: int) -> dict:
+        """D-bar_i, the base generator g_i of a killed degree i mod I_p(r).
+
+        The base solve of the adapted generator reads g'_i = -g_i + D_i,
+        with D_i decomposable: its g_i coordinate is c_(i)(g'_i) / c_(i)(g_i)
+        = -p / p = -1, the two tops that ``_validate`` pins.  As g'_i and p
+        lie in the ideal, g_i = D_i - g'_i reduces to D_i mod p with its
+        lower killed degrees substituted in turn.  The result maps each
+        killed-free monomial to its coefficient mod p; the owning rank
+        builds it, and its generator, on the first call.
+        """
+        if i != self._own:
+            return self._parent.residue(i)
+        if self._residue is None:
+            coords = dict(self.gen(i).gen_coords(base_basis(self.trunc)).coeffs)
+            del coords[(i,)]  # -g_i
+            self._residue = _substituted(coords, self)._terms
+        return self._residue
 
     def describe(self):
         """The basis descriptor of the JSON output; builds nothing."""
@@ -457,15 +490,18 @@ def reduce_mod_landweber(z: CobordismClass, p: int, r: int) -> GenPoly:
     """The class of z in the quotient by I_p(r), in adapted coordinates.
 
     For r >= 1 the ideal is generated by p and the replaced generators of
-    the I_p(r)-adapted basis, so monomials containing a replaced generator
-    are deleted and the rest is reduced mod p.  The quotient map is a ring
-    map, so a class that ``evaluate`` built as a product, union or scaling
-    reduces to the same combination of its parts' reductions, and only
-    the other classes are solved, each at its own weight; every reduction
-    is cached on its class.  A solve runs in the lowest rank with the same
-    killed degrees, the base basis if none, so ranks sharing a generator
-    family share one solve.  For r = 0 the quotient is the ring itself:
-    the integer base-basis coordinates, unchanged, and always a solve.
+    the I_p(r)-adapted basis, so in adapted coordinates the monomials
+    containing a replaced generator vanish and the rest is reduced mod p.
+    Those coordinates are read off the base ones: the adapted generator
+    in a killed degree n is g'_n = -g_n + D_n, with D_n decomposable and
+    the coefficient -1 = c_(n)(g'_n) / c_(n)(g_n) = -p / p, so mod I_p(r)
+    each killed g_n becomes D-bar_n (``GeneratorBasis.residue``), and
+    every other generator is shared.  A constructor is therefore solved
+    once, in the base basis, for every p and r.  The quotient map is a
+    ring map, so a class that ``evaluate`` built as a product, union or
+    scaling reduces to the same combination of its parts' reductions;
+    every reduction is cached on its class.  For r = 0 the quotient is
+    the ring itself: the integer base-basis coordinates, unchanged.
     """
     if r == 0:
         return z.gen_coords(base_basis(z.trunc))
@@ -478,10 +514,7 @@ def _reduced(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
     if red is not None:
         return red
     if z._parts is None:
-        solver = basis if basis._own is not None else basis._parent
-        killed = basis.killed
-        coords = z.gen_coords(solver).coeffs
-        red = GenPoly({b: c for b, c in coords.items() if killed.isdisjoint(b)}, p, basis)
+        red = _substituted(z.gen_coords(base_basis(basis.trunc)).coeffs, basis)
     else:
         kind, operands = z._parts
         if kind == "scale":
@@ -493,6 +526,36 @@ def _reduced(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
             reds = [_reduced(x, basis) for x in operands]
             red = reduce(operator.mul if kind == "prod" else operator.add, reds)
     z._coords[key] = red
+    return red
+
+
+def _substituted(coords: dict, basis: GeneratorBasis) -> GenPoly:
+    """Base coordinates mod p, each killed g_n replaced by ``basis.residue(n)``.
+
+    A monomial without killed degrees keeps its coordinate; the others
+    expand, and vanish as soon as one of their residues is zero.
+    """
+    p, killed = basis.p, basis.killed
+    kept, rest = {}, []
+    for beta, c in coords.items():
+        c %= p
+        if not c:
+            continue
+        if killed.isdisjoint(beta):
+            kept[beta] = c
+        else:
+            rest.append((beta, c))
+    red = GenPoly(kept, p, basis)
+    for beta, c in rest:
+        term = GenPoly({tuple(i for i in beta if i not in killed): c}, p, basis)
+        for n in reversed(beta):  # lowest first: a zero residue ends the term
+            if n in killed:
+                residue = basis.residue(n)
+                if not residue:
+                    break
+                term = term * GenPoly(residue, p, basis)
+        else:
+            red = red + term
     return red
 
 

@@ -139,13 +139,13 @@ def test_criterion_06_intro_hypersurface_bound():
 def test_criterion_07_presentation_lemma():
     with criterion(7, "multiplication-by-q leading term matches the v_n power "
                       "after reduction"):
-        assert_passes(eq.verify_presentation(2, [(1, 1), (2, 1)], TRUNC), [
+        assert_passes(checks.verify_presentation(2, [(1, 1), (2, 1)], TRUNC), [
             "q=2,n=1: vanishing below t^2", "q=2,n=1: t^2 coefficient is v_1^1",
             "q=2,n=1: u_m membership below v_1",
             "q=4,n=1: vanishing below t^4", "q=4,n=1: t^4 coefficient is v_1^3",
             "q=4,n=1: u_m membership below v_1",
         ])
-        assert_passes(eq.verify_presentation(3, [(1, 1)], TRUNC), [
+        assert_passes(checks.verify_presentation(3, [(1, 1)], TRUNC), [
             "q=3,n=1: vanishing below t^3", "q=3,n=1: t^3 coefficient is v_1^1",
             "q=3,n=1: u_m membership below v_1",
         ])

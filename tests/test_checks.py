@@ -249,3 +249,14 @@ def test_packed_compose_of_random_series_unpacks_to_each_composition(fss, gs):
     fs = [one_variable(coeffs, 0) for coeffs in fss]
     assert_packed_compose_is_exact(fs, one_variable(gs, 1))
 
+
+def test_presentation_cases():
+    rep = checks.verify_presentation(2, [(1, 1), (2, 1), (1, 2)], TRUNC)
+    assert rep.ok, rep.to_obj()
+    rep3 = checks.verify_presentation(3, [(1, 1)], TRUNC)
+    assert rep3.ok, rep3.to_obj()
+
+
+def test_presentation_out_of_range_reports_failure():
+    rep = checks.verify_presentation(2, [(3, 2)], TRUNC)  # t^64 is far beyond N=12
+    assert not rep.ok

@@ -322,16 +322,20 @@ def test_verify_rejects_max_n_for_a_suite_that_ignores_it(suite, capsys):
 
 def test_only_verify_imports_the_check_registry():
     # a fresh interpreter: this process has imported checks already
-    code = (
-        "import sys; from cobord import cli; "
-        "cli.main(['bound', '{\"hyp\":[3,4]}', '--p', '2', '--group', '1']); "
-        "print(sorted({'cobord.checks', 'cobord.equivariant'} & set(sys.modules)))"
-    )
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.endswith("\n[]\n")
+    def loaded(argv):
+        code = (
+            f"import sys; from cobord import cli; cli.main({argv!r}); "
+            "print(sorted({'cobord.checks', 'cobord.equivariant'} & set(sys.modules)))"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return out.splitlines()[-1]
+
+    assert loaded(["bound", '{"hyp":[3,4]}', "--p", "2", "--group", "1"]) == "[]"
+    # the presentation suite lives in checks: verify loads no bundle algebra
+    assert loaded(["verify", "presentation"]) == "['cobord.checks']"
 
 
 @pytest.mark.parametrize(

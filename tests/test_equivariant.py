@@ -172,15 +172,3 @@ def test_mpoly_json():
     obj = m.to_obj()
     assert obj["kind"] == "a"
     assert all(len(t["a"]) >= 1 for t in obj["terms"])
-
-
-def test_presentation_cases():
-    rep = eq.verify_presentation(2, [(1, 1), (2, 1), (1, 2)], TRUNC)
-    assert rep.ok, rep.to_obj()
-    rep3 = eq.verify_presentation(3, [(1, 1)], TRUNC)
-    assert rep3.ok, rep3.to_obj()
-
-
-def test_presentation_out_of_range_reports_failure():
-    rep = eq.verify_presentation(2, [(3, 2)], TRUNC)  # t^64 is far beyond N=12
-    assert not rep.ok

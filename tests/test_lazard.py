@@ -241,18 +241,52 @@ def test_one_class_under_three_rank_one_groups_is_solved_once_at_its_own_weight(
 
 def test_ranks_that_kill_the_same_degrees_share_one_solve(fresh_bases, monkeypatch):
     # ranks 4 and 6 both kill {1, 3, 7} at truncation 12; the product is
-    # reduced from its factors, and each factor is solved once, in rank 4
+    # reduced from its factors, each factor is solved once, in the base
+    # basis, and so is each killed generator that their supports meet
     solved = _count_solves(monkeypatch, images=True)
     z = cls(geo.Product((geo.Proj(2), geo.Hyp(3, 4))))
     high, low = lz.reduce_mod_landweber(z, 2, 6), lz.reduce_mod_landweber(z, 2, 4)
-    bases = [basis for basis, _ in solved]
-    assert bases == [lz.adapted_basis(2, 4, TRUNC)] * 2
-    assert lz.adapted_basis(2, 6, TRUNC) not in bases
+    owners = {1: lz.adapted_basis(2, 2, TRUNC), 3: lz.adapted_basis(2, 3, TRUNC),
+              7: lz.adapted_basis(2, 4, TRUNC)}
+    built = [n for n, owner in owners.items() if owner._built]
+    assert built == [1]
+    assert [basis for basis, _ in solved] == [lz.base_basis(TRUNC)] * (2 + len(built))
     assert [image for _, image in solved] == [cls(geo.Proj(2)).image,
-                                              cls(geo.Hyp(3, 4)).image]
+                                              cls(geo.Hyp(3, 4)).image] + [
+        owners[n].gen(n).image for n in built]
     assert high.coeffs == low.coeffs == {(4, 2): 1}
     assert high.basis is lz.adapted_basis(2, 6, TRUNC)
     assert high.to_obj()["basis"] == {"flavor": "adapted", "p": 2, "r": 6}
+
+
+def test_one_class_under_six_groups_is_solved_once_in_the_base_basis(
+        fresh_bases, monkeypatch):
+    # the class and each killed generator its support meets: one base solve each
+    solved = _count_solves(monkeypatch, images=True)
+    image = cls(geo.Hyp(3, 12)).image
+    z = geo.CobordismClass(image, 12)  # no cached coordinates or reductions
+    for p in (2, 3):
+        for r in (1, 2, 3):
+            bd.fixed_dim_lower_bound(z, ac.GroupDescriptor(p, (1,) * r))
+    owners = [lz.adapted_basis(p, r, TRUNC) for p in (2, 3) for r in (2, 3)]
+    assert [sorted(owner._built) for owner in owners] == [[1], [3], [2], [8]]
+    generators = [owner.gen(owner._own).image for owner in owners]
+    assert [basis for basis, _ in solved] == [lz.base_basis(TRUNC)] * 5
+    images = [image for _, image in solved]
+    assert images[0] == image
+    assert all(images.count(g) == 1 for g in generators)
+
+
+def test_a_rank_five_bound_builds_no_killed_generator_above_its_class(fresh_bases):
+    owners = [lz.adapted_basis(2, r, 30) for r in (2, 3, 4, 5)]
+    assert [owner._own for owner in owners] == [1, 3, 7, 15]
+    assert all(owner._residue is None for owner in owners)  # fresh bases hold none
+    report = bd.fixed_dim_lower_bound(geo.evaluate(geo.Hyp(3, 4), 30),
+                                      ac.GroupDescriptor(2, (1,) * 5))
+    assert report.reduced.basis is lz.adapted_basis(2, 5, 30)
+    assert [sorted(owner._built) for owner in owners] == [[1], [], [], []]
+    assert [owner._residue for owner in owners[2:]] == [None, None]
+    assert not any(owner._mono_images for owner in owners)
 
 
 def test_a_solve_across_truncations_refuses_a_heavier_image():
@@ -662,6 +696,63 @@ def test_a_second_bound_on_a_class_reads_its_cached_reduction(expr, p, r):
             mp.setattr(owner, name, counted)
         assert bd.fixed_dim_lower_bound(cl, group) == first
     assert calls == []
+
+
+ORACLE_TRUNC = 14
+ORACLE_CONSTRUCTORS = (
+    [geo.Proj(n) for n in range(ORACLE_TRUNC + 1)]
+    + [geo.Hyp(d, n) for d in (2, 3, 4, 5) for n in range(ORACLE_TRUNC + 1)]
+    + [geo.CompInt(ds, n) for ds in ((2, 2), (2, 3), (3, 3))
+       for n in range(ORACLE_TRUNC + 1)]
+    + [geo.Milnor(m, n) for n in range(1, ORACLE_TRUNC + 2) for m in range(n + 1)
+       if m != 1 and m + n - 1 <= ORACLE_TRUNC]
+)
+
+
+def _reductions_against_the_adapted_solve(p, r, fresh=False):
+    """(constructor, reduction, the adapted solve filtered and reduced mod p)
+    for every constructor of weight <= 14; ``fresh`` reduces a copy of each
+    class, past any cached coordinates and reductions."""
+    basis = lz.adapted_basis(p, r, ORACLE_TRUNC)
+    for e in ORACLE_CONSTRUCTORS:
+        z = geo.evaluate(e, ORACLE_TRUNC)
+        coords = basis.solve(z.image).coeffs
+        expect = {beta: c % p for beta, c in coords.items()
+                  if basis.killed.isdisjoint(beta) and c % p}
+        if fresh:
+            z = geo.CobordismClass(z.image, z.dim)
+        yield e, lz.reduce_mod_landweber(z, p, r), lz.GenPoly(expect, p, basis)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_reduction_is_the_adapted_solve_on_every_constructor_to_weight_14(p):
+    assert len(ORACLE_CONSTRUCTORS) == 177
+    for r in range(1, 6):
+        for e, red, expect in _reductions_against_the_adapted_solve(p, r):
+            assert red.modulus == p and red.basis is expect.basis, (e, r)
+            assert red.coeffs == expect.coeffs, (e, r)
+
+
+def test_only_degree_8_at_p_3_has_a_nonzero_residue_to_truncation_14():
+    residues = {(p, n): lz.adapted_basis(p, 5, ORACLE_TRUNC).residue(n)
+                for p in (2, 3, 5) for n in lz.adapted_basis(p, 5, ORACLE_TRUNC).killed}
+    assert sorted(residues) == [(2, 1), (2, 3), (2, 7), (3, 2), (3, 8), (5, 4)]
+    assert residues.pop((3, 8)) == {(4, 4): 2, (4, 3, 1): 1, (5, 1, 1, 1): 2,
+                                    (3, 3, 1, 1): 2, (3, 1, 1, 1, 1, 1): 1}
+    assert all(residue == {} for residue in residues.values())
+
+
+def test_a_zero_residue_in_degree_8_fails_the_oracle(monkeypatch):
+    # the negative control of the oracle above: g_8 = 0 mod I_3(3) is wrong
+    residue = lz.GeneratorBasis.residue
+
+    def zero_at_8(basis, i):
+        return {} if (basis.p, i) == (3, 8) else residue(basis, i)
+
+    monkeypatch.setattr(lz.GeneratorBasis, "residue", zero_at_8)
+    wrong = [e for e, red, expect in _reductions_against_the_adapted_solve(3, 3, fresh=True)
+             if red != expect]
+    assert geo.Hyp(3, 8) in wrong and len(wrong) > 10
 
 
 def test_q_degree_examples(basis):

@@ -52,12 +52,13 @@ def test_a_sweep_set_up_holds_one_object_per_key_value(sweep_bases):
 
 
 def test_a_sweep_set_up_holds_each_adapted_image_in_its_owner_only(sweep_bases):
-    # rank r caches only monomials with its one killed degree p^(r-1) - 1;
-    # rank 1 kills nothing and caches nothing
+    # rank r builds only its one killed degree p^(r-1) - 1, whose residue mod
+    # I_p(r) the reduction reads; rank 1 kills nothing.  The reduction works
+    # on base coordinates, so no adapted basis holds a monomial image
     for basis in sweep_bases[1:]:
         own = basis.p ** (basis.r - 1) - 1 if basis.r > 1 else None
-        assert sorted(basis._built) == ([own] if own else [])
-        assert all(own in beta for beta in basis._mono_images), basis
-        assert bool(basis._mono_images) == (own is not None)
-    held = [image for basis in sweep_bases for image in basis._mono_images.values()]
-    assert len({id(image) for image in held}) == len(held)
+        assert set(basis._built) <= {own}, basis
+        assert (basis._residue is not None) == bool(basis._built), basis
+        assert not basis._mono_images, basis
+    # mod p the coordinates of P^n meet degree 1 (p = 2) and 2 (p = 3), not 3 or 8
+    assert [(b.p, b.r) for b in sweep_bases[1:] if b._built] == [(2, 2), (3, 2)]
