@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import le
 
 from . import _backend
-from .checks import verify_presentation  # perfbench/tracer.py times the suite here
+from .checks import verify_presentation  # perfbench/tracer.py times the suite by this name
 from .geometry import Proj, Record, evaluate
 from .series import BPoly, DEFAULT_TRUNCATION, SparseAlgebra, TruncSeries
 

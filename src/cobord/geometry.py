@@ -56,10 +56,9 @@ class CobordismClass:
     map, so ``lazard.reduce_mod_landweber`` combines the reductions of
     those parts instead of solving the class, and caches each reduction
     in ``_coords`` under (p, basis), beside the integer coordinates.  Any
-    other class is reduced from its base-basis coordinates, with each
-    killed generator g_n replaced by its residue D-bar_n: the adapted
-    generator is -g_n plus a decomposable, as its c_(n) is -p against
-    +p, so one base solve per class serves every prime and rank.
+    other class is reduced from its base coordinates, each killed g_n
+    becoming D-bar_n: the adapted generator is -g_n plus a decomposable,
+    its c_(n) being -p against +p, so one base solve serves every p and r.
     """
 
     __slots__ = ("image", "dim", "_coords", "_parts")

@@ -14,15 +14,13 @@ an exact quotient by a diagonal entry, and only the nonzero entries of
 that generator monomial's image are subtracted from the residual.
 
 Ideal membership and reduction for the Landweber ideal I_p(n) use the
-adapted basis, in which the generators g_k in the killed degrees
-k = p^i - 1 (i < n) are replaced by classes g'_k of the form v_i + p*a_i;
-the ideal is then generated by p together with those generators, so
-membership is visible monomial by monomial.  The reduction never solves
-in an adapted basis.  In base coordinates g'_k = -g_k + D_k with D_k
-decomposable, the coefficient -1 being c_(k)(g'_k) / c_(k)(g_k) = -p / p,
-so modulo the ideal g_k is D_k: each killed g_k in a class's base
-coordinates is replaced by D-bar_k, D_k mod p with the lower killed
-degrees substituted, and one base solve serves every quotient.
+adapted basis, in which the generators g_k in degrees k = p^i - 1 (i < n)
+are replaced by classes g'_k of the form v_i + p*a_i; the ideal is then
+generated by p together with those generators.  In base coordinates
+g'_k = -g_k + D_k with D_k decomposable (the coefficient is
+c_(k)(g'_k) / c_(k)(g_k) = -p / p), so the reduction replaces each such
+g_k in a class's base coordinates by D-bar_k, D_k mod p with the lower
+killed degrees substituted: one base solve serves every quotient.
 I_p(n + 1) is I_p(n) plus v_n (Landweber, 1973), so the adapted bases
 form a chain: each rank owns the one generator it replaces beyond the
 rank below, with its D-bar and the monomial images that contain it, and
@@ -197,13 +195,9 @@ class GeneratorBasis:
     and delegates straight to the lowest rank with the same killed
     degrees (rank 1 to the base basis), so a chain is at most
     log_p(trunc + 1) + 1 delegations deep at any rank, and each
-    generator and monomial image exists once per process.
-
-    Reduction mod I_p(r) reads base coordinates only: the killed
-    generator g'_n is -g_n plus a decomposable D_n over Z, so g_n maps
-    to ``residue(n)``.  An adapted basis builds a killed generator only
-    for that residue, and its monomial images only for an explicit
-    ``solve``, which stays the generic solve of any basis.
+    generator and monomial image exists once per process.  The reduction
+    mod I_p(r) maps each killed g_n in base coordinates to ``residue(n)``
+    and never solves here; ``solve`` is generic, for explicit callers.
 
     A new basis holds no generator.  ``gen(i)`` builds degree i on its
     first call and checks it against the generator criteria and its c_(i)
@@ -272,15 +266,14 @@ class GeneratorBasis:
             )
 
     def residue(self, i: int) -> dict:
-        """D-bar_i, the base generator g_i of a killed degree i mod I_p(r).
+        """D-bar_i: the base generator g_i of a killed degree i mod I_p(r).
 
         The base solve of the adapted generator reads g'_i = -g_i + D_i,
-        with D_i decomposable: its g_i coordinate is c_(i)(g'_i) / c_(i)(g_i)
-        = -p / p = -1, the two tops that ``_validate`` pins.  As g'_i and p
-        lie in the ideal, g_i = D_i - g'_i reduces to D_i mod p with its
-        lower killed degrees substituted in turn.  The result maps each
-        killed-free monomial to its coefficient mod p; the owning rank
-        builds it, and its generator, on the first call.
+        D_i decomposable; the g_i coordinate is c_(i)(g'_i) / c_(i)(g_i) =
+        -p / p, the tops that ``_validate`` pins.  So g_i = D_i - g'_i is
+        D_i mod p with its lower killed degrees substituted: a dict from
+        killed-free monomials to coefficients mod p, built by the owning
+        rank, with its generator, on the first call.
         """
         if i != self._own:
             return self._parent.residue(i)
@@ -492,16 +485,15 @@ def reduce_mod_landweber(z: CobordismClass, p: int, r: int) -> GenPoly:
     For r >= 1 the ideal is generated by p and the replaced generators of
     the I_p(r)-adapted basis, so in adapted coordinates the monomials
     containing a replaced generator vanish and the rest is reduced mod p.
-    Those coordinates are read off the base ones: the adapted generator
-    in a killed degree n is g'_n = -g_n + D_n, with D_n decomposable and
-    the coefficient -1 = c_(n)(g'_n) / c_(n)(g_n) = -p / p, so mod I_p(r)
-    each killed g_n becomes D-bar_n (``GeneratorBasis.residue``), and
-    every other generator is shared.  A constructor is therefore solved
-    once, in the base basis, for every p and r.  The quotient map is a
-    ring map, so a class that ``evaluate`` built as a product, union or
-    scaling reduces to the same combination of its parts' reductions;
-    every reduction is cached on its class.  For r = 0 the quotient is
-    the ring itself: the integer base-basis coordinates, unchanged.
+    Those coordinates come from the base ones: a replaced generator is
+    g'_n = -g_n + D_n with D_n decomposable (the coefficient is
+    c_(n)(g'_n) / c_(n)(g_n) = -p / p), so each killed g_n becomes D-bar_n
+    (``GeneratorBasis.residue``), and a class is solved once, in the base
+    basis, for every p and r.  The quotient map is a ring map, so a class
+    that ``evaluate`` built as a product, union or scaling reduces to the
+    same combination of its parts' reductions; every reduction is cached
+    on its class.  For r = 0 the quotient is the ring itself: the integer
+    base-basis coordinates, unchanged.
     """
     if r == 0:
         return z.gen_coords(base_basis(z.trunc))
@@ -530,11 +522,7 @@ def _reduced(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
 
 
 def _substituted(coords: dict, basis: GeneratorBasis) -> GenPoly:
-    """Base coordinates mod p, each killed g_n replaced by ``basis.residue(n)``.
-
-    A monomial without killed degrees keeps its coordinate; the others
-    expand, and vanish as soon as one of their residues is zero.
-    """
+    """Base coordinates mod p, each killed g_n replaced by ``basis.residue(n)``."""
     p, killed = basis.p, basis.killed
     kept, rest = {}, []
     for beta, c in coords.items():

@@ -277,6 +277,16 @@ def test_one_class_under_six_groups_is_solved_once_in_the_base_basis(
     assert all(images.count(g) == 1 for g in generators)
 
 
+def test_a_zero_residue_in_a_lower_degree_spares_the_higher_generators(fresh_bases):
+    # mod 2 (mod 3) every monomial of Hyp(2, 12) with a 3 (an 8) also holds a
+    # 1 (a 2), whose residue is zero, so neither g'_3 nor g'_8 is built
+    z = geo.CobordismClass(cls(geo.Hyp(2, 12)).image, 12)
+    for p in (2, 3):
+        bd.fixed_dim_lower_bound(z, ac.GroupDescriptor(p, (1, 1, 1)))
+    owners = [lz.adapted_basis(p, r, TRUNC) for p in (2, 3) for r in (2, 3)]
+    assert [sorted(owner._built) for owner in owners] == [[1], [], [2], []]
+
+
 def test_a_rank_five_bound_builds_no_killed_generator_above_its_class(fresh_bases):
     owners = [lz.adapted_basis(2, r, 30) for r in (2, 3, 4, 5)]
     assert [owner._own for owner in owners] == [1, 3, 7, 15]
