@@ -485,6 +485,8 @@ def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismCla
     if isinstance(expr, CompInt):
         if not expr.degrees or any(d < 1 for d in expr.degrees) or expr.n < 0:
             raise ValueError("complete intersection needs degrees >= 1 and n >= 0")
+        if list(expr.degrees) != sorted(expr.degrees):  # one class per degree multiset
+            return evaluate(CompInt(tuple(sorted(expr.degrees)), expr.n), trunc)
         return CobordismClass(_ci_image(expr.degrees, expr.n, trunc), dim=expr.n)
     if isinstance(expr, Milnor):
         if not (0 <= expr.m <= expr.n) or expr.n < 1:

@@ -20,11 +20,10 @@ generated by p together with those generators.  In base coordinates
 g'_k = -g_k + D_k with D_k decomposable (the coefficient is
 c_(k)(g'_k) / c_(k)(g_k) = -p / p), so the reduction replaces each such
 g_k in a class's base coordinates by D-bar_k, D_k mod p with the lower
-killed degrees substituted: one base solve serves every quotient.
-I_p(n + 1) is I_p(n) plus v_n (Landweber, 1973), so the adapted bases
-form a chain: each rank owns the one generator it replaces beyond the
-rank below, with its D-bar and the monomial images that contain it, and
-reads everything else from that rank.  ``CobordismClass`` lives in
+killed degrees substituted: one base solve serves every quotient.  An
+adapted basis holds only its killed generators, their D-bar and the
+monomial images that contain them, and reads everything else from the
+base basis.  ``CobordismClass`` lives in
 ``geometry``, which creates every class; it is imported here, so
 ``lazard.CobordismClass`` resolves.
 """
@@ -186,18 +185,12 @@ class GeneratorBasis:
     ``geometry.n_series_coeff`` gives v_i = [t^(n+1)] [p](t) at trunc.
     Only degrees <= trunc are replaced, so every rank is accepted.
 
-    The ranks form a chain, because I_p(r + 1) is I_p(r) plus v_r: rank
-    r owns only the one degree p^(r-1) - 1 that it kills beyond rank
-    r - 1, with its ``residue``, and delegates every other generator and
-    residue, and the image of every monomial without that degree, to
-    ``adapted_basis(p, r - 1)``; rank 2 delegates to the base basis.  A
-    rank whose next killed degree is above the truncation owns nothing
-    and delegates straight to the lowest rank with the same killed
-    degrees (rank 1 to the base basis), so a chain is at most
-    log_p(trunc + 1) + 1 delegations deep at any rank, and each
-    generator and monomial image exists once per process.  The reduction
-    mod I_p(r) maps each killed g_n in base coordinates to ``residue(n)``
-    and never solves here; ``solve`` is generic, for explicit callers.
+    An adapted basis builds and holds its killed generators, their
+    ``residue`` and the images of the monomials that contain one; every
+    other generator and monomial image is the base basis's object.  The
+    reduction mod I_p(r) maps each killed g_n in base coordinates to
+    ``residue(n)`` and never solves here; ``solve`` is generic, for
+    explicit callers.
 
     A new basis holds no generator.  ``gen(i)`` builds degree i on its
     first call and checks it against the generator criteria and its c_(i)
@@ -209,26 +202,22 @@ class GeneratorBasis:
         self.trunc, self.p, self.r = trunc, p, r
         if p is None:
             self.killed = frozenset()
-            self._own = None
         else:
             self.killed = frozenset(takewhile(lambda n: n <= trunc,
                                               (p ** i - 1 for i in range(1, r))))
-            s = len(self.killed)  # rank s + 1 is the lowest with these degrees
-            self._own = p ** s - 1 if s and r == s + 1 else None
-            below = s if self._own else s + 1  # the rank below, or that lowest one
-            self._parent = adapted_basis(p, below, trunc) if below > 1 else base_basis(trunc)
+            self._base = base_basis(trunc)
             self._memo_key = (p, self)  # a class caches its reduction here under this one tuple
+            self._residues = {}  # each killed degree's g_n mod I_p(r), once asked for
         self._built = {}
         self._mono_images = {(): BPoly.one(trunc=trunc)} if p is None else {}
-        self._residue = None  # the owned degree's g_n mod I_p(r), once asked for
 
     def __repr__(self):
         return f"GeneratorBasis({self.trunc}, p={self.p}, r={self.r})"
 
     def gen(self, i: int) -> CobordismClass:
         """The degree-i generator, 1 <= i <= trunc, built and validated once."""
-        if self.p is not None and i != self._own:
-            return self._parent.gen(i)
+        if self.p is not None and i not in self.killed:
+            return self._base.gen(i)
         g = self._built.get(i)
         if g is not None:
             return g
@@ -242,7 +231,7 @@ class GeneratorBasis:
             g = CobordismClass(image, dim=i)
         else:  # v_s = [t^(i+1)] [p](t) for i = p^s - 1
             v = n_series_coeff(self.p, i + 1, self.trunc)
-            g = CobordismClass(v, dim=i) - self.p ** i * self._parent.gen(i)
+            g = CobordismClass(v, dim=i) - self.p ** i * self._base.gen(i)
         self._validate(i, g)
         self._built[i] = g
         return g
@@ -272,16 +261,15 @@ class GeneratorBasis:
         D_i decomposable; the g_i coordinate is c_(i)(g'_i) / c_(i)(g_i) =
         -p / p, the tops that ``_validate`` pins.  So g_i = D_i - g'_i is
         D_i mod p with its lower killed degrees substituted: a dict from
-        killed-free monomials to coefficients mod p, built by the owning
-        rank, with its generator, on the first call.
+        killed-free monomials to coefficients mod p, built with its
+        generator on the first call.
         """
-        if i != self._own:
-            return self._parent.residue(i)
-        if self._residue is None:
-            coords = dict(self.gen(i).gen_coords(base_basis(self.trunc)).coeffs)
+        residue = self._residues.get(i)
+        if residue is None:
+            coords = dict(self.gen(i).gen_coords(self._base).coeffs)
             del coords[(i,)]  # -g_i
-            self._residue = _substituted(coords, self)._terms
-        return self._residue
+            residue = self._residues[i] = _substituted(coords, self)._terms
+        return residue
 
     def describe(self):
         """The basis descriptor of the JSON output; builds nothing."""
@@ -291,8 +279,8 @@ class GeneratorBasis:
     def image_of_monomial(self, beta: Partition) -> BPoly:
         """Z[b] image of the generator monomial indexed by ``beta``."""
         beta = tuple(beta)
-        if self.p is not None and self._own not in beta:
-            return self._parent.image_of_monomial(beta)
+        if self.p is not None and self.killed.isdisjoint(beta):
+            return self._base.image_of_monomial(beta)
         cached = self._mono_images.get(beta)
         if cached is None:
             cached = self.image_of_monomial(beta[1:]) * self.gen(beta[0]).image
@@ -363,9 +351,9 @@ def adapted_basis(p: int, r: int, trunc: int = DEFAULT_TRUNCATION) -> GeneratorB
     """The shared ``GeneratorBasis(trunc, p, r)`` adapted to I_p(r).
 
     p must be prime and r >= 1.  A rank whose killed degrees p^i - 1 pass
-    the truncation gives the same generators as the largest one that fits,
-    and holds none of them: it delegates to that rank, which owns one
-    degree and delegates the rest down the chain of ``GeneratorBasis``.
+    the truncation gives the same generators as the largest one that fits.
+    The basis holds only what its killed degrees need and reads the rest
+    from ``base_basis(trunc)``.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -146,6 +146,14 @@ def test_a_cold_bound_builds_only_the_degrees_of_its_class(fresh_bases, capsys):
     assert fgl.context.cache_info().currsize == 0  # v_1, v_2 need no FGL context
 
 
+def test_a_cold_rank_three_bound_builds_one_adapted_basis(fresh_bases, capsys):
+    assert cli.main(["bound", '{"hyp":[3,4]}', "--p", "2", "--group", "1,1,1"]) == 0
+    assert capsys.readouterr().out
+    assert lz.adapted_basis.cache_info().currsize == 1
+    basis = lz.adapted_basis(2, 3, 4)  # the CLI computes at the class's own weight
+    assert basis.killed == {1, 3} and sorted(basis._built) == [1]
+
+
 def test_a_bound_at_a_large_truncation_builds_only_the_degrees_of_its_class(
         fresh_bases):
     # the library is keyed by the truncation it is given, not the class's weight
@@ -239,21 +247,33 @@ def test_one_class_under_three_rank_one_groups_is_solved_once_at_its_own_weight(
     assert solved == [lz.base_basis(4)]
 
 
+def test_complete_intersections_in_either_degree_order_are_solved_once(
+        fresh_bases, monkeypatch):
+    geo.evaluate.cache_clear()  # no cached coordinates or reductions
+    solved = _count_solves(monkeypatch)
+    assert (geo.evaluate(geo.CompInt((3, 2), 5), TRUNC)
+            is geo.evaluate(geo.CompInt((2, 3), 5), TRUNC))
+    group = ac.GroupDescriptor(3, (1,))
+    reports = [bd.fixed_dim_lower_bound(geo.evaluate(geo.CompInt(ds, 5), TRUNC), group)
+               for ds in ((3, 2), (2, 3))]
+    assert reports[0] == reports[1]
+    assert solved == [lz.base_basis(TRUNC)]
+    geo.evaluate.cache_clear()
+
+
 def test_ranks_that_kill_the_same_degrees_share_one_solve(fresh_bases, monkeypatch):
     # ranks 4 and 6 both kill {1, 3, 7} at truncation 12; the product is
     # reduced from its factors, each factor is solved once, in the base
-    # basis, and so is each killed generator that their supports meet
+    # basis, and each basis solves the one killed generator the supports meet
     solved = _count_solves(monkeypatch, images=True)
     z = cls(geo.Product((geo.Proj(2), geo.Hyp(3, 4))))
     high, low = lz.reduce_mod_landweber(z, 2, 6), lz.reduce_mod_landweber(z, 2, 4)
-    owners = {1: lz.adapted_basis(2, 2, TRUNC), 3: lz.adapted_basis(2, 3, TRUNC),
-              7: lz.adapted_basis(2, 4, TRUNC)}
-    built = [n for n, owner in owners.items() if owner._built]
-    assert built == [1]
-    assert [basis for basis, _ in solved] == [lz.base_basis(TRUNC)] * (2 + len(built))
+    bases = [lz.adapted_basis(2, r, TRUNC) for r in (6, 4)]
+    assert [sorted(basis._built) for basis in bases] == [[1], [1]]
+    assert [basis for basis, _ in solved] == [lz.base_basis(TRUNC)] * 4
     assert [image for _, image in solved] == [cls(geo.Proj(2)).image,
                                               cls(geo.Hyp(3, 4)).image] + [
-        owners[n].gen(n).image for n in built]
+        basis.gen(1).image for basis in bases]
     assert high.coeffs == low.coeffs == {(4, 2): 1}
     assert high.basis is lz.adapted_basis(2, 6, TRUNC)
     assert high.to_obj()["basis"] == {"flavor": "adapted", "p": 2, "r": 6}
@@ -261,20 +281,20 @@ def test_ranks_that_kill_the_same_degrees_share_one_solve(fresh_bases, monkeypat
 
 def test_one_class_under_six_groups_is_solved_once_in_the_base_basis(
         fresh_bases, monkeypatch):
-    # the class and each killed generator its support meets: one base solve each
+    # the class once, and in each basis each killed generator its support
+    # meets: one base solve each
     solved = _count_solves(monkeypatch, images=True)
     image = cls(geo.Hyp(3, 12)).image
     z = geo.CobordismClass(image, 12)  # no cached coordinates or reductions
     for p in (2, 3):
         for r in (1, 2, 3):
             bd.fixed_dim_lower_bound(z, ac.GroupDescriptor(p, (1,) * r))
-    owners = [lz.adapted_basis(p, r, TRUNC) for p in (2, 3) for r in (2, 3)]
-    assert [sorted(owner._built) for owner in owners] == [[1], [3], [2], [8]]
-    generators = [owner.gen(owner._own).image for owner in owners]
-    assert [basis for basis, _ in solved] == [lz.base_basis(TRUNC)] * 5
-    images = [image for _, image in solved]
-    assert images[0] == image
-    assert all(images.count(g) == 1 for g in generators)
+    bases = [lz.adapted_basis(p, r, TRUNC) for p in (2, 3) for r in (2, 3)]
+    assert [sorted(basis._built) for basis in bases] == [[1], [1, 3], [2], [2, 8]]
+    assert [sorted(basis._residues) for basis in bases] == [[1], [1, 3], [2], [2, 8]]
+    generators = [basis.gen(n).image for basis in bases for n in sorted(basis._built)]
+    assert [basis for basis, _ in solved] == [lz.base_basis(TRUNC)] * 7
+    assert [image for _, image in solved] == [image] + generators
 
 
 def test_a_zero_residue_in_a_lower_degree_spares_the_higher_generators(fresh_bases):
@@ -283,20 +303,22 @@ def test_a_zero_residue_in_a_lower_degree_spares_the_higher_generators(fresh_bas
     z = geo.CobordismClass(cls(geo.Hyp(2, 12)).image, 12)
     for p in (2, 3):
         bd.fixed_dim_lower_bound(z, ac.GroupDescriptor(p, (1, 1, 1)))
-    owners = [lz.adapted_basis(p, r, TRUNC) for p in (2, 3) for r in (2, 3)]
-    assert [sorted(owner._built) for owner in owners] == [[1], [], [2], []]
+    bases = [lz.adapted_basis(p, 3, TRUNC) for p in (2, 3)]
+    assert [sorted(basis.killed) for basis in bases] == [[1, 3], [2, 8]]
+    assert [sorted(basis._built) for basis in bases] == [[1], [2]]
+    assert [sorted(basis._residues) for basis in bases] == [[1], [2]]
 
 
 def test_a_rank_five_bound_builds_no_killed_generator_above_its_class(fresh_bases):
-    owners = [lz.adapted_basis(2, r, 30) for r in (2, 3, 4, 5)]
-    assert [owner._own for owner in owners] == [1, 3, 7, 15]
-    assert all(owner._residue is None for owner in owners)  # fresh bases hold none
+    fresh = lz.adapted_basis(2, 4, 30)
+    assert not fresh._built and not fresh._residues  # a new basis holds none
     report = bd.fixed_dim_lower_bound(geo.evaluate(geo.Hyp(3, 4), 30),
                                       ac.GroupDescriptor(2, (1,) * 5))
-    assert report.reduced.basis is lz.adapted_basis(2, 5, 30)
-    assert [sorted(owner._built) for owner in owners] == [[1], [], [], []]
-    assert [owner._residue for owner in owners[2:]] == [None, None]
-    assert not any(owner._mono_images for owner in owners)
+    basis = report.reduced.basis
+    assert basis is lz.adapted_basis(2, 5, 30) and basis.killed == {1, 3, 7, 15}
+    assert sorted(basis._built) == sorted(basis._residues) == [1]
+    assert not basis._mono_images
+    assert not fresh._built and not fresh._residues  # no other rank is read
 
 
 def test_a_solve_across_truncations_refuses_a_heavier_image():
@@ -508,37 +530,37 @@ def test_primality_above_the_limit_is_decided_only_for_composites():
             lz.is_prime(n)
 
 
-# -- the rank chain of adapted bases ----------------------------------------
+# -- adapted bases over the base basis ---------------------------------------
 
 
-def test_a_rank_owns_only_the_degree_it_kills_beyond_the_rank_below(fresh_bases):
-    rank3, rank2 = lz.adapted_basis(2, 3, 14), lz.adapted_basis(2, 2, 14)
-    assert rank3.image_of_monomial((1, 1)) is rank2.image_of_monomial((1, 1))
-    assert rank3.gen(1) is rank2.gen(1)
-    assert rank3.image_of_monomial((3, 1)) is not rank2.image_of_monomial((3, 1))
+def test_an_adapted_basis_builds_only_its_killed_degrees(fresh_bases):
+    # every other generator and monomial image is the base basis's object
+    rank3 = lz.adapted_basis(2, 3, 14)
     for w in range(15):
         for beta in partitions_of(w):
             rank3.image_of_monomial(beta)
-    assert sorted(rank3._built) == [3]
-    assert sorted(rank2._built) == [1]
-    assert all(3 in beta for beta in rank3._mono_images)
-    assert all(1 in beta for beta in rank2._mono_images)
+    assert sorted(rank3._built) == [1, 3]
+    assert rank3._mono_images
+    assert all(not rank3.killed.isdisjoint(beta) for beta in rank3._mono_images)
+    assert lz.adapted_basis.cache_info().currsize == 1  # no other rank is built
 
 
-def test_a_rank_past_the_truncation_owns_nothing(fresh_bases):
-    high, owner = lz.adapted_basis(3, 5, TRUNC), lz.adapted_basis(3, 3, TRUNC)
-    assert high.killed == owner.killed == {2, 8}
+def test_a_rank_past_the_truncation_answers_like_the_largest_that_fits(fresh_bases):
+    high, low = lz.adapted_basis(3, 5, TRUNC), lz.adapted_basis(3, 3, TRUNC)
+    assert high.killed == low.killed == {2, 8}
     z = geo.evaluate(geo.Product((geo.Hyp(3, 2), geo.Proj(8))), TRUNC)
-    assert z.gen_coords(high).coeffs == z.gen_coords(owner).coeffs
+    assert z.gen_coords(high).coeffs == z.gen_coords(low).coeffs
+    assert (lz.reduce_mod_landweber(z, 3, 5).coeffs
+            == lz.reduce_mod_landweber(z, 3, 3).coeffs)
     for beta in ((8,), (8, 2), (2, 2, 1)):
-        assert high.image_of_monomial(beta) is owner.image_of_monomial(beta)
-    assert high.gen(8) is owner.gen(8) and high.gen(2) is owner.gen(2)
-    assert not high._built and not high._mono_images
+        assert high.image_of_monomial(beta) == low.image_of_monomial(beta)
+    assert high.gen(8) == low.gen(8) and high.gen(2) == low.gen(2)
+    assert high.residue(8) == low.residue(8) != {}
 
 
-def test_rank_2000_reads_the_rank_with_the_same_killed_degrees(fresh_bases):
-    # the answers of the code before the chain, which built rank 2000 whole
-    group = ac.GroupDescriptor(2, (1,) * 2000)
+def test_rank_2000_answers_like_rank_4(fresh_bases):
+    # ranks 4 and 2000 both kill {1, 3, 7} at truncation 12
+    group, rank4 = ac.GroupDescriptor(2, (1,) * 2000), ac.GroupDescriptor(2, (1,) * 4)
     for expr, beta in ((geo.Proj(12), (12,)),
                        (geo.Product((geo.Proj(2), geo.Hyp(3, 4))), (4, 2))):
         report = bd.fixed_dim_lower_bound(geo.evaluate(expr, TRUNC), group)
@@ -547,7 +569,10 @@ def test_rank_2000_reads_the_rank_with_the_same_killed_degrees(fresh_bases):
         assert report.reduced.coeffs == {beta: 1}
         assert report.reduced.basis.describe() == {"flavor": "adapted", "p": 2,
                                                    "r": 2000}
-    assert lz.adapted_basis(2, 2000, TRUNC)._parent is lz.adapted_basis(2, 4, TRUNC)
+        low = bd.fixed_dim_lower_bound(geo.evaluate(expr, TRUNC), rank4)
+        assert (low.in_ideal, low.lower_bound, low.certificate) == (
+            report.in_ideal, report.lower_bound, report.certificate)
+        assert low.reduced.coeffs == report.reduced.coeffs
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -51,14 +51,14 @@ def test_a_sweep_set_up_holds_one_object_per_key_value(sweep_bases):
     assert len({id(key) for key in keys}) == len(values)
 
 
-def test_a_sweep_set_up_holds_each_adapted_image_in_its_owner_only(sweep_bases):
-    # rank r builds only its one killed degree p^(r-1) - 1, whose residue mod
-    # I_p(r) the reduction reads; rank 1 kills nothing.  The reduction works
-    # on base coordinates, so no adapted basis holds a monomial image
+def test_a_sweep_set_up_holds_no_adapted_monomial_image(sweep_bases):
+    # an adapted basis builds only killed degrees, each with its residue mod
+    # I_p(r) that the reduction reads; rank 1 kills nothing.  The reduction
+    # works on base coordinates, so no adapted basis holds a monomial image
     for basis in sweep_bases[1:]:
-        own = basis.p ** (basis.r - 1) - 1 if basis.r > 1 else None
-        assert set(basis._built) <= {own}, basis
-        assert (basis._residue is not None) == bool(basis._built), basis
+        assert set(basis._built) <= basis.killed, basis
+        assert set(basis._residues) == set(basis._built), basis
         assert not basis._mono_images, basis
     # mod p the coordinates of P^n meet degree 1 (p = 2) and 2 (p = 3), not 3 or 8
-    assert [(b.p, b.r) for b in sweep_bases[1:] if b._built] == [(2, 2), (3, 2)]
+    assert [(b.p, b.r, sorted(b._built)) for b in sweep_bases[1:] if b._built] == [
+        (2, 2, [1]), (2, 3, [1]), (3, 2, [2]), (3, 3, [2])]
