@@ -85,14 +85,13 @@ def fixed_dim_lower_bound(z: CobordismClass, group: GroupDescriptor) -> BoundRep
     """
     q = group.order
     reduced = reduce_mod_landweber(z, group.p, group.rank)
-    bound = reduced.q_degree(q)
-    certificate = None
-    if reduced.coeffs:
-        best = min(
-            (beta for beta in reduced.coeffs if pi_q(beta, q) == bound),
-            key=full_key,
-        )
-        certificate = (best, reduced.coeffs[best])
+    # one pass: the q-degree, and its least partition as the certificate
+    bound, best = NEG_INF, None
+    for beta in reduced.coeffs:
+        level = pi_q(beta, q)
+        if level > bound or level == bound and full_key(beta) < full_key(best):
+            bound, best = level, beta
+    certificate = None if best is None else (best, reduced.coeffs[best])
     return BoundReport(
         class_dim=z.dim,
         group=group,

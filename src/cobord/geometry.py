@@ -26,6 +26,7 @@ Lagrange inversion reads [t^m] (log t)^k and [t^m] [n](t) off A^m
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache, reduce
 from typing import Union
 
@@ -52,7 +53,10 @@ class CobordismClass:
     ``evaluate`` records how it built a ``Product``, ``DisjointUnion`` or
     ``Scaled`` class in ``_parts``: ("prod", factors), ("sum", parts) or
     ("scale", (k, class)), over the classes it evaluated for them; every
-    other class has None.  Reduction modulo a Landweber ideal is a ring
+    other class has None and holds its image from the start.  A class
+    with parts builds its ``image``, the product, sum or ``scaled(k)`` of
+    its parts' images, on first read and caches it, so a caller that only
+    bounds never builds it.  Reduction modulo a Landweber ideal is a ring
     map, so ``lazard.reduce_mod_landweber`` combines the reductions of
     those parts instead of solving the class, and caches each reduction
     in ``_coords`` under (p, basis), beside the integer coordinates.  Any
@@ -61,23 +65,35 @@ class CobordismClass:
     its c_(n) being -p against +p, so one base solve serves every p and r.
     """
 
-    __slots__ = ("image", "dim", "_coords", "_parts")
+    __slots__ = ("_image", "dim", "trunc", "_coords", "_parts")
 
     def __init__(self, image: BPoly, dim=None):
-        self.image = image
+        self._image = image
         self.dim = dim
+        self.trunc = image.trunc
         self._coords = {}
         self._parts = None
+
+    @property
+    def image(self) -> BPoly:
+        if self._image is None:
+            kind, operands = self._parts
+            if kind == "prod":
+                self._image = reduce(operator.mul, (f.image for f in operands),
+                                     BPoly.one(trunc=self.trunc))
+            elif kind == "sum":
+                self._image = sum((part.image for part in operands),
+                                  BPoly.zero(trunc=self.trunc))
+            else:
+                k, inner = operands
+                self._image = inner.image.scaled(k)
+        return self._image
 
     def c_alpha(self, alpha) -> int:
         return self.image.coeff(alpha)
 
     def is_zero(self) -> bool:
         return self.image.is_zero()
-
-    @property
-    def trunc(self) -> int:
-        return self.image.trunc
 
     def gen_coords(self, basis):
         if basis not in self._coords:
@@ -466,9 +482,20 @@ def _check_truncation(dim: int, trunc: int):
         )
 
 
-@lru_cache(maxsize=None)
 def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismClass:
-    """Hurewicz image (all Chern numbers) of a variety expression."""
+    """Hurewicz image (all Chern numbers) of a variety expression.
+
+    One class per (expression, truncation), however the truncation is
+    spelled.  A ``Product``, ``DisjointUnion`` or ``Scaled`` class builds
+    its image on first read (see ``CobordismClass``); every error is still
+    raised here.
+    """
+    return _evaluate(expr, trunc)
+
+
+@lru_cache(maxsize=None)
+def _evaluate(expr: VarietyExpr, trunc: int) -> CobordismClass:
+    # recursion goes through ``evaluate``, the boundary that tracing wraps
     dim = expr.dimension()
     if dim is not None:
         _check_truncation(dim, trunc)
@@ -500,20 +527,23 @@ def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismCla
             weights = [f.image.weights() for f in factors]
             if all(weights):
                 _check_truncation(sum(map(max, weights)), trunc)
-        one = CobordismClass(BPoly.one(trunc=trunc), dim=0)
-        return _built(reduce(lambda a, b: a * b, factors, one), "prod", factors)
+        return _built("prod", factors, dim, trunc)
     if isinstance(expr, DisjointUnion):
-        parts = tuple(evaluate(part, trunc) for part in expr.parts)
-        total = sum((part.image for part in parts), BPoly.zero(trunc=trunc))
-        return _built(CobordismClass(total, dim), "sum", parts)
+        return _built("sum", tuple(evaluate(part, trunc) for part in expr.parts),
+                      dim, trunc)
     if isinstance(expr, Scaled):
-        inner = evaluate(expr.expr, trunc)
-        return _built(inner * expr.k, "scale", (expr.k, inner))
+        return _built("scale", (expr.k, evaluate(expr.expr, trunc)), dim, trunc)
     raise TypeError(f"not a variety expression: {expr!r}")
 
 
-def _built(cl: CobordismClass, kind: str, operands: tuple) -> CobordismClass:
-    """``cl``, a new class, with the parts it was built from."""
+evaluate.cache_info = _evaluate.cache_info
+evaluate.cache_clear = _evaluate.cache_clear
+
+
+def _built(kind: str, operands: tuple, dim, trunc: int) -> CobordismClass:
+    """A class with no image yet, built from ``operands`` (see ``CobordismClass``)."""
+    cl = CobordismClass.__new__(CobordismClass)
+    cl._image, cl.dim, cl.trunc, cl._coords = None, dim, trunc, {}
     cl._parts = (kind, operands)
     return cl
 

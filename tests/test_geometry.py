@@ -107,7 +107,7 @@ def test_milnor_m1_evaluates_without_a_warning():
     # fine.  __wrapped__ bypasses the cache, so the evaluation really runs.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = geo.evaluate.__wrapped__(geo.Milnor(1, 4), TRUNC)
+        w = geo._evaluate.__wrapped__(geo.Milnor(1, 4), TRUNC)
     assert w.dim == 4 and w.c_alpha((4,)) == 0
     assert w.image == geo.evaluate(geo.Milnor(1, 4), TRUNC).image
 

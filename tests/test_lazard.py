@@ -733,6 +733,99 @@ def test_a_second_bound_on_a_class_reads_its_cached_reduction(expr, p, r):
     assert calls == []
 
 
+
+# -- lazy composite images ----------------------------------------------
+
+NESTED = geo.Scaled(-3, geo.DisjointUnion((
+    geo.Product((geo.Proj(2), geo.Hyp(3, 4))),
+    geo.Product((geo.Milnor(2, 3), geo.Proj(2))),
+)))
+
+
+@pytest.fixture
+def fresh_classes():
+    """Empty the ``evaluate`` cache before and after the test."""
+    geo.evaluate.cache_clear()
+    yield
+    geo.evaluate.cache_clear()
+
+
+def test_bounding_a_composite_over_warm_leaves_multiplies_no_images(
+        fresh_classes, monkeypatch):
+    group = ac.GroupDescriptor(2, (1, 1))
+    for leaf in (geo.Proj(2), geo.Hyp(3, 4), geo.Milnor(2, 3)):
+        bd.fixed_dim_lower_bound(cls(leaf), group)
+    calls = []
+    mul_terms = geo._backend.mul_terms
+
+    def counted(*args):
+        calls.append(args)
+        return mul_terms(*args)
+
+    monkeypatch.setattr(geo._backend, "mul_terms", counted)
+    report = bd.fixed_dim_lower_bound(cls(NESTED), group)
+    assert calls == []
+    assert report.class_dim == 6 and report.lower_bound >= 0
+
+
+def test_reading_trunc_and_dim_builds_no_image(fresh_classes):
+    cl = cls(NESTED)
+    assert (cl.trunc, cl.dim) == (TRUNC, 6)
+    assert cl._image is None
+    image = cl.image
+    assert cl._image is image and cl.image is image
+
+
+def _eager_image(expr):
+    """The image of ``expr`` built at once from its constructors' images."""
+    if isinstance(expr, geo.Product):
+        img = BPoly.one(trunc=TRUNC)
+        for f in expr.factors:
+            img = img * _eager_image(f)
+        return img
+    if isinstance(expr, geo.DisjointUnion):
+        return sum((_eager_image(part) for part in expr.parts), BPoly.zero(trunc=TRUNC))
+    if isinstance(expr, geo.Scaled):
+        return _eager_image(expr.expr).scaled(expr.k)
+    return cls(expr).image
+
+
+@settings(max_examples=80, deadline=None)
+@given(expr_trees(TRUNC))
+def test_the_first_image_read_of_a_composite_is_its_eager_image(expr):
+    geo.evaluate.cache_clear()  # every composite below is new, its image unread
+    cl = cls(expr)
+    assert (cl.trunc, cl.dim) == (TRUNC, expr.dimension())
+    # a mixed-dimension product reads its factors' images, never its own
+    composite = isinstance(expr, (geo.Product, geo.DisjointUnion, geo.Scaled))
+    assert (cl._image is None) == composite
+    expect = _eager_image(expr)
+    assert cl.image == expect
+    assert cl.image.sorted_terms() == expect.sorted_terms()
+    assert cl.image.trunc == TRUNC
+
+
+def test_a_heavy_mixed_dimension_product_fails_in_evaluate(fresh_classes):
+    light = geo.DisjointUnion((geo.Point(), geo.Proj(6)))
+    heavy = geo.Product((geo.DisjointUnion((geo.Proj(2), geo.Proj(7))), light))
+    with pytest.raises(geo.TruncationError, match="exceeds truncation 12"):
+        cls(heavy)
+    fits = cls(geo.Product((geo.DisjointUnion((geo.Proj(2), geo.Proj(6))), light)))
+    assert fits.dim is None and max(fits.image.weights()) == 12
+
+
+def test_every_spelling_of_the_default_truncation_is_one_class(
+        fresh_bases, fresh_classes, monkeypatch):
+    solved = _count_solves(monkeypatch)
+    e = geo.Hyp(3, 6)
+    classes = [geo.evaluate(e), geo.evaluate(e, 12), geo.evaluate(e, trunc=12)]
+    assert classes[0] is classes[1] is classes[2]
+    group = ac.GroupDescriptor(2, (1,))
+    reports = [bd.fixed_dim_lower_bound(cl, group) for cl in classes]
+    assert reports[0] == reports[1] == reports[2]
+    assert solved == [lz.base_basis(12)]
+
+
 ORACLE_TRUNC = 14
 ORACLE_CONSTRUCTORS = (
     [geo.Proj(n) for n in range(ORACLE_TRUNC + 1)]
