@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cobord import actions as ac
 from cobord import bounds as bd
-from cobord import cli, fgl
+from cobord import _backend, cli, fgl
 from cobord import geometry as geo
 from cobord import lazard as lz
 from cobord.partitions import partitions_of, refines
@@ -733,7 +733,6 @@ def test_a_second_bound_on_a_class_reads_its_cached_reduction(expr, p, r):
     assert calls == []
 
 
-
 # -- lazy composite images ----------------------------------------------
 
 NESTED = geo.Scaled(-3, geo.DisjointUnion((
@@ -756,13 +755,13 @@ def test_bounding_a_composite_over_warm_leaves_multiplies_no_images(
     for leaf in (geo.Proj(2), geo.Hyp(3, 4), geo.Milnor(2, 3)):
         bd.fixed_dim_lower_bound(cls(leaf), group)
     calls = []
-    mul_terms = geo._backend.mul_terms
+    mul_terms = _backend.mul_terms
 
     def counted(*args):
         calls.append(args)
         return mul_terms(*args)
 
-    monkeypatch.setattr(geo._backend, "mul_terms", counted)
+    monkeypatch.setattr(_backend, "mul_terms", counted)
     report = bd.fixed_dim_lower_bound(cls(NESTED), group)
     assert calls == []
     assert report.class_dim == 6 and report.lower_bound >= 0
@@ -817,13 +816,13 @@ def test_a_heavy_mixed_dimension_product_fails_in_evaluate(fresh_classes):
 def test_every_spelling_of_the_default_truncation_is_one_class(
         fresh_bases, fresh_classes, monkeypatch):
     solved = _count_solves(monkeypatch)
-    e = geo.Hyp(3, 6)
-    classes = [geo.evaluate(e), geo.evaluate(e, 12), geo.evaluate(e, trunc=12)]
+    e, default = geo.Hyp(3, 6), geo.DEFAULT_TRUNCATION
+    classes = [geo.evaluate(e), geo.evaluate(e, default), geo.evaluate(e, trunc=default)]
     assert classes[0] is classes[1] is classes[2]
     group = ac.GroupDescriptor(2, (1,))
     reports = [bd.fixed_dim_lower_bound(cl, group) for cl in classes]
     assert reports[0] == reports[1] == reports[2]
-    assert solved == [lz.base_basis(12)]
+    assert solved == [lz.base_basis(default)]
 
 
 ORACLE_TRUNC = 14
