@@ -16,8 +16,9 @@ Every key ``mul_into`` inserts is one canonical int per key value and
 truncation, so the images a process retains share their key objects
 instead of each holding its own copy of a key sum: at truncation 14 a
 ``lib-sweep`` set-up and round retains about 59,000 key ints without
-this, for 508 distinct partitions of weight <= 14.  The table holds at
-most one int per partition of weight <= N.  Only insertions pay for it,
+this, for 508 distinct partitions of weight <= 14.  The rows that
+``geometry._power_rows`` caches store their keys through the same table.
+The table holds at most one int per partition of weight <= N.  Only insertions pay for it,
 with one ``setdefault``; the accumulate and cancel paths are unchanged.
 
 Coefficients stay Python ints: binomial and p-power factors overflow any

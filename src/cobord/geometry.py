@@ -144,10 +144,12 @@ class Record:
     class has one, then normalizes or validates them.  Two records are
     equal only if they have the same type and equal fields, equal records
     hash alike, no field can be reassigned, and the ``repr`` reads
-    ``Proj(n=3)``.
+    ``Proj(n=3)``.  A record computes its hash once and keeps it in the
+    ``_hash`` slot, which is not a field, so a nested expression is not
+    rehashed at every level of ``evaluate``.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _defaults = {}
 
     def __init__(self, *args, **kwargs):
@@ -181,7 +183,12 @@ class Record:
         return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash(self._fields())
+        try:
+            return self._hash
+        except AttributeError:  # the first hash of this instance
+            h = hash(self._fields())
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -363,12 +370,14 @@ def parse_expr(obj) -> VarietyExpr:
 def _merged(triples, trunc) -> dict:
     """The term dict of sum c * b_i * row over (i, c, row) triples.
 
-    b_0 is the unit, so each product with b_i adds the packed key of (i,).
+    b_0 is the unit, so each product with b_i adds the packed key of (i,),
+    read from ``_one_part_keys``.  The sums are new key ints;
+    ``_power_rows`` makes the keys of the rows it keeps canonical.
     """
-    pack = codec(trunc)[0]
+    parts = _one_part_keys(trunc)
     out = {}
     for i, c, row in triples:
-        part = pack((i,))
+        part = parts[i]
         for key, v in row.items():
             kk = key + part
             acc = out.get(kk, 0) + c * v
@@ -377,6 +386,13 @@ def _merged(triples, trunc) -> dict:
             else:
                 out.pop(kk, None)
     return out
+
+
+@lru_cache(maxsize=None)
+def _one_part_keys(trunc: int) -> tuple:
+    """The packed key of (i,) for i = 0..trunc, 0 for b_0."""
+    pack = codec(trunc)[0]
+    return tuple(pack((i,)) for i in range(trunc + 1))
 
 
 def _divided(row: dict, j: int, what: str) -> dict:
@@ -397,13 +413,16 @@ def _power_rows(k: int, trunc: int) -> tuple:
     Row j of A^k = (sum_i b_i h^i)^(-k) has weight exactly j.  Miller's
     recurrence j Q_j = sum_{i=1..j} ((1 - k) i - j) b_i Q_{j-i} builds each
     row from the ones below it; the division by j is exact.  The cached
-    rows are shared by every caller, so they are read only.
+    rows are shared by every caller, so they are read only, and their keys
+    are the kernel's canonical ints, not copies that ``_merged`` made.
     """
+    canonical = _backend._layout(trunc)[1].setdefault
     rows = [{0: 1}]
     for j in range(1, min(k - 1, trunc) + 1):
         acc = _merged(((i, (1 - k) * i - j, rows[j - i]) for i in range(1, j + 1)),
                       trunc)
-        rows.append(_divided(acc, j, f"row {j} of A^{k}"))
+        rows.append({canonical(key, key): v
+                     for key, v in _divided(acc, j, f"row {j} of A^{k}").items()})
     return tuple(rows)
 
 
@@ -442,7 +461,8 @@ def _ci_image(degrees: tuple, n: int, trunc: int) -> BPoly:
     lines = [{0: math.prod(degrees)}] + [{} for _ in range(n)]
     for d in degrees:
         lines = [
-            _merged(((t, d ** t, lines[j - t]) for t in range(j + 1)), trunc)
+            _merged(((t, d ** t, lines[j - t]) for t in range(j + 1) if lines[j - t]),
+                    trunc)
             for j in range(n + 1)
         ]
     rows = _power_rows(n + len(degrees) + 1, trunc)

@@ -9,9 +9,10 @@ adapted to a Landweber ideal when p and r are given; ``gen(i)`` builds
 degree i on first use.  Expressing classes in generator coordinates is a
 lower-triangular exact solve, because c_alpha(l_beta) vanishes unless
 alpha refines beta and a strict refinement strictly increases length.
-The solve is integer forward substitution by columns: each coordinate is
-an exact quotient by a diagonal entry, and only the nonzero entries of
-that generator monomial's image are subtracted from the residual.
+The solve is integer forward substitution by columns on a residual list
+indexed by partition: each coordinate is an exact quotient by a diagonal
+entry, and only the nonzero entries of that generator monomial's image
+are subtracted from the residual.
 
 Ideal membership and reduction for the Landweber ideal I_p(n) use the
 adapted basis, in which the generators g_k in degrees k = p^i - 1 (i < n)
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from functools import lru_cache, reduce
 from itertools import takewhile
 
@@ -209,6 +211,7 @@ class GeneratorBasis:
             self._memo_key = (p, self)  # a class caches its reduction here under this one tuple
             self._residues = {}  # each killed degree's g_n mod I_p(r), once asked for
         self._built = {}
+        self._places = {}  # monomial -> the places of its image's keys, for ``solve``
         self._mono_images = {(): BPoly.one(trunc=trunc)} if p is None else {}
 
     def __repr__(self):
@@ -293,30 +296,40 @@ class GeneratorBasis:
     def solve(self, image: BPoly) -> "GenPoly":
         """Exact generator coordinates of a Z[b] image, weight by weight.
 
-        Column-oriented integer forward substitution: a residual starts
-        as the weight-n part of the image, and each partition alpha, in
-        ``partitions_of`` order (coarser before finer), takes the
+        Column-oriented integer forward substitution on positions: the
+        residual of weight n is a list indexed by each partition's place
+        in ``partitions_of(n)`` order (coarser before finer), and starts
+        as the weight-n part of the image.  Each place in turn takes the
         quotient of its residual entry by the diagonal entry, after which
         that multiple of the monomial image is subtracted.  The system is
-        lower triangular, so a subtraction only touches entries still to
-        come.  A nonzero remainder means the input is not in the image of
-        the Lazard ring.  Residuals and columns are keyed by ``codec``.
+        lower triangular, so a subtraction only touches places still to
+        come.  A column's places are a buffer of 16-bit ints (32-bit once
+        p(n) reaches 2^16), aligned with the iteration order of its image
+        dict and built on its first use, so the subtraction looks nothing
+        up.  A nonzero remainder means the input is not in the image of
+        the Lazard ring.
         """
         if image.trunc != self.trunc:  # re-key in this basis's codec, dropping nothing
             _check_truncation(max(image.weights(), default=0), self.trunc)
             image = BPoly(image.terms, self.trunc)
-        shift = codec(self.trunc)[2]
-        by_weight = {}
+        trunc, places = self.trunc, self._places
+        shift = codec(trunc)[2]
+        residuals = {}
         for key, c in image._terms.items():
-            by_weight.setdefault(key >> shift, {})[key] = c
+            n = key >> shift
+            residual = residuals.get(n)
+            if residual is None:
+                residual = residuals[n] = [0] * len(partitions_of(n))
+            residual[_place_table(n, trunc)[0][key]] = c
         coords = {}
-        for n in sorted(by_weight):
-            residual = by_weight[n]
+        for n in sorted(residuals):
+            residual = residuals[n]
             if n == 0:
                 coords[()] = residual[0]
                 continue
-            for alpha, k in _packed_partitions(n, self.trunc):
-                c = residual.get(k)
+            _, fmt, encoded = _place_table(n, trunc)
+            for j, (alpha, k) in enumerate(_packed_partitions(n, trunc)):
+                c = residual[j]
                 if not c:
                     continue
                 column = self.image_of_monomial(alpha)._terms
@@ -329,8 +342,11 @@ class GeneratorBasis:
                         f"{c // g}/{column[k] // g}, not an integer"
                     )
                 coords[alpha] = q
-                for key, v in column.items():
-                    residual[key] = residual.get(key, 0) - q * v
+                at = places.get(alpha)
+                if at is None:
+                    at = places[alpha] = b"".join(map(encoded.__getitem__, column))
+                for i, v in zip(memoryview(at).cast(fmt), column.values()):
+                    residual[i] -= q * v
         return GenPoly(coords, None, self)
 
 
@@ -338,6 +354,17 @@ class GeneratorBasis:
 def _packed_partitions(n: int, trunc: int) -> tuple:
     """(alpha, packed key) for each partition of n, in ``partitions_of`` order."""
     return tuple((alpha, codec(trunc)[0](alpha)) for alpha in partitions_of(n))
+
+
+@lru_cache(maxsize=None)
+def _place_table(n: int, trunc: int) -> tuple:
+    """(index, format, encoded) of weight n: ``index`` maps a packed key to
+    its place in ``partitions_of(n)``, and ``encoded`` to that place as the
+    native bytes of ``memoryview`` format ``format``, 2 bytes ("H") while
+    p(n) < 2^16 and 4 ("I") above."""
+    index = {k: j for j, (_, k) in enumerate(_packed_partitions(n, trunc))}
+    fmt, width = ("H", 2) if len(index) < 1 << 16 else ("I", 4)
+    return index, fmt, {k: j.to_bytes(width, sys.byteorder) for k, j in index.items()}
 
 
 @lru_cache(maxsize=None)
@@ -510,29 +537,35 @@ def _reduced(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
 
 
 def _substituted(coords: dict, basis: GeneratorBasis) -> GenPoly:
-    """Base coordinates mod p, each killed g_n replaced by ``basis.residue(n)``."""
+    """Base coordinates mod p, each killed g_n replaced by ``basis.residue(n)``.
+
+    Every term accumulates into one dict, reduced mod p once at the end;
+    a term with a killed generator is multiplied out only when none of
+    its residues is zero.
+    """
     p, killed = basis.p, basis.killed
-    kept, rest = {}, []
+    out = {}
     for beta, c in coords.items():
         c %= p
         if not c:
             continue
         if killed.isdisjoint(beta):
-            kept[beta] = c
-        else:
-            rest.append((beta, c))
-    red = GenPoly(kept, p, basis)
-    for beta, c in rest:
-        term = GenPoly({tuple(i for i in beta if i not in killed): c}, p, basis)
+            out[beta] = out.get(beta, 0) + c
+            continue
+        residues = []
         for n in reversed(beta):  # lowest first: a zero residue ends the term
             if n in killed:
                 residue = basis.residue(n)
                 if not residue:
                     break
-                term = term * GenPoly(residue, p, basis)
+                residues.append(residue)
         else:
-            red = red + term
-    return red
+            term = GenPoly({tuple(i for i in beta if i not in killed): c}, p, basis)
+            for residue in residues:
+                term = term * GenPoly(residue, p, basis)
+            for gamma, v in term._terms.items():
+                out[gamma] = out.get(gamma, 0) + v
+    return GenPoly(out, p, basis)
 
 
 def c_alpha_image_gcd(alpha, basis: GeneratorBasis) -> int:

@@ -1084,3 +1084,54 @@ def test_solve_rejects_perturbed_images_like_the_reference(p, r):
                 assert got == ref, (e, alpha, c)
                 rejected += isinstance(ref, str)
     assert rejected > 0
+
+
+# -- the positional solve at the truncation of lib-sweep -------------------
+
+
+# every constructor to dimension 12 and every other one of dimensions 13 and
+# 14, where the Fraction reference takes most of its time
+POSITIONAL_CONSTRUCTORS = [e for i, e in enumerate(ORACLE_CONSTRUCTORS)
+                           if e.dimension() <= 12 or i % 2 == 0]
+
+
+def test_the_positional_solve_matches_the_reference_at_truncation_14():
+    basis = lz.base_basis(ORACLE_TRUNC)
+    families = {type(e) for e in POSITIONAL_CONSTRUCTORS}
+    weights = {e.dimension() for e in POSITIONAL_CONSTRUCTORS}
+    assert families == {geo.Proj, geo.Hyp, geo.CompInt, geo.Milnor}
+    assert weights == set(range(ORACLE_TRUNC + 1))
+    for e in POSITIONAL_CONSTRUCTORS:
+        image = geo.evaluate(e, ORACLE_TRUNC).image
+        ref, got = _both(basis, image)
+        assert isinstance(ref, dict) and got == ref, e
+
+
+def test_the_positional_solve_takes_a_mixed_weight_image_in_one_call():
+    # a disjoint union of dimensions 5 and 9 keeps one residual per weight
+    basis = lz.base_basis(ORACLE_TRUNC)
+    image = (geo.evaluate(geo.Hyp(3, 5), ORACLE_TRUNC).image
+             + geo.evaluate(geo.Milnor(4, 6), ORACLE_TRUNC).image.scaled(-2))
+    assert image.weights() == {5, 9}
+    ref, got = _both(basis, image)
+    assert isinstance(ref, dict) and got == ref
+    assert {sum(beta) for beta in got} == {5, 9}
+    parts = [lz.base_basis(ORACLE_TRUNC).solve(geo.evaluate(e, ORACLE_TRUNC).image)
+             for e in (geo.Hyp(3, 5), geo.Milnor(4, 6))]
+    assert lz.GenPoly(got, None, basis) == parts[0] + parts[1].scaled(-2)
+
+
+def test_a_column_keeps_two_bytes_per_entry_in_the_order_of_its_image():
+    basis = lz.base_basis(ORACLE_TRUNC)
+    basis.solve(geo.evaluate(geo.Hyp(3, ORACLE_TRUNC), ORACLE_TRUNC).image)
+    assert basis._places
+    unsorted = 0
+    for alpha, at in basis._places.items():
+        column = basis.image_of_monomial(alpha)._terms
+        assert type(at) is bytes and len(at) == 2 * len(column)
+        parts = partitions_of(sum(alpha))
+        keys = [lz._packed_partitions(sum(alpha), ORACLE_TRUNC)[j][1]
+                for j in memoryview(at).cast("H")]
+        assert keys == list(column) and all(j < len(parts) for j in memoryview(at).cast("H"))
+        unsorted += keys != sorted(keys) and keys != sorted(keys, reverse=True)
+    assert unsorted > 0  # dict order is not a sorted order, so alignment matters

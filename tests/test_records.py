@@ -162,3 +162,70 @@ def test_check_report_stays_a_mutable_unhashable_holder():
     assert repr(report) == "CheckReport(entries=[('a', True, ''), ('b', False, 'why')])"
     with pytest.raises(TypeError):
         hash(report)
+
+
+# -- the hash memo -----------------------------------------------------------
+
+
+HASHABLE = [name for name in SAMPLES if name != "BoundReport"]  # a GenPoly field
+
+
+def _count_fields(monkeypatch):
+    """Count ``Record._fields`` calls by the id of the record."""
+    calls, fields = {}, geo.Record._fields
+
+    def counted(self):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return fields(self)
+
+    monkeypatch.setattr(geo.Record, "_fields", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", HASHABLE)
+def test_equal_records_built_apart_hash_alike_once_the_hash_is_kept(name):
+    make, _ = SAMPLES[name]
+    a, b = make(), make()
+    first = hash(a)
+    assert hash(a) == first == hash(b) == hash(make())
+    assert first == hash(a._fields())
+
+
+@pytest.mark.parametrize("name", HASHABLE)
+def test_a_record_reads_its_fields_for_the_first_hash_only(name, monkeypatch):
+    calls = _count_fields(monkeypatch)
+    record = SAMPLES[name][0]()
+    hashes = {hash(record) for _ in range(5)}
+    assert len(hashes) == 1 and calls[id(record)] == 1
+    assert set(calls.values()) == {1}  # nested records, too
+
+
+@pytest.mark.parametrize("name", HASHABLE)
+def test_the_kept_hash_is_not_a_field(name):
+    make, text = SAMPLES[name]
+    hashed, fresh = make(), make()
+    hash(hashed)
+    assert repr(hashed) == text == repr(fresh) and "_hash" not in repr(hashed)
+    assert hashed == fresh and fresh == hashed
+    assert "_hash" not in type(hashed).__slots__
+    if hasattr(hashed, "to_obj"):
+        assert hashed.to_obj() == fresh.to_obj()
+    with pytest.raises(AttributeError):
+        hashed._hash = 0
+    with pytest.raises(AttributeError):
+        del hashed._hash
+
+
+def test_evaluate_hashes_each_node_of_a_three_level_composite_once(monkeypatch):
+    geo.evaluate.cache_clear()
+    leaves = (geo.Proj(2), geo.Hyp(3, 3), geo.Milnor(2, 3), geo.CompInt((2, 2), 1))
+    products = (geo.Product(leaves[:2]), geo.Product(leaves[2:]))
+    expr = geo.DisjointUnion((geo.Scaled(-2, products[0]), products[1]))
+    nodes = (expr, expr.parts[0], *products, *leaves)
+    calls = _count_fields(monkeypatch)
+    try:
+        cl = geo.evaluate(expr, TRUNC)
+    finally:
+        geo.evaluate.cache_clear()
+    assert cl.dim == 5
+    assert calls == {id(node): 1 for node in nodes}

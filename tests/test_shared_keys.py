@@ -62,3 +62,18 @@ def test_a_sweep_set_up_holds_no_adapted_monomial_image(sweep_bases):
     # mod p the coordinates of P^n meet degree 1 (p = 2) and 2 (p = 3), not 3 or 8
     assert [(b.p, b.r, sorted(b._built)) for b in sweep_bases[1:] if b._built] == [
         (2, 2, [1]), (2, 3, [1]), (3, 2, [2]), (3, 3, [2])]
+
+
+def test_the_cached_chow_rows_hold_the_kernel_s_key_objects():
+    # ``_merged`` makes a new int for every key sum; the rows that
+    # ``_power_rows`` keeps are stored through the kernel's canonical table
+    trunc = 11
+    geometry._power_rows.cache_clear()
+    try:
+        rows = [row for k in range(2, 14) for row in geometry._power_rows(k, trunc)[1:]]
+        canonical = _backend._layout(trunc)[1]
+        keys = [key for row in rows for key in row]
+        assert len(keys) > 500
+        assert all(canonical.get(key) is key for key in keys)
+    finally:
+        geometry._power_rows.cache_clear()
