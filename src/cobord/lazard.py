@@ -314,20 +314,18 @@ class GeneratorBasis:
             image = BPoly(image.terms, self.trunc)
         trunc, places = self.trunc, self._places
         shift = codec(trunc)[2]
-        residuals = {}
+        by_weight = {}
         for key, c in image._terms.items():
-            n = key >> shift
-            residual = residuals.get(n)
-            if residual is None:
-                residual = residuals[n] = [0] * len(partitions_of(n))
-            residual[_place_table(n, trunc)[0][key]] = c
+            by_weight.setdefault(key >> shift, {})[key] = c
         coords = {}
-        for n in sorted(residuals):
-            residual = residuals[n]
+        for n in sorted(by_weight):
+            index, fmt, encoded = _place_table(n, trunc)
+            residual = [0] * len(index)
+            for key, c in by_weight[n].items():
+                residual[index[key]] = c
             if n == 0:
                 coords[()] = residual[0]
                 continue
-            _, fmt, encoded = _place_table(n, trunc)
             for j, (alpha, k) in enumerate(_packed_partitions(n, trunc)):
                 c = residual[j]
                 if not c:
