@@ -303,10 +303,10 @@ class GeneratorBasis:
         quotient of its residual entry by the diagonal entry, after which
         that multiple of the monomial image is subtracted.  The system is
         lower triangular, so a subtraction only touches places still to
-        come.  A column's places are a buffer of 16-bit ints (32-bit once
-        p(n) reaches 2^16), aligned with the iteration order of its image
-        dict and built on its first use, so the subtraction looks nothing
-        up.  A nonzero remainder means the input is not in the image of
+        come.  A column's places are a buffer of 1-byte ints, 2-byte once
+        p(n) reaches 2^8 and 4-byte once it reaches 2^16, aligned with the
+        iteration order of its image dict and built on its first use, so
+        the subtraction looks nothing up.  A nonzero remainder means the input is not in the image of
         the Lazard ring.
         """
         if image.trunc != self.trunc:  # re-key in this basis's codec, dropping nothing
@@ -343,7 +343,7 @@ class GeneratorBasis:
                 at = places.get(alpha)
                 if at is None:
                     at = places[alpha] = b"".join(map(encoded.__getitem__, column))
-                for i, v in zip(memoryview(at).cast(fmt), column.values()):
+                for i, v in zip(memoryview(at).cast(fmt) if fmt else at, column.values()):
                     residual[i] -= q * v
         return GenPoly(coords, None, self)
 
@@ -357,11 +357,17 @@ def _packed_partitions(n: int, trunc: int) -> tuple:
 @lru_cache(maxsize=None)
 def _place_table(n: int, trunc: int) -> tuple:
     """(index, format, encoded) of weight n: ``index`` maps a packed key to
-    its place in ``partitions_of(n)``, and ``encoded`` to that place as the
-    native bytes of ``memoryview`` format ``format``, 2 bytes ("H") while
-    p(n) < 2^16 and 4 ("I") above."""
+    its place in ``partitions_of(n)``, and ``encoded`` to that place as
+    the native bytes of ``memoryview`` format ``format``: 2 bytes ("H")
+    while p(n) < 2^16 and 4 ("I") above, or 1 byte while p(n) < 2^8 (to
+    weight 16), where the format is None because bytes iterate as ints."""
     index = {k: j for j, (_, k) in enumerate(_packed_partitions(n, trunc))}
-    fmt, width = ("H", 2) if len(index) < 1 << 16 else ("I", 4)
+    if len(index) < 1 << 8:
+        fmt, width = None, 1
+    elif len(index) < 1 << 16:
+        fmt, width = "H", 2
+    else:
+        fmt, width = "I", 4
     return index, fmt, {k: j.to_bytes(width, sys.byteorder) for k, j in index.items()}
 
 

@@ -1121,17 +1121,35 @@ def test_the_positional_solve_takes_a_mixed_weight_image_in_one_call():
     assert lz.GenPoly(got, None, basis) == parts[0] + parts[1].scaled(-2)
 
 
-def test_a_column_keeps_two_bytes_per_entry_in_the_order_of_its_image():
+def test_a_column_keeps_one_byte_per_entry_in_the_order_of_its_image():
     basis = lz.base_basis(ORACLE_TRUNC)
     basis.solve(geo.evaluate(geo.Hyp(3, ORACLE_TRUNC), ORACLE_TRUNC).image)
     assert basis._places
     unsorted = 0
     for alpha, at in basis._places.items():
         column = basis.image_of_monomial(alpha)._terms
-        assert type(at) is bytes and len(at) == 2 * len(column)
-        parts = partitions_of(sum(alpha))
-        keys = [lz._packed_partitions(sum(alpha), ORACLE_TRUNC)[j][1]
-                for j in memoryview(at).cast("H")]
-        assert keys == list(column) and all(j < len(parts) for j in memoryview(at).cast("H"))
+        assert type(at) is bytes and len(at) == len(column)  # p(n) < 256 to weight 16
+        keys = [lz._packed_partitions(sum(alpha), ORACLE_TRUNC)[j][1] for j in at]
+        assert keys == list(column)
         unsorted += keys != sorted(keys) and keys != sorted(keys, reverse=True)
     assert unsorted > 0  # dict order is not a sorted order, so alignment matters
+
+
+def test_places_take_two_bytes_from_weight_17():
+    # p(16) = 231 and p(17) = 297
+    assert [lz._place_table(n, 20)[1] for n in (0, 16, 17, 20)] == [None, None, "H", "H"]
+    index, fmt, encoded = lz._place_table(20, 20)
+    assert len(index) == len(partitions_of(20)) == 627
+    assert all(memoryview(encoded[k]).cast(fmt)[0] == j for k, j in index.items())
+    assert all(len(b) == 2 for b in encoded.values())
+
+
+def test_a_solve_at_weight_17_reads_two_byte_places(fresh_bases):
+    trunc = 17
+    basis = lz.base_basis(trunc)
+    image = geo.evaluate(geo.Hyp(2, trunc), trunc).image
+    assert to_image(basis.solve(image)) == image
+    wide = [alpha for alpha in basis._places if sum(alpha) == trunc]
+    assert wide and all(len(basis._places[alpha])
+                        == 2 * len(basis.image_of_monomial(alpha)._terms)
+                        for alpha in wide)
