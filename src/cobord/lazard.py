@@ -306,8 +306,8 @@ class GeneratorBasis:
         come.  A column's places are a buffer of 1-byte ints, 2-byte once
         p(n) reaches 2^8 and 4-byte once it reaches 2^16, aligned with the
         iteration order of its image dict and built on its first use, so
-        the subtraction looks nothing up.  A nonzero remainder means the input is not in the image of
-        the Lazard ring.
+        the subtraction looks nothing up.  A nonzero remainder means the
+        input is not in the image of the Lazard ring.
         """
         if image.trunc != self.trunc:  # re-key in this basis's codec, dropping nothing
             _check_truncation(max(image.weights(), default=0), self.trunc)

@@ -1135,17 +1135,12 @@ def test_a_column_keeps_one_byte_per_entry_in_the_order_of_its_image():
     assert unsorted > 0  # dict order is not a sorted order, so alignment matters
 
 
-def test_places_take_two_bytes_from_weight_17():
-    # p(16) = 231 and p(17) = 297
-    assert [lz._place_table(n, 20)[1] for n in (0, 16, 17, 20)] == [None, None, "H", "H"]
-    index, fmt, encoded = lz._place_table(20, 20)
-    assert len(index) == len(partitions_of(20)) == 627
-    assert all(memoryview(encoded[k]).cast(fmt)[0] == j for k, j in index.items())
-    assert all(len(b) == 2 for b in encoded.values())
-
-
 def test_a_solve_at_weight_17_reads_two_byte_places(fresh_bases):
+    # p(16) = 231 and p(17) = 297
     trunc = 17
+    assert [lz._place_table(n, trunc)[1] for n in (0, 16, 17)] == [None, None, "H"]
+    index, fmt, encoded = lz._place_table(trunc, trunc)
+    assert all(memoryview(encoded[k]).cast(fmt).tolist() == [j] for k, j in index.items())
     basis = lz.base_basis(trunc)
     image = geo.evaluate(geo.Hyp(2, trunc), trunc).image
     assert to_image(basis.solve(image)) == image
