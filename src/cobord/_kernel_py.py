@@ -6,8 +6,8 @@ sum of keys, heavier than N iff it reaches (N + 1) << shift.  Every product
 of two term dicts funnels through ``mul_into``, reached via
 ``cobord._backend``, and every sum through ``iadd_terms``, which merges any
 term dict.  One product stays outside: ``geometry._merged`` multiplies a
-row by a single b_i itself, adding the one-part key to each row key, since
-a one-term factor needs no pair loop, and through ``mul_into`` that step
+row by a single monomial itself, adding its key to each row key, since a
+one-term factor needs no pair loop, and through ``mul_into`` that step
 made cold constructor evaluations measurably slower.  ``GenPoly`` and
 ``MPoly`` keys are tuples, not packed ints, so their monomial products are
 ``SparseAlgebra._mul``'s; an MPoly's BPoly coefficients still multiply here.
@@ -16,8 +16,8 @@ Every key ``mul_into`` inserts is one canonical int per key value and
 truncation, so the images a process retains share their key objects
 instead of each holding its own copy of a key sum: at truncation 14 a
 ``lib-sweep`` set-up and round retains about 59,000 key ints without
-this, for 508 distinct partitions of weight <= 14.  The rows that
-``geometry._power_rows`` caches store their keys through the same table.
+this, for 508 distinct partitions of weight <= 14.  ``geometry._merged``
+stores the keys new to its sums through the same table.
 The table holds at most one int per partition of weight <= N.  Only insertions pay for it,
 with one ``setdefault``; the accumulate and cancel paths are unchanged.
 

@@ -12,6 +12,8 @@ free actions whenever the group has rank at least s + 1.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .geometry import (DisjointUnion, Hyp, Milnor, Product, Record, _check_truncation,
                        evaluate)
 from .lazard import NEG_INF, is_prime, milnor_split
@@ -89,28 +91,34 @@ def generator_action(
     Positive coefficients of the Milnor combination go to the plus side,
     negative to the minus side, with multiplicity |coefficient|; each
     side is a disjoint union acted on componentwise, so its fixed-locus
-    dimension is the max of the component dimensions, at most floor(i/q).
+    dimension is the max of the component dimensions, at most floor(i/q),
+    taken over the distinct components.  Both unions are built once per
+    degree and shared by every call, so ``evaluate`` meets the same
+    object again, and it evaluates a repeated component once, scaled by
+    its multiplicity.
     """
     if i < 1:
         raise ValueError(f"generator degree must lie in 1..{trunc}, got {i}")
     _check_truncation(i, trunc)
     q = group.order
-    pos, neg = [], []
-    for (m, n, c) in milnor_split(i)[1]:
-        target = pos if c > 0 else neg
-        target.extend([Milnor(m, n)] * abs(c))
+    return tuple(
+        ActionWitness(union, group,
+                      max((milnor_fixed_dim(m, n, q) for m, n in split), default=NEG_INF),
+                      "generator-split")
+        for union, split in _split_unions(i)
+    )
 
-    def witness(components):
-        if not components:
-            return ActionWitness(
-                DisjointUnion(()), group, NEG_INF, "generator-split"
-            )
-        d = max(milnor_fixed_dim(e.m, e.n, q) for e in components)
-        return ActionWitness(
-            DisjointUnion(tuple(components)), group, d, "generator-split"
-        )
 
-    return witness(pos), witness(neg)
+@lru_cache(maxsize=None)
+def _split_unions(i: int) -> tuple:
+    """(union, distinct (m, n)) of the plus and of the minus side of degree i."""
+    sides = {True: ([], []), False: ([], [])}
+    for m, n, c in milnor_split(i)[1]:
+        components, split = sides[c > 0]
+        components.extend([Milnor(m, n)] * abs(c))
+        split.append((m, n))
+    return tuple((DisjointUnion(tuple(components)), tuple(split))
+                 for components, split in sides.values())
 
 
 def landweber_variety(

@@ -52,7 +52,8 @@ class CobordismClass:
 
     ``evaluate`` records how it built a ``Product``, ``DisjointUnion`` or
     ``Scaled`` class in ``_parts``: ("prod", factors), ("sum", parts) or
-    ("scale", (k, class)), over the classes it evaluated for them; every
+    ("scale", (k, class)), over the classes it evaluated for them (a
+    union's part repeated k times enters once, scaled by k); every
     other class has None and holds its image from the start.  A class
     with parts builds its ``image``, the product, sum or ``scaled(k)`` of
     its parts' images, on first read and caches it, so a caller that only
@@ -146,7 +147,8 @@ class Record:
     hash alike, no field can be reassigned, and the ``repr`` reads
     ``Proj(n=3)``.  A record computes its hash once and keeps it in the
     ``_hash`` slot, which is not a field, so a nested expression is not
-    rehashed at every level of ``evaluate``.
+    rehashed at every level of ``evaluate``.  ``copy``, ``deepcopy`` and
+    ``pickle`` rebuild a record from its fields.
     """
 
     __slots__ = ("_hash",)
@@ -189,6 +191,12 @@ class Record:
             h = hash(self._fields())
             object.__setattr__(self, "_hash", h)
             return h
+
+    def __reduce__(self):
+        # rebuilt from its fields by the constructor, so copy, deepcopy and
+        # pickle never assign a field and never carry ``_hash``, which would
+        # be wrong in another process, where string hashes differ
+        return type(self), self._fields()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -368,23 +376,30 @@ def parse_expr(obj) -> VarietyExpr:
 
 
 def _merged(triples, trunc) -> dict:
-    """The term dict of sum c * b_i * row over (i, c, row) triples.
+    """The term dict of sum c * b^beta * row over (key, c, row) triples.
 
-    b_0 is the unit, so each product with b_i adds the packed key of (i,),
-    read from ``_one_part_keys``.  The sums are new key ints;
-    ``_power_rows`` makes the keys of the rows it keeps canonical.
+    ``key`` is the packed key of the monomial b^beta, so each product adds
+    it to every row key (``_one_part_keys`` has those of the single b_i;
+    0 is the unit).  A key new to the sum is stored as the kernel's
+    canonical int of its value, as ``_backend.mul_into`` stores it.
     """
-    parts = _one_part_keys(trunc)
+    canonical = _backend._layout(trunc)[1].setdefault
     out = {}
-    for i, c, row in triples:
-        part = parts[i]
+    get = out.get
+    for part, c, row in triples:
         for key, v in row.items():
             kk = key + part
-            acc = out.get(kk, 0) + c * v
-            if acc:
-                out[kk] = acc
+            acc = get(kk)
+            if acc is None:
+                acc = c * v
+                if acc:
+                    out[canonical(kk, kk)] = acc
             else:
-                out.pop(kk, None)
+                acc += c * v
+                if acc:
+                    out[kk] = acc
+                else:
+                    del out[kk]
     return out
 
 
@@ -414,15 +429,14 @@ def _power_rows(k: int, trunc: int) -> tuple:
     recurrence j Q_j = sum_{i=1..j} ((1 - k) i - j) b_i Q_{j-i} builds each
     row from the ones below it; the division by j is exact.  The cached
     rows are shared by every caller, so they are read only, and their keys
-    are the kernel's canonical ints, not copies that ``_merged`` made.
+    are the kernel's canonical ints, which ``_merged`` stores.
     """
-    canonical = _backend._layout(trunc)[1].setdefault
+    parts = _one_part_keys(trunc)
     rows = [{0: 1}]
     for j in range(1, min(k - 1, trunc) + 1):
-        acc = _merged(((i, (1 - k) * i - j, rows[j - i]) for i in range(1, j + 1)),
+        acc = _merged(((parts[i], (1 - k) * i - j, rows[j - i]) for i in range(1, j + 1)),
                       trunc)
-        rows.append({canonical(key, key): v
-                     for key, v in _divided(acc, j, f"row {j} of A^{k}").items()})
+        rows.append(_divided(acc, j, f"row {j} of A^{k}"))
     return tuple(rows)
 
 
@@ -443,8 +457,8 @@ def n_series_coeff(n: int, m: int, trunc: int) -> BPoly:
     [n](t) = exp(n log t) = sum_k n^k b_(k-1) (log t)^k, one merge and
     one exact division; only the k with a row m - k contribute.
     """
-    rows = _power_rows(m, trunc)
-    acc = _merged(((k - 1, k * n ** k, rows[m - k])
+    rows, parts = _power_rows(m, trunc), _one_part_keys(trunc)
+    acc = _merged(((parts[k - 1], k * n ** k, rows[m - k])
                    for k in range(m - len(rows) + 1, m + 1)), trunc)
     return BPoly._raw(_divided(acc, m, f"[t^{m}] [{n}](t)"), trunc)
 
@@ -454,22 +468,26 @@ def _proj_image(n: int, trunc: int) -> BPoly:
 
 
 def _ci_image(degrees: tuple, n: int, trunc: int) -> BPoly:
-    # Ambient P^(n+c); the fundamental class pushes to (prod d_i) h^c, and
-    # the normal bundle sum O(d_i) contributes prod_i L(d_i h) with
-    # L(x) = sum_i b_i x^i.  ``lines`` holds the rows of (prod d_i) times
-    # that product, built by one-part products.
-    lines = [{0: math.prod(degrees)}] + [{} for _ in range(n)]
-    for d in degrees:
-        lines = [
-            _merged(((t, d ** t, lines[j - t]) for t in range(j + 1) if lines[j - t]),
-                    trunc)
-            for j in range(n + 1)
-        ]
+    """sum_j [(prod d_i) prod_i L(d_i h)]_j [A^(n+c+1)]_(n-j), in one merge.
+
+    The ambient space is P^(n+c); the fundamental class pushes to
+    (prod d_i) h^c, and the normal bundle sum O(d_i) contributes
+    prod_i L(d_i h) with L(x) = sum_i b_i x^i.  Line j of that product
+    times prod d_i is (prod d_i) d_1^j b_j for the first degree; each
+    further degree folds in by one-part products.  The image then pairs
+    every term of line j with row n - j, one (monomial, coefficient, row)
+    triple each.
+    """
+    parts = _one_part_keys(trunc)
+    first, *rest = degrees
+    top = math.prod(degrees)
+    lines = [{parts[j]: top * first ** j} for j in range(n + 1)]
+    for d in rest:
+        lines = [_merged(((parts[t], d ** t, lines[j - t]) for t in range(j + 1)), trunc)
+                 for j in range(n + 1)]
     rows = _power_rows(n + len(degrees) + 1, trunc)
-    out = {}
-    for j, line in enumerate(lines):
-        _backend.mul_into(out, line, rows[n - j], trunc)
-    return BPoly._raw(out, trunc)
+    return BPoly._raw(_merged(((key, v, rows[n - j]) for j, line in enumerate(lines)
+                               for key, v in line.items()), trunc), trunc)
 
 
 def _milnor_image(m: int, n: int, trunc: int) -> BPoly:
@@ -480,11 +498,11 @@ def _milnor_image(m: int, n: int, trunc: int) -> BPoly:
     # with row c of A^(n+1) and b_k C(k+1, m-a), where k = m+n-1-a-c.
     rows_m = _power_rows(m + 1, trunc)
     rows_n = _power_rows(n + 1, trunc)
-    top = m + n - 1
+    parts, top = _one_part_keys(trunc), m + n - 1
     out = {}
     for a in range(m + 1):
         partner = _merged(
-            ((top - a - c, math.comb(top - a - c + 1, m - a), rows_n[c])
+            ((parts[top - a - c], math.comb(top - a - c + 1, m - a), rows_n[c])
              for c in range(min(n, top - a) + 1)),
             trunc,
         )
@@ -508,7 +526,8 @@ def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismCla
     One class per (expression, truncation), however the truncation is
     spelled.  A ``Product``, ``DisjointUnion`` or ``Scaled`` class builds
     its image on first read (see ``CobordismClass``); every error is still
-    raised here.
+    raised here.  A union holds each distinct part once, a part repeated
+    k times as k times its class.
     """
     return _evaluate(expr, trunc)
 
@@ -549,8 +568,14 @@ def _evaluate(expr: VarietyExpr, trunc: int) -> CobordismClass:
                 _check_truncation(sum(map(max, weights)), trunc)
         return _built("prod", factors, dim, trunc)
     if isinstance(expr, DisjointUnion):
-        return _built("sum", tuple(evaluate(part, trunc) for part in expr.parts),
-                      dim, trunc)
+        counts = {}  # a part repeated k times enters once, as k times its class
+        for part in expr.parts:
+            counts[part] = counts.get(part, 0) + 1
+        operands = []
+        for part, k in counts.items():
+            cl = evaluate(part, trunc)
+            operands.append(cl if k == 1 else _built("scale", (k, cl), cl.dim, trunc))
+        return _built("sum", tuple(operands), dim, trunc)
     if isinstance(expr, Scaled):
         return _built("scale", (expr.k, evaluate(expr.expr, trunc)), dim, trunc)
     raise TypeError(f"not a variety expression: {expr!r}")

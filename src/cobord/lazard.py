@@ -211,7 +211,7 @@ class GeneratorBasis:
             self._memo_key = (p, self)  # a class caches its reduction here under this one tuple
             self._residues = {}  # each killed degree's g_n mod I_p(r), once asked for
         self._built = {}
-        self._places = {}  # monomial -> the places of its image's keys, for ``solve``
+        self._columns = {}  # weight -> ``solve``'s columns by place, each built on first use
         self._mono_images = {(): BPoly.one(trunc=trunc)} if p is None else {}
 
     def __repr__(self):
@@ -303,49 +303,65 @@ class GeneratorBasis:
         quotient of its residual entry by the diagonal entry, after which
         that multiple of the monomial image is subtracted.  The system is
         lower triangular, so a subtraction only touches places still to
-        come.  A column's places are a buffer of 1-byte ints, 2-byte once
-        p(n) reaches 2^8 and 4-byte once it reaches 2^16, aligned with the
-        iteration order of its image dict and built on its first use, so
-        the subtraction looks nothing up.  A nonzero remainder means the
-        input is not in the image of the Lazard ring.
+        come.  The columns of weight n are a list indexed by the same
+        places (``_column``), so a nonzero place reads its column by index
+        and the subtraction looks nothing up.  A nonzero remainder means
+        the input is not in the image of the Lazard ring.
         """
         if image.trunc != self.trunc:  # re-key in this basis's codec, dropping nothing
             _check_truncation(max(image.weights(), default=0), self.trunc)
             image = BPoly(image.terms, self.trunc)
-        trunc, places = self.trunc, self._places
+        trunc = self.trunc
         shift = codec(trunc)[2]
         by_weight = {}
         for key, c in image._terms.items():
             by_weight.setdefault(key >> shift, {})[key] = c
         coords = {}
         for n in sorted(by_weight):
-            index, fmt, encoded = _place_table(n, trunc)
+            index = _place_table(n, trunc)[0]
             residual = [0] * len(index)
             for key, c in by_weight[n].items():
                 residual[index[key]] = c
             if n == 0:
                 coords[()] = residual[0]
                 continue
-            for j, (alpha, k) in enumerate(_packed_partitions(n, trunc)):
-                c = residual[j]
+            columns = self._columns.get(n)
+            if columns is None:
+                columns = self._columns[n] = [None] * len(index)
+            for j, c in enumerate(residual):
                 if not c:
                     continue
-                column = self.image_of_monomial(alpha)._terms
-                q, rem = divmod(c, column[k])
+                alpha, diagonal, at, values = columns[j] or self._column(n, j)
+                q, rem = divmod(c, diagonal)
                 if rem:
-                    # c / column[k] in lowest terms, the sign on the numerator
-                    g = math.gcd(c, column[k]) * (1 if column[k] > 0 else -1)
+                    # c / diagonal in lowest terms, the sign on the numerator
+                    g = math.gcd(c, diagonal) * (1 if diagonal > 0 else -1)
                     raise NotInLazardImage(
                         f"weight {n}: coordinate at {alpha} is "
-                        f"{c // g}/{column[k] // g}, not an integer"
+                        f"{c // g}/{diagonal // g}, not an integer"
                     )
                 coords[alpha] = q
-                at = places.get(alpha)
-                if at is None:
-                    at = places[alpha] = b"".join(map(encoded.__getitem__, column))
-                for i, v in zip(memoryview(at).cast(fmt) if fmt else at, column.values()):
+                for i, v in zip(at, values.values()):
                     residual[i] -= q * v
         return GenPoly(coords, None, self)
+
+    def _column(self, n: int, j: int) -> tuple:
+        """(alpha, diagonal, places, image) of place j of weight n, built once.
+
+        alpha is ``partitions_of(n)[j]``, image the term dict of its
+        monomial image and diagonal its coefficient at alpha.  ``places``
+        holds each image key's place, aligned with the dict's iteration
+        order: a bytes object of 1-byte places while p(n) < 2^8 (to weight
+        16), which iterates as ints, else a ``memoryview`` of 2-byte places
+        while p(n) < 2^16 and of 4-byte places above.
+        """
+        alpha, key = _packed_partitions(n, self.trunc)[j]
+        _, fmt, encoded = _place_table(n, self.trunc)
+        image = self.image_of_monomial(alpha)._terms
+        places = b"".join(map(encoded.__getitem__, image))
+        column = (alpha, image[key], memoryview(places).cast(fmt) if fmt else places, image)
+        self._columns[n][j] = column
+        return column
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -6,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobord import _backend
 from cobord import geometry as geo
-from cobord.partitions import _sub_multisets, partitions_of
+from cobord.partitions import _sub_multisets, codec, partitions_of
 from cobord.series import BPoly, TruncSeries
 from conftest import b_gen
 
@@ -763,3 +765,42 @@ def test_weight_is_the_top_weight_of_the_class():
         image = geo.evaluate(expr, 10).image
         assert max(image.weights(), default=0) <= weight, expr
     assert geo.Proj(-1).weight() == 0  # evaluation rejects it at any truncation
+
+
+# -- complete intersections against the lines-times-rows construction -------
+
+
+def lines_times_rows(degrees, n, trunc):
+    """The earlier ``_ci_image``, as an oracle through the kernel alone: the
+    lines of (prod d_i) prod_i L(d_i h) built by folding in every degree,
+    then each line multiplied by its row of A^(n+c+1)."""
+    pack = codec(trunc)[0]
+    lines = [{0: math.prod(degrees)}] + [{} for _ in range(n)]
+    for d in degrees:
+        factor = [{pack((t,)): d ** t} for t in range(n + 1)]  # [h^t] L(d h)
+        folded = []
+        for j in range(n + 1):
+            out = {}
+            for t in range(j + 1):
+                _backend.mul_into(out, factor[t], lines[j - t], trunc)
+            folded.append(out)
+        lines = folded
+    rows = geo._power_rows(n + len(degrees) + 1, trunc)
+    out = {}
+    for j, line in enumerate(lines):
+        _backend.mul_into(out, line, rows[n - j], trunc)
+    return out
+
+
+CI_DEGREES = ([(d,) for d in range(1, 6)]
+              + list(itertools.combinations_with_replacement((2, 3, 5), 2))
+              + list(itertools.combinations_with_replacement((2, 3, 5), 3)))
+
+
+@pytest.mark.parametrize("degrees", CI_DEGREES)
+def test_a_complete_intersection_image_matches_lines_times_rows(degrees):
+    trunc = 14
+    for n in range(trunc + 1):
+        got = geo._ci_image(degrees, n, trunc)._terms
+        assert got == lines_times_rows(degrees, n, trunc), (degrees, n)
+        assert all(v for v in got.values())

@@ -1124,14 +1124,22 @@ def test_the_positional_solve_takes_a_mixed_weight_image_in_one_call():
 def test_a_column_keeps_one_byte_per_entry_in_the_order_of_its_image():
     basis = lz.base_basis(ORACLE_TRUNC)
     basis.solve(geo.evaluate(geo.Hyp(3, ORACLE_TRUNC), ORACLE_TRUNC).image)
-    assert basis._places
-    unsorted = 0
-    for alpha, at in basis._places.items():
-        column = basis.image_of_monomial(alpha)._terms
-        assert type(at) is bytes and len(at) == len(column)  # p(n) < 256 to weight 16
-        keys = [lz._packed_partitions(sum(alpha), ORACLE_TRUNC)[j][1] for j in at]
-        assert keys == list(column)
-        unsorted += keys != sorted(keys) and keys != sorted(keys, reverse=True)
+    unsorted = built = 0
+    for n, columns in basis._columns.items():
+        assert len(columns) == len(partitions_of(n))
+        for j, column in enumerate(columns):
+            if column is None:
+                continue
+            built += 1
+            alpha, diagonal, at, image = column
+            assert alpha == partitions_of(n)[j]
+            assert image is basis.image_of_monomial(alpha)._terms
+            assert diagonal == basis.c_entry(alpha, alpha) != 0
+            assert type(at) is bytes and len(at) == len(image)  # p(n) < 256 to weight 16
+            keys = [lz._packed_partitions(n, ORACLE_TRUNC)[i][1] for i in at]
+            assert keys == list(image)
+            unsorted += keys != sorted(keys) and keys != sorted(keys, reverse=True)
+    assert built > 0
     assert unsorted > 0  # dict order is not a sorted order, so alignment matters
 
 
@@ -1144,7 +1152,31 @@ def test_a_solve_at_weight_17_reads_two_byte_places(fresh_bases):
     basis = lz.base_basis(trunc)
     image = geo.evaluate(geo.Hyp(2, trunc), trunc).image
     assert to_image(basis.solve(image)) == image
-    wide = [alpha for alpha in basis._places if sum(alpha) == trunc]
-    assert wide and all(len(basis._places[alpha])
-                        == 2 * len(basis.image_of_monomial(alpha)._terms)
-                        for alpha in wide)
+    wide = [column for column in basis._columns[trunc] if column is not None]
+    assert wide
+    for alpha, _, at, column in wide:
+        assert at.format == "H" and at.nbytes == 2 * len(column)
+        keys = [lz._packed_partitions(trunc, trunc)[i][1] for i in at]
+        assert keys == list(column), alpha
+
+
+def test_a_second_solve_at_a_weight_builds_no_column(fresh_bases, monkeypatch):
+    basis = lz.base_basis(ORACLE_TRUNC)
+    image = geo.evaluate(geo.Hyp(3, 10), ORACLE_TRUNC).image
+    first = basis.solve(image)
+    columns = [list(cols) for cols in basis._columns.values()]
+    calls = []
+    real = lz.GeneratorBasis.image_of_monomial
+    monkeypatch.setattr(lz.GeneratorBasis, "image_of_monomial",
+                        lambda self, beta: calls.append(beta) or real(self, beta))
+    assert basis.solve(image.scaled(-3)) == first.scaled(-3)
+    assert basis.solve(image) == first
+    assert calls == []
+    assert [list(cols) for cols in basis._columns.values()] == columns
+    # a weight not met before builds its columns on the first solve only
+    other = geo.evaluate(geo.Milnor(4, 8), ORACLE_TRUNC).image
+    basis.solve(other)
+    met = len(calls)
+    assert met > 0
+    basis.solve(other)
+    assert len(calls) == met

@@ -2,6 +2,12 @@
 fields, hashing, immutability, the dataclass-style repr, keyword
 construction, defaults and the normalizing ``__post_init__`` hooks."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from cobord import actions as ac
@@ -229,3 +235,55 @@ def test_evaluate_hashes_each_node_of_a_three_level_composite_once(monkeypatch):
         geo.evaluate.cache_clear()
     assert cl.dim == 5
     assert calls == {id(node): 1 for node in nodes}
+
+
+# -- copy, deepcopy and pickle -------------------------------------------
+
+
+COPIED = {
+    "nested expression": lambda: geo.DisjointUnion((
+        geo.Product((geo.Proj(2), geo.Hyp(3, 4))),
+        geo.Scaled(-2, geo.CompInt((2, 3), 3)),
+        geo.Milnor(2, 5), geo.Point())),
+    "GroupDescriptor": lambda: ac.GroupDescriptor(3, (1, 2)),
+    "Proj": lambda: geo.Proj(3),
+}
+ROUTES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("name", COPIED)
+def test_a_record_survives_copy_deepcopy_and_pickle(name, route):
+    original = COPIED[name]()
+    hash(original)  # keep the hash, which a copy must not carry
+    copied = ROUTES[route](original)
+    assert type(copied) is type(original)
+    assert copied == original and original == copied
+    with pytest.raises(AttributeError):
+        copied._hash
+    assert hash(copied) == hash(original) == hash(COPIED[name]())
+    assert repr(copied) == repr(original)
+    with pytest.raises(AttributeError):
+        copied.p = 5
+
+
+def test_a_pickled_record_hashes_afresh_in_a_process_with_other_string_hashes():
+    # an ActionWitness holds a string, whose hash differs between processes
+    witness = ac.ActionWitness(geo.Hyp(2, 3), ac.GroupDescriptor(2, (1, 1)), 1, "linear")
+    hash(witness)
+    script = (
+        "import pickle, sys\n"
+        "from cobord import actions as ac, geometry as geo\n"
+        "w = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = ac.ActionWitness(geo.Hyp(2, 3), ac.GroupDescriptor(2, (1, 1)), 1, 'linear')\n"
+        "print(w == fresh, hash(w) == hash(fresh), len({w, fresh}))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(witness),
+                         capture_output=True, env=env, check=True).stdout
+    assert out.split() == [b"True", b"True", b"1"]

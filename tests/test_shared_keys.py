@@ -65,8 +65,8 @@ def test_a_sweep_set_up_holds_no_adapted_monomial_image(sweep_bases):
 
 
 def test_the_cached_chow_rows_hold_the_kernel_s_key_objects():
-    # ``_merged`` makes a new int for every key sum; the rows that
-    # ``_power_rows`` keeps are stored through the kernel's canonical table
+    # a key sum is a new int; ``_merged`` stores each key of the rows that
+    # ``_power_rows`` keeps through the kernel's canonical table
     trunc = 11
     geometry._power_rows.cache_clear()
     try:
@@ -77,3 +77,14 @@ def test_the_cached_chow_rows_hold_the_kernel_s_key_objects():
         assert all(canonical.get(key) is key for key in keys)
     finally:
         geometry._power_rows.cache_clear()
+
+
+def test_a_complete_intersection_image_holds_the_kernel_s_key_objects():
+    # ``_ci_image`` is one ``_merged`` pass, which stores canonical keys as
+    # the kernel's products do
+    trunc = 13
+    canonical = _backend._layout(trunc)[1]
+    for degrees in ((3,), (2, 5), (2, 2, 3)):
+        keys = list(geometry._ci_image(degrees, trunc, trunc)._terms)
+        assert len(keys) > 50
+        assert all(canonical.get(key) is key for key in keys), degrees
