@@ -193,9 +193,8 @@ class Record:
             return h
 
     def __reduce__(self):
-        # rebuilt from its fields by the constructor, so copy, deepcopy and
-        # pickle never assign a field and never carry ``_hash``, which would
-        # be wrong in another process, where string hashes differ
+        # the constructor assigns no field by ``__setattr__``, and ``_hash`` is
+        # left behind: string hashes differ between processes
         return type(self), self._fields()
 
     def __setattr__(self, name, value):
