@@ -343,7 +343,7 @@ class GeneratorBasis:
                 coords[alpha] = q
                 for i, v in zip(at, values.values()):
                     residual[i] -= q * v
-        return GenPoly(coords, None, self)
+        return GenPoly._raw(coords, None, self)
 
     def _column(self, n: int, j: int) -> tuple:
         """(alpha, diagonal, places, image) of place j of weight n, built once.
@@ -432,6 +432,13 @@ class GenPoly(SparseAlgebra):
         self._terms = clean
         self.modulus = modulus
         self.basis = basis
+
+    @classmethod
+    def _raw(cls, terms, modulus, basis):
+        # Trusted constructor: partition-tuple keys, nonzero reduced coefficients.
+        self = object.__new__(cls)
+        self._terms, self.modulus, self.basis = terms, modulus, basis
+        return self
 
     def _shell(self, coeffs):
         return GenPoly(coeffs, self.modulus, self.basis)  # reduces mod p
