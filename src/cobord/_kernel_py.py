@@ -8,9 +8,10 @@ of two term dicts funnels through ``mul_into``, reached via
 term dict.  One product stays outside: ``geometry._merged`` multiplies a
 row by a single monomial itself, adding its key to each row key, since a
 one-term factor needs no pair loop, and through ``mul_into`` that step
-made cold constructor evaluations measurably slower.  ``GenPoly`` and
-``MPoly`` keys are tuples, not packed ints, so their monomial products are
-``SparseAlgebra._mul``'s; an MPoly's BPoly coefficients still multiply here.
+made cold constructor evaluations measurably slower.  ``lazard.GenPoly``
+is keyed by the same packed ints, so its products are ``mul_terms`` calls
+too.  Only ``MPoly`` keys are tuples, so its monomial products are
+``SparseAlgebra._mul``'s; its BPoly coefficients still multiply here.
 
 Every key ``mul_into`` inserts is one canonical int per key value and
 truncation, so the images a process retains share their key objects
@@ -22,8 +23,8 @@ The table holds at most one int per partition of weight <= N.  Only insertions p
 with one ``setdefault``; the accumulate and cancel paths are unchanged.
 
 Coefficients stay Python ints: binomial and p-power factors overflow any
-fixed width.  There is no modular mode: reduction modulo p happens
-once, in the generator coordinates of ``lazard.GenPoly``.
+fixed width.  There is no modular mode: a ``lazard.GenPoly`` with a
+modulus reduces its coefficients in one pass after each product.
 """
 
 from functools import lru_cache

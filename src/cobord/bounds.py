@@ -35,6 +35,7 @@ from .lazard import (
 )
 from .partitions import (
     Partition,
+    codec,
     full_key,
     in_admissible_class,
     make,
@@ -83,15 +84,14 @@ def fixed_dim_lower_bound(z: CobordismClass, group: GroupDescriptor) -> BoundRep
     a fixed locus of dimension at least the bound; -inf means the class
     imposes no constraint at all.
     """
-    q = group.order
     reduced = reduce_mod_landweber(z, group.p, group.rank)
-    # one pass: the q-degree, and its least partition as the certificate
-    bound, best = NEG_INF, None
-    for beta in reduced.coeffs:
-        level = pi_q(beta, q)
-        if level > bound or level == bound and full_key(beta) < full_key(best):
-            bound, best = level, beta
-    certificate = None if best is None else (best, reduced.coeffs[best])
+    terms = reduced._terms
+    bound, certificate = NEG_INF, None
+    if terms:  # the q-degree, and its least partition as the certificate
+        levels = _levels(reduced.trunc, group.order)
+        key = min(terms, key=levels.__getitem__)
+        level, _, beta = levels[key]
+        bound, certificate = -level, (beta, terms[key])
     return BoundReport(
         class_dim=z.dim,
         group=group,
@@ -100,6 +100,24 @@ def fixed_dim_lower_bound(z: CobordismClass, group: GroupDescriptor) -> BoundRep
         lower_bound=bound,
         certificate=certificate,
     )
+
+
+class _Levels(dict):
+    """Packed key -> (-pi_q, ``full_key``, partition), filled on first read:
+    the least value holds the q-degree and its least partition."""
+
+    __slots__ = ("unpack", "q")
+
+    def __init__(self, trunc: int, q: int):
+        self.unpack, self.q = codec(trunc)[1], q
+
+    def __missing__(self, key):
+        beta = self.unpack(key)
+        level = self[key] = (-pi_q(beta, self.q), full_key(beta), beta)
+        return level
+
+
+_levels = lru_cache(maxsize=None)(_Levels)
 
 
 def chern_bound(

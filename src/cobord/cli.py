@@ -114,7 +114,7 @@ def cmd_class(args) -> int:
         lines.append(f"  c_{list(k)} = {v}")
     lines.append("generator coordinates:")
     for beta in coords.support():
-        lines.append(f"  {list(beta)}: {coords.coeffs[beta]}")
+        lines.append(f"  {list(beta)}: {coords.coeff(beta)}")
     _emit(obj, args.format, lines)
     return 0
 

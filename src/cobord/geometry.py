@@ -147,7 +147,8 @@ class Record:
     hash alike, no field can be reassigned, and the ``repr`` reads
     ``Proj(n=3)``.  A record computes its hash once and keeps it in the
     ``_hash`` slot, which is not a field, so a nested expression is not
-    rehashed at every level of ``evaluate``.  ``copy``, ``deepcopy`` and
+    rehashed at every level of ``evaluate``.  The hash includes the type,
+    so ``Hyp(2, 3)`` and ``Milnor(2, 3)`` do not meet in a cache.  ``copy``, ``deepcopy`` and
     ``pickle`` rebuild a record from its fields.
     """
 
@@ -188,7 +189,7 @@ class Record:
         try:
             return self._hash
         except AttributeError:  # the first hash of this instance
-            h = hash(self._fields())
+            h = hash((type(self), self._fields()))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -339,35 +340,50 @@ def _array(key, val, length=None) -> list:
     return val
 
 
+_parsed = {}  # (type, fields) -> the one node of that value ``parse_expr`` returns
+
+
+def _node(cls, *fields):
+    # the fields of a composite are parsed nodes already, which the key
+    # compares by identity, so a lookup calls no ``Record.__eq__``
+    node = _parsed.get((cls, fields))
+    if node is None:
+        node = _parsed[cls, fields] = cls(*fields)
+    return node
+
+
 def parse_expr(obj) -> VarietyExpr:
     """Parse the compact JSON grammar; raises ValueError on malformed input.
 
     Integer fields accept only JSON integers, and the array-valued
-    constructors only JSON arrays, so nothing is silently coerced.
+    constructors only JSON arrays, so nothing is silently coerced.  Nodes
+    are built bottom-up, one object per value, so a factor parsed again
+    is the node ``evaluate``'s cache already holds and is found there by
+    identity.
     """
     if obj == "point":
-        return Point()
+        return _node(Point)
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"not a variety expression: {obj!r}")
     key, val = next(iter(obj.items()))
     if key == "proj":
-        return Proj(_int(val))
+        return _node(Proj, _int(val))
     if key == "hyp":
         d, n = _array(key, val, 2)
-        return Hyp(_int(d), _int(n))
+        return _node(Hyp, _int(d), _int(n))
     if key == "milnor":
         m, n = _array(key, val, 2)
-        return Milnor(_int(m), _int(n))
+        return _node(Milnor, _int(m), _int(n))
     if key in ("ci", "compint"):
         degs, n = _array(key, val, 2)
-        return CompInt(tuple(_int(d) for d in _array(key, degs)), _int(n))
+        return _node(CompInt, tuple(_int(d) for d in _array(key, degs)), _int(n))
     if key == "prod":
-        return Product(tuple(parse_expr(v) for v in _array(key, val)))
+        return _node(Product, tuple(parse_expr(v) for v in _array(key, val)))
     if key == "disj":
-        return DisjointUnion(tuple(parse_expr(v) for v in _array(key, val)))
+        return _node(DisjointUnion, tuple(parse_expr(v) for v in _array(key, val)))
     if key == "scale":
         k, e = _array(key, val, 2)
-        return Scaled(_int(k), parse_expr(e))
+        return _node(Scaled, _int(k), parse_expr(e))
     raise ValueError(f"unknown constructor {key!r}")
 
 
@@ -551,7 +567,7 @@ def _evaluate(expr: VarietyExpr, trunc: int) -> CobordismClass:
         if not expr.degrees or any(d < 1 for d in expr.degrees) or expr.n < 0:
             raise ValueError("complete intersection needs degrees >= 1 and n >= 0")
         if list(expr.degrees) != sorted(expr.degrees):  # one class per degree multiset
-            return evaluate(CompInt(tuple(sorted(expr.degrees)), expr.n), trunc)
+            return evaluate(_node(CompInt, tuple(sorted(expr.degrees)), expr.n), trunc)
         return CobordismClass(_ci_image(expr.degrees, expr.n, trunc), dim=expr.n)
     if isinstance(expr, Milnor):
         if not (0 <= expr.m <= expr.n) or expr.n < 1:

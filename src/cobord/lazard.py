@@ -12,7 +12,9 @@ alpha refines beta and a strict refinement strictly increases length.
 The solve is integer forward substitution by columns on a residual list
 indexed by partition: each coordinate is an exact quotient by a diagonal
 entry, and only the nonzero entries of that generator monomial's image
-are subtracted from the residual.
+are subtracted from the residual.  Generator coordinates (``GenPoly``)
+are keyed by the packed ints of ``partitions.codec``, as a BPoly is, so
+the solve, the reduction and the bound read one monomial representation.
 
 Ideal membership and reduction for the Landweber ideal I_p(n) use the
 adapted basis, in which the generators g_k in degrees k = p^i - 1 (i < n)
@@ -37,8 +39,10 @@ import sys
 from functools import lru_cache, reduce
 from itertools import takewhile
 
-from .geometry import CobordismClass, Milnor, _check_truncation, evaluate, n_series_coeff
-from .partitions import Partition, codec, full_key, make, partitions_of, pi_q, union
+from . import _backend
+from .geometry import (CobordismClass, Milnor, _check_truncation, _node, evaluate,
+                       n_series_coeff)
+from .partitions import Partition, codec, full_key, make, part_field, partitions_of
 from .series import BPoly, DEFAULT_TRUNCATION, SparseAlgebra
 
 NEG_INF = float("-inf")
@@ -210,6 +214,9 @@ class GeneratorBasis:
             self._base = base_basis(trunc)
             self._memo_key = (p, self)  # a class caches its reduction here under this one tuple
             self._residues = {}  # each killed degree's g_n mod I_p(r), once asked for
+            # each killed degree's ``part_field``, lowest first, and their bits
+            self._killed_fields = tuple((n, *part_field(trunc, n)) for n in sorted(self.killed))
+            self._killed_mask = sum(mask << offset for _, offset, mask, _ in self._killed_fields)
         self._built = {}
         self._columns = {}  # weight -> ``solve``'s columns by place, each built on first use
         self._mono_images = {(): BPoly.one(trunc=trunc)} if p is None else {}
@@ -230,7 +237,7 @@ class GeneratorBasis:
         if self.p is None:
             image = BPoly.zero(trunc=self.trunc)
             for m, n, c in milnor_split(i)[1]:
-                image = image + evaluate(Milnor(m, n), self.trunc).image.scaled(c)
+                image = image + evaluate(_node(Milnor, m, n), self.trunc).image.scaled(c)
             g = CobordismClass(image, dim=i)
         else:  # v_s = [t^(i+1)] [p](t) for i = p^s - 1
             v = n_series_coeff(self.p, i + 1, self.trunc)
@@ -264,14 +271,14 @@ class GeneratorBasis:
         D_i decomposable; the g_i coordinate is c_(i)(g'_i) / c_(i)(g_i) =
         -p / p, the tops that ``_validate`` pins.  So g_i = D_i - g'_i is
         D_i mod p with its lower killed degrees substituted: a dict from
-        killed-free monomials to coefficients mod p, built with its
+        killed-free partitions to coefficients mod p, built with its
         generator on the first call.
         """
         residue = self._residues.get(i)
         if residue is None:
-            coords = dict(self.gen(i).gen_coords(self._base).coeffs)
-            del coords[(i,)]  # -g_i
-            residue = self._residues[i] = _substituted(coords, self)._terms
+            terms = dict(self.gen(i).gen_coords(self._base)._terms)
+            del terms[codec(self.trunc)[0]((i,))]  # -g_i
+            residue = self._residues[i] = _substituted(terms, self).coeffs
         return residue
 
     def describe(self):
@@ -305,8 +312,10 @@ class GeneratorBasis:
         lower triangular, so a subtraction only touches places still to
         come.  The columns of weight n are a list indexed by the same
         places (``_column``), so a nonzero place reads its column by index
-        and the subtraction looks nothing up.  A nonzero remainder means
-        the input is not in the image of the Lazard ring.
+        and the subtraction looks nothing up; the coordinate is stored
+        under the column's packed key, the kernel's canonical int.  A
+        nonzero remainder means the input is not in the image of the
+        Lazard ring.
         """
         if image.trunc != self.trunc:  # re-key in this basis's codec, dropping nothing
             _check_truncation(max(image.weights(), default=0), self.trunc)
@@ -323,7 +332,7 @@ class GeneratorBasis:
             for key, c in by_weight[n].items():
                 residual[index[key]] = c
             if n == 0:
-                coords[()] = residual[0]
+                coords[0] = residual[0]  # the unit packs to 0
                 continue
             columns = self._columns.get(n)
             if columns is None:
@@ -331,25 +340,26 @@ class GeneratorBasis:
             for j, c in enumerate(residual):
                 if not c:
                     continue
-                alpha, diagonal, at, values = columns[j] or self._column(n, j)
+                key, diagonal, at, values = columns[j] or self._column(n, j)
                 q, rem = divmod(c, diagonal)
                 if rem:
                     # c / diagonal in lowest terms, the sign on the numerator
                     g = math.gcd(c, diagonal) * (1 if diagonal > 0 else -1)
                     raise NotInLazardImage(
-                        f"weight {n}: coordinate at {alpha} is "
+                        f"weight {n}: coordinate at {partitions_of(n)[j]} is "
                         f"{c // g}/{diagonal // g}, not an integer"
                     )
-                coords[alpha] = q
+                coords[key] = q
                 for i, v in zip(at, values.values()):
                     residual[i] -= q * v
         return GenPoly._raw(coords, None, self)
 
     def _column(self, n: int, j: int) -> tuple:
-        """(alpha, diagonal, places, image) of place j of weight n, built once.
+        """(key, diagonal, places, image) of place j of weight n, built once.
 
-        alpha is ``partitions_of(n)[j]``, image the term dict of its
-        monomial image and diagonal its coefficient at alpha.  ``places``
+        key is the packed key of alpha = ``partitions_of(n)[j]``, image the
+        term dict of its monomial image and diagonal its coefficient at
+        alpha.  ``places``
         holds each image key's place, aligned with the dict's iteration
         order: a bytes object of 1-byte places while p(n) < 2^8 (to weight
         16), which iterates as ints, else a ``memoryview`` of 2-byte places
@@ -359,15 +369,18 @@ class GeneratorBasis:
         _, fmt, encoded = _place_table(n, self.trunc)
         image = self.image_of_monomial(alpha)._terms
         places = b"".join(map(encoded.__getitem__, image))
-        column = (alpha, image[key], memoryview(places).cast(fmt) if fmt else places, image)
+        column = (key, image[key], memoryview(places).cast(fmt) if fmt else places, image)
         self._columns[n][j] = column
         return column
 
 
 @lru_cache(maxsize=None)
 def _packed_partitions(n: int, trunc: int) -> tuple:
-    """(alpha, packed key) for each partition of n, in ``partitions_of`` order."""
-    return tuple((alpha, codec(trunc)[0](alpha)) for alpha in partitions_of(n))
+    """(alpha, packed key) for each partition of n, in ``partitions_of``
+    order; each key is the kernel's canonical int of its value."""
+    pack, canonical = codec(trunc)[0], _backend._layout(trunc)[1].setdefault
+    return tuple((alpha, canonical(key, key))
+                 for alpha, key in zip(partitions_of(n), map(pack, partitions_of(n))))
 
 
 @lru_cache(maxsize=None)
@@ -413,47 +426,61 @@ def adapted_basis(p: int, r: int, trunc: int = DEFAULT_TRUNCATION) -> GeneratorB
 
 
 class GenPoly(SparseAlgebra):
-    """Sparse polynomial in the generators: partition monomial -> coefficient.
+    """Sparse polynomial in the generators over one ``GeneratorBasis``.
 
-    Integer coordinates (``modulus`` None) or coordinates reduced mod p,
-    over one ``GeneratorBasis``; operands must share both.  The product
-    is the partition union, truncated at the basis's weight.
+    Integer coordinates (``modulus`` None) or coordinates reduced mod p;
+    operands must share both.  ``_terms`` is keyed like a ``BPoly``'s, by
+    the packed ints of ``codec(trunc)``, each the kernel's canonical key
+    object, so a product is one kernel call, truncated at the basis's
+    weight, and one pass mod p.  The constructor takes partition keys and
+    drops those heavier than the truncation; ``coeffs``, ``support()``,
+    ``coeff()`` and ``to_obj()`` read partitions, unpacked on each read.
     """
 
     __slots__ = ("modulus", "basis")
 
     def __init__(self, coeffs, modulus, basis):
+        trunc = basis.trunc
+        pack, canonical = codec(trunc)[0], _backend._layout(trunc)[1].setdefault
         clean = {}
         for beta, c in coeffs.items():
             if modulus is not None:
                 c %= modulus
-            if c:
-                clean[tuple(beta)] = c
+            if c and sum(beta) <= trunc:
+                key = pack(beta)
+                clean[canonical(key, key)] = c
         self._terms = clean
         self.modulus = modulus
         self.basis = basis
 
     @classmethod
     def _raw(cls, terms, modulus, basis):
-        # Trusted constructor: partition-tuple keys, nonzero reduced coefficients.
+        # Trusted constructor: canonical packed keys, nonzero reduced coefficients.
         self = object.__new__(cls)
         self._terms, self.modulus, self.basis = terms, modulus, basis
         return self
 
-    def _shell(self, coeffs):
-        return GenPoly(coeffs, self.modulus, self.basis)  # reduces mod p
+    def _shell(self, terms):
+        p = self.modulus
+        if p is not None:  # the one pass mod p of a sum, scaling or product
+            terms = {k: c for k, v in terms.items() if (c := v % p)}
+        return GenPoly._raw(terms, p, self.basis)
 
     @property
     def _shape(self):
         return (self.modulus, self.basis)
 
-    def _mul_keys(self, a, b):
-        if sum(a) + sum(b) <= self.basis.trunc:
-            return union(a, b)
-        return None
+    def _operand(self, other):
+        # one basis and modulus: the shape, and with it the truncation, agree
+        if type(other) is GenPoly and other.basis is self.basis and other.modulus == self.modulus:
+            return other._terms
+        return SparseAlgebra._operand(self, other)
 
-    def _mono(self, beta):
-        return "*".join(f"g{i}" for i in beta)
+    def _mul(self, y):
+        return _backend.mul_terms(self._terms, y, self.basis.trunc)
+
+    def _mono(self, key):
+        return "*".join(f"g{i}" for i in codec(self.trunc)[1](key))
 
     @property
     def trunc(self) -> int:
@@ -461,27 +488,25 @@ class GenPoly(SparseAlgebra):
 
     @property
     def coeffs(self) -> dict:
-        return self._terms
+        unpack = codec(self.trunc)[1]
+        return {unpack(k): c for k, c in self._terms.items()}
 
     def support(self):
-        return sorted(self._terms, key=full_key)
+        return sorted(self.coeffs, key=full_key)
 
     def coeff(self, beta) -> int:
-        return self._terms.get(tuple(sorted(beta, reverse=True)), 0)
-
-    def q_degree(self, q: int):
-        """Max of pi_q over the support; -inf for the zero polynomial."""
-        if not self._terms:
-            return NEG_INF
-        return max(pi_q(beta, q) for beta in self._terms)
+        if sum(beta) > self.trunc:
+            return 0
+        return self._terms.get(codec(self.trunc)[0](beta), 0)
 
     def to_obj(self):
+        coeffs = self.coeffs
         return {
             "modulus": self.modulus,
             "basis": self.basis.describe(),
             "terms": [
-                {"partition": list(k), "coeff": str(self._terms[k])}
-                for k in self.support()
+                {"partition": list(beta), "coeff": str(coeffs[beta])}
+                for beta in sorted(coeffs, key=full_key)
             ],
         }
 
@@ -548,7 +573,7 @@ def _reduced(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
     if red is not None:
         return red
     if z._parts is None:
-        red = _substituted(z.gen_coords(base_basis(basis.trunc)).coeffs, basis)
+        red = _substituted(z.gen_coords(base_basis(basis.trunc))._terms, basis)
     else:
         kind, operands = z._parts
         if kind == "scale":
@@ -563,36 +588,53 @@ def _reduced(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
     return red
 
 
-def _substituted(coords: dict, basis: GeneratorBasis) -> GenPoly:
+def _substituted(terms: dict, basis: GeneratorBasis) -> GenPoly:
     """Base coordinates mod p, each killed g_n replaced by ``basis.residue(n)``.
 
-    Every term accumulates into one dict, reduced mod p once at the end;
-    a term with a killed generator is multiplied out only when none of
-    its residues is zero.
+    ``terms`` is an integer term dict of packed keys.  One AND with the
+    basis's mask of killed fields finds the killed-free keys, which keep
+    their coefficients mod p.  The killed degrees come lowest first: a
+    degree's residue is read only when some key holds it, with a
+    coefficient nonzero mod p and no degree found zero before, and a zero
+    residue adds its field to the mask of dead keys.  Each remaining key
+    is its killed-free key, less each killed multiplicity times that
+    generator's key, times each residue to its multiplicity, in the
+    kernel; those products are reduced mod p once, as they merge.
     """
-    p, killed = basis.p, basis.killed
-    out = {}
-    for beta, c in coords.items():
-        c %= p
-        if not c:
+    p, trunc, mask, fields = basis.p, basis.trunc, basis._killed_mask, basis._killed_fields
+    out = {key: c for key, v in terms.items() if not key & mask and (c := v % p)}
+    dead, residues = 0, {}
+    for n, offset, width, _ in fields:
+        field = width << offset
+        if any(key & field and not key & dead and v % p for key, v in terms.items()):
+            residue = basis.residue(n)
+            if residue:
+                residues[n] = GenPoly(residue, p, basis)._terms
+            else:
+                dead |= field
+    if dead == mask:
+        return GenPoly._raw(out, p, basis)
+    products = {}
+    for key, c in terms.items():
+        if not key & mask or key & dead or not c % p:
             continue
-        if killed.isdisjoint(beta):
-            out[beta] = out.get(beta, 0) + c
-            continue
-        residues = []
-        for n in reversed(beta):  # lowest first: a zero residue ends the term
-            if n in killed:
-                residue = basis.residue(n)
-                if not residue:
-                    break
-                residues.append(residue)
+        factors, free = [], key
+        for n, offset, width, unit in fields:
+            m = key >> offset & width
+            if m:
+                factors += [residues[n]] * m
+                free -= m * unit
+        term = {free: c}
+        for factor in factors:
+            term = _backend.mul_terms(term, factor, trunc)
+        _backend.iadd_terms(products, term)
+    for key, v in products.items():
+        c = (out.get(key, 0) + v) % p
+        if c:
+            out[key] = c
         else:
-            term = GenPoly({tuple(i for i in beta if i not in killed): c}, p, basis)
-            for residue in residues:
-                term = term * GenPoly(residue, p, basis)
-            for gamma, v in term._terms.items():
-                out[gamma] = out.get(gamma, 0) + v
-    return GenPoly(out, p, basis)
+            out.pop(key, None)
+    return GenPoly._raw(out, p, basis)
 
 
 def c_alpha_image_gcd(alpha, basis: GeneratorBasis) -> int:

@@ -68,6 +68,8 @@ def codec(n: int):
     i, (n // i).bit_length() bits wide, and the weight from bit ``shift``
     up.  No field carries up to weight n, where pack(a) + pack(b) ==
     pack(union(a, b)).  Keys order by weight; a part 0 packs to 0, like b_0.
+    ``unpack`` keeps the partition of each key it has read, so a key is
+    unpacked once per process.
     """
     units, fields, shift = [0], [], 0
     for i in range(1, n + 1):
@@ -80,10 +82,24 @@ def codec(n: int):
     def pack(alpha) -> int:
         return sum(units[i] for i in alpha)
 
+    unpacked = {}  # key -> its partition, one tuple per key read
+
     def unpack(key: int) -> Partition:
-        return tuple(i for i, off, mask in fields for _ in range(key >> off & mask))
+        alpha = unpacked.get(key)
+        if alpha is None:
+            alpha = unpacked[key] = tuple(i for i, off, mask in fields
+                                          for _ in range(key >> off & mask))
+        return alpha
 
     return pack, unpack, shift
+
+
+def part_field(n: int, i: int) -> tuple:
+    """(offset, mask, key) of part i in ``codec(n)`` keys: a key holds i
+    ``key >> offset & mask`` times, and each copy adds ``key``, pack((i,))."""
+    pack, _, shift = codec(n)
+    key = pack((i,))
+    return (key & ((1 << shift) - 1)).bit_length() - 1, (1 << (n // i).bit_length()) - 1, key
 
 
 def _sub_multisets(alpha: Partition):

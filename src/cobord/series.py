@@ -5,6 +5,8 @@
 negation, scaling, comparison and repr defined once.  Its subclasses are
 ``BPoly`` and ``TruncSeries`` here, ``lazard.GenPoly`` and
 ``equivariant.MPoly``; each supplies only its hooks and its own product.
+``BPoly`` and ``GenPoly`` share one monomial representation, the packed
+ints of ``partitions.codec``, and multiply in the kernel.
 
 ``BPoly`` is a sparse polynomial in generators b_1, b_2, ... with deg(b_i)
 = -i.  The monomial b_alpha = b_{a_1}...b_{a_n} is the partition

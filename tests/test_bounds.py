@@ -1,3 +1,7 @@
+import importlib.util
+import itertools
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +10,7 @@ from cobord import bounds as bd
 from cobord import geometry as geo
 from cobord import lazard as lz
 from cobord.lazard import NEG_INF
-from cobord.partitions import partitions_of, pi_q, refines
+from cobord.partitions import full_key, partitions_of, pi_q, refines
 from cobord.series import BPoly
 
 TRUNC = 12
@@ -331,3 +335,42 @@ def test_product_law_on_hand_cases(x, y, exps, expected):
     group = ac.GroupDescriptor(2, exps)
     assert small_bound(x, group) + small_bound(y, group) == expected
     assert small_bound(geo.Product((x, y)), group) == expected
+
+
+# -- the packed scan against the partition loop on lib-sweep reductions ------
+
+
+def _sweep_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _partition_scan(reduced, q):
+    """The q-degree and certificate by pi_q and ``full_key`` over partitions."""
+    bound, best = NEG_INF, None
+    coeffs = reduced.coeffs
+    for beta in coeffs:
+        level = pi_q(beta, q)
+        if level > bound or level == bound and full_key(beta) < full_key(best):
+            bound, best = level, beta
+    return bound, None if best is None else (best, coeffs[best])
+
+
+def test_the_bound_scan_is_the_partition_loop_on_lib_sweep_round_0():
+    inputs, trunc, checked = _sweep_inputs(), 14, 0
+    for p, rank in itertools.product(inputs.PRIMES, inputs.RANKS):
+        for n in range(1, trunc + 1):  # the sweep's set-up
+            bd.fixed_dim_lower_bound(geo.evaluate(geo.Proj(n), trunc),
+                                     ac.GroupDescriptor(p, (1,) * rank))
+    for seed in (1, 2, 3, 901):
+        for q in inputs.sweep_round(seed, 0, 240):
+            group = ac.GroupDescriptor(q["p"], tuple(q["exponents"]))
+            report = bd.fixed_dim_lower_bound(
+                geo.evaluate(geo.parse_expr(q["expr"]), trunc), group)
+            expect = _partition_scan(report.reduced, group.order)
+            assert (report.lower_bound, report.certificate) == expect, q
+            checked += report.certificate is not None
+    assert checked > 500

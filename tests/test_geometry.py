@@ -232,6 +232,22 @@ def test_parse_rejects_garbage():
             geo.parse_expr(bad)
 
 
+def test_a_reparsed_factor_is_found_in_the_cache_by_identity(monkeypatch):
+    # one node per value: a composite parsed again, or one that holds a
+    # composite parsed before, meets its cached factors by identity
+    inner = {"prod": [{"hyp": [3, 4]}, {"disj": [{"proj": 2}, {"milnor": [2, 3]}]}]}
+    first = geo.parse_expr(inner)
+    geo.evaluate(first, TRUNC)
+    assert geo.parse_expr({"prod": [{"hyp": [3, 4]},
+                                    {"disj": [{"proj": 2}, {"milnor": [2, 3]}]}]}) is first
+    calls, eq = [], geo.Record.__eq__
+    monkeypatch.setattr(geo.Record, "__eq__", lambda a, b: calls.append((a, b)) or eq(a, b))
+    outer = geo.parse_expr({"scale": [-2, inner]})
+    assert outer.expr is first
+    assert geo.evaluate(outer, TRUNC).image == geo.evaluate(first, TRUNC).image.scaled(-2)
+    assert calls == []
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         geo.evaluate(geo.Hyp(0, 2), TRUNC)

@@ -88,3 +88,18 @@ def test_a_complete_intersection_image_holds_the_kernel_s_key_objects():
         keys = list(geometry._ci_image(degrees, trunc, trunc)._terms)
         assert len(keys) > 50
         assert all(canonical.get(key) is key for key in keys), degrees
+
+
+def test_reduction_keys_are_the_kernel_s_canonical_ints(sweep_bases):
+    # solve, the reduction and GenPoly arithmetic store the objects of
+    # ``_backend._layout(trunc)[1]``, the keys of every BPoly image
+    canonical = _backend._layout(14)[1]
+    expr = geometry.Product((geometry.Hyp(3, 4), geometry.Milnor(2, 5)))
+    cl = geometry.evaluate(expr, 14)
+    polys = [cl.gen_coords(lazard.base_basis(14))]
+    for p, r in itertools.product((2, 3), (1, 2, 3)):
+        polys.append(bounds.fixed_dim_lower_bound(
+            cl, actions.GroupDescriptor(p, (1,) * r)).reduced)
+    keys = [key for poly in polys for key in poly._terms]
+    assert len(keys) > 50
+    assert all(canonical.get(key) is key for key in keys)
