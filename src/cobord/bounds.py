@@ -36,7 +36,6 @@ from .lazard import (
 from .partitions import (
     Partition,
     codec,
-    full_key,
     in_admissible_class,
     make,
     partitions_of,
@@ -89,9 +88,9 @@ def fixed_dim_lower_bound(z: CobordismClass, group: GroupDescriptor) -> BoundRep
     bound, certificate = NEG_INF, None
     if terms:  # the q-degree, and its least partition as the certificate
         levels = _levels(reduced.trunc, group.order)
-        key = min(terms, key=levels.__getitem__)
-        level, _, beta = levels[key]
-        bound, certificate = -level, (beta, terms[key])
+        key = max(terms, key=levels.__getitem__)
+        bound, beta = levels[key][0], levels[key][3]
+        certificate = (beta, terms[key])
     return BoundReport(
         class_dim=z.dim,
         group=group,
@@ -103,8 +102,10 @@ def fixed_dim_lower_bound(z: CobordismClass, group: GroupDescriptor) -> BoundRep
 
 
 class _Levels(dict):
-    """Packed key -> (-pi_q, ``full_key``, partition), filled on first read:
-    the least value holds the q-degree and its least partition."""
+    """Packed key -> (pi_q, -weight, -length, partition), filled on first
+    read.  The greatest value holds the q-degree and, of its partitions,
+    the least in ``full_key`` order: of one weight and length, the
+    lexicographically greater partition is the ``full_key``-smaller."""
 
     __slots__ = ("unpack", "q")
 
@@ -113,7 +114,7 @@ class _Levels(dict):
 
     def __missing__(self, key):
         beta = self.unpack(key)
-        level = self[key] = (-pi_q(beta, self.q), full_key(beta), beta)
+        level = self[key] = (pi_q(beta, self.q), -sum(beta), -len(beta), beta)
         return level
 
 

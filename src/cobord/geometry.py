@@ -340,15 +340,16 @@ def _array(key, val, length=None) -> list:
     return val
 
 
-_parsed = {}  # (type, fields) -> the one node of that value ``parse_expr`` returns
+_parsed = {}  # (type, *fields) -> the one node of that value ``parse_expr`` returns
 
 
 def _node(cls, *fields):
-    # the fields of a composite are parsed nodes already, which the key
-    # compares by identity, so a lookup calls no ``Record.__eq__``
-    node = _parsed.get((cls, fields))
+    # a composite's fields are parsed nodes, which the key compares by
+    # identity, so a lookup calls no ``Record.__eq__``
+    key = (cls, *fields)
+    node = _parsed.get(key)
     if node is None:
-        node = _parsed[cls, fields] = cls(*fields)
+        node = _parsed[key] = cls(*fields)
     return node
 
 
