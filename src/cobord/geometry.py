@@ -148,8 +148,8 @@ class Record:
     ``Proj(n=3)``.  A record computes its hash once and keeps it in the
     ``_hash`` slot, which is not a field, so a nested expression is not
     rehashed at every level of ``evaluate``.  The hash includes the type,
-    so ``Hyp(2, 3)`` and ``Milnor(2, 3)`` do not meet in a cache.  ``copy``, ``deepcopy`` and
-    ``pickle`` rebuild a record from its fields.
+    so ``Hyp(2, 3)`` and ``Milnor(2, 3)`` do not meet in a cache.
+    ``copy``, ``deepcopy`` and ``pickle`` rebuild a record from its fields.
     """
 
     __slots__ = ("_hash",)

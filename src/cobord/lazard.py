@@ -12,9 +12,8 @@ alpha refines beta and a strict refinement strictly increases length.
 The solve is integer forward substitution by columns on a residual list
 indexed by partition: each coordinate is an exact quotient by a diagonal
 entry, and only the nonzero entries of that generator monomial's image
-are subtracted from the residual.  Generator coordinates (``GenPoly``)
-are keyed by the packed ints of ``partitions.codec``, as a BPoly is, so
-the solve, the reduction and the bound read one monomial representation.
+are subtracted from the residual.  ``GenPoly`` coordinates share
+BPoly's packed keys, one monomial representation from solve to bound.
 
 Ideal membership and reduction for the Landweber ideal I_p(n) use the
 adapted basis, in which the generators g_k in degrees k = p^i - 1 (i < n)
@@ -429,12 +428,11 @@ class GenPoly(SparseAlgebra):
     """Sparse polynomial in the generators over one ``GeneratorBasis``.
 
     Integer coordinates (``modulus`` None) or coordinates reduced mod p;
-    operands must share both.  ``_terms`` is keyed like a ``BPoly``'s, by
-    the packed ints of ``codec(trunc)``, each the kernel's canonical key
-    object, so a product is one kernel call, truncated at the basis's
-    weight, and one pass mod p.  The constructor takes partition keys and
-    drops those heavier than the truncation; ``coeffs``, ``support()``,
-    ``coeff()`` and ``to_obj()`` read partitions, unpacked on each read.
+    operands must share both.  ``_terms`` is keyed by the kernel's
+    canonical ``codec(trunc)`` ints, as a BPoly is, so a product is one
+    kernel call and one pass mod p.  The constructor (which drops terms
+    above the truncation), ``coeffs``, ``support()``, ``coeff()`` and
+    ``to_obj()`` speak partitions.
     """
 
     __slots__ = ("modulus", "basis")
@@ -591,15 +589,12 @@ def _reduced(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
 def _substituted(terms: dict, basis: GeneratorBasis) -> GenPoly:
     """Base coordinates mod p, each killed g_n replaced by ``basis.residue(n)``.
 
-    ``terms`` is an integer term dict of packed keys.  One AND with the
-    basis's mask of killed fields finds the killed-free keys, which keep
-    their coefficients mod p.  The killed degrees come lowest first: a
-    degree's residue is read only when some key holds it, with a
-    coefficient nonzero mod p and no degree found zero before, and a zero
-    residue adds its field to the mask of dead keys.  Each remaining key
-    is its killed-free key, less each killed multiplicity times that
-    generator's key, times each residue to its multiplicity, in the
-    kernel; those products are reduced mod p once, as they merge.
+    ``terms`` is a packed integer term dict.  A key clear of the basis's
+    killed mask keeps its coefficient mod p.  Killed degrees go lowest
+    first: a residue is read only while a key with a coefficient nonzero
+    mod p holds that degree and no dead one, and a zero residue makes its
+    field dead.  A live key becomes its killed-free key times each residue
+    to its multiplicity, in the kernel, reduced mod p once as it merges.
     """
     p, trunc, mask, fields = basis.p, basis.trunc, basis._killed_mask, basis._killed_fields
     out = {key: c for key, v in terms.items() if not key & mask and (c := v % p)}
