@@ -159,6 +159,7 @@ def d_alpha(alpha: Partition, basis: GeneratorBasis) -> dict:
     monomial except alpha itself: subtract the coarser functionals,
     rescaled to share a common value u on their own monomials, from
     u * c_alpha.  Cached per (alpha, basis); the dict is shared, so read only.
+    ``basis`` is a ``GeneratorBasis``: a quotient has no monomial images.
     """
     return _d_alpha(make(alpha), basis)
 

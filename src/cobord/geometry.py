@@ -60,7 +60,7 @@ class CobordismClass:
     bounds never builds it.  Reduction modulo a Landweber ideal is a ring
     map, so ``lazard.reduce_mod_landweber`` combines the reductions of
     those parts instead of solving the class, and caches each reduction
-    in ``_coords`` under (p, basis), beside the integer coordinates.  Any
+    in ``_coords`` under its quotient, beside the integer coordinates.  Any
     other class is reduced from its base coordinates, each killed g_n
     becoming D-bar_n: the adapted generator is -g_n plus a decomposable,
     its c_(n) being -p against +p, so one base solve serves every p and r.

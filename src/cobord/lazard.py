@@ -3,12 +3,12 @@
 The Lazard ring embeds into Z[b] via the map classifying the universal
 formal group law; a cobordism class is represented by that image, a
 BPoly whose b_alpha coefficient is the Chern number c_alpha.
-``GeneratorBasis(trunc, p, r)`` fixes one generator per degree, built
-from Milnor hypersurface classes via an extended-gcd combination, or
-adapted to a Landweber ideal when p and r are given; ``gen(i)`` builds
-degree i on first use.  Expressing classes in generator coordinates is a
-lower-triangular exact solve, because c_alpha(l_beta) vanishes unless
-alpha refines beta and a strict refinement strictly increases length.
+``GeneratorBasis(trunc)`` fixes one generator per degree, built from
+Milnor hypersurface classes via an extended-gcd combination; ``gen(i)``
+builds degree i on first use.  Expressing classes in generator
+coordinates is a lower-triangular exact solve, because c_alpha(l_beta)
+vanishes unless alpha refines beta and a strict refinement strictly
+increases length.
 The solve is integer forward substitution by columns on a residual list
 indexed by partition: each coordinate is an exact quotient by a diagonal
 entry, and only the nonzero entries of that generator monomial's image
@@ -16,16 +16,15 @@ are subtracted from the residual.  ``GenPoly`` coordinates share
 BPoly's packed keys, one monomial representation from solve to bound.
 
 Ideal membership and reduction for the Landweber ideal I_p(n) use the
-adapted basis, in which the generators g_k in degrees k = p^i - 1 (i < n)
-are replaced by classes g'_k of the form v_i + p*a_i; the ideal is then
+``LandweberQuotient``, whose generators g'_k in degrees k = p^i - 1 (i < n)
+replace the base g_k by classes of the form v_i + p*a_i; the ideal is then
 generated by p together with those generators.  In base coordinates
 g'_k = -g_k + D_k with D_k decomposable (the coefficient is
 c_(k)(g'_k) / c_(k)(g_k) = -p / p), so the reduction replaces each such
 g_k in a class's base coordinates by D-bar_k, D_k mod p with the lower
-killed degrees substituted: one base solve serves every quotient.  An
-adapted basis holds only its killed generators, their D-bar and the
-monomial images that contain them, and reads everything else from the
-base basis.  ``CobordismClass`` lives in
+killed degrees substituted: one base solve serves every quotient.  A
+quotient holds only its killed generators and their D-bar, and reads
+every other generator from the base basis.  ``CobordismClass`` lives in
 ``geometry``, which creates every class; it is imported here, so
 ``lazard.CobordismClass`` resolves.
 """
@@ -178,118 +177,53 @@ def milnor_split(i: int) -> tuple:
 class GeneratorBasis:
     """Polynomial generators l_1, ..., l_N of the Lazard ring, N = ``trunc``.
 
-    ``GeneratorBasis(trunc)`` is the base basis.  Its degree-i generator
-    is the Milnor combination of ``milnor_split(i)``, which realizes the
-    minimal c_(i), +-1 or +-p.
-
-    ``GeneratorBasis(trunc, p, r)``, p prime and r >= 1, is adapted to
-    I_p(r).  Each degree n = p^i - 1 <= trunc with i < r (``killed``)
-    holds v_i - p^n * l_n: both summands are divisible by p, and as the
-    xgcd makes c_(n)(l_n) = +p, its c_(n) is p(p^n - 1) - p^n * p = -p, so
-    the family still generates and I_p(r) is p plus these members.
-    ``geometry.n_series_coeff`` gives v_i = [t^(n+1)] [p](t) at trunc.
-    Only degrees <= trunc are replaced, so every rank is accepted.
-
-    An adapted basis builds and holds its killed generators, their
-    ``residue`` and the images of the monomials that contain one; every
-    other generator and monomial image is the base basis's object.  The
-    reduction mod I_p(r) maps each killed g_n in base coordinates to
-    ``residue(n)`` and never solves here; ``solve`` is generic, for
-    explicit callers.
-
-    A new basis holds no generator.  ``gen(i)`` builds degree i on its
-    first call and checks it against the generator criteria and its c_(i)
-    against the top of ``milnor_split(i)``, -p for a killed degree, so a
-    query pays only for the degrees in its support.
+    The degree-i generator is the Milnor combination of ``milnor_split(i)``,
+    which realizes the minimal c_(i), +-1 or +-p.  A new basis holds no
+    generator.  ``gen(i)`` builds degree i on its first call and checks it
+    against the generator criteria and its c_(i) against the top of
+    ``milnor_split(i)``, so a query pays only for the degrees in its
+    support.  ``solve`` gives a class's integer coordinates, which a
+    ``LandweberQuotient`` reduces mod I_p(r).
     """
 
-    def __init__(self, trunc: int, p=None, r=None):
-        self.trunc, self.p, self.r = trunc, p, r
-        if p is None:
-            self.killed = frozenset()
-        else:
-            self.killed = frozenset(takewhile(lambda n: n <= trunc,
-                                              (p ** i - 1 for i in range(1, r))))
-            self._base = base_basis(trunc)
-            self._memo_key = (p, self)  # a class caches its reduction here under this one tuple
-            self._residues = {}  # each killed degree's g_n mod I_p(r), once asked for
-            # each killed degree's ``part_field``, lowest first, and their bits
-            self._killed_fields = tuple((n, *part_field(trunc, n)) for n in sorted(self.killed))
-            self._killed_mask = sum(mask << offset for _, offset, mask, _ in self._killed_fields)
+    def __init__(self, trunc: int):
+        self.trunc = trunc
         self._built = {}
         self._columns = {}  # weight -> ``solve``'s columns by place, each built on first use
-        self._mono_images = {(): BPoly.one(trunc=trunc)} if p is None else {}
+        self._mono_images = {(): BPoly.one(trunc=trunc)}
 
     def __repr__(self):
-        return f"GeneratorBasis({self.trunc}, p={self.p}, r={self.r})"
+        return f"GeneratorBasis({self.trunc})"
 
     def gen(self, i: int) -> CobordismClass:
         """The degree-i generator, 1 <= i <= trunc, built and validated once."""
-        if self.p is not None and i not in self.killed:
-            return self._base.gen(i)
         g = self._built.get(i)
         if g is not None:
             return g
         if i < 1:
             raise ValueError(f"generator degree must lie in 1..{self.trunc}, got {i}")
         _check_truncation(i, self.trunc)
-        if self.p is None:
-            image = BPoly.zero(trunc=self.trunc)
-            for m, n, c in milnor_split(i)[1]:
-                image = image + evaluate(_node(Milnor, m, n), self.trunc).image.scaled(c)
-            g = CobordismClass(image, dim=i)
-        else:  # v_s = [t^(i+1)] [p](t) for i = p^s - 1
-            v = n_series_coeff(self.p, i + 1, self.trunc)
-            g = CobordismClass(v, dim=i) - self.p ** i * self._base.gen(i)
-        self._validate(i, g)
+        image = BPoly.zero(trunc=self.trunc)
+        for m, n, c in milnor_split(i)[1]:
+            image = image + evaluate(_node(Milnor, m, n), self.trunc).image.scaled(c)
+        g = CobordismClass(image, dim=i)
+        c, pp, top = g.c_alpha((i,)), prime_power(i + 1), milnor_split(i)[0]
+        expect = pp[0] if pp else 1
+        if abs(c) != expect:
+            raise BasisValidationError(f"degree {i}: |c_(i)| = {abs(c)}, expected {expect}")
+        if c != top:
+            raise BasisValidationError(
+                f"degree {i}: c_(i) = {c}, but the construction gives {top}")
         self._built[i] = g
         return g
 
-    def _validate(self, i, g):
-        c = g.c_alpha((i,))
-        pp = prime_power(i + 1)
-        expect = pp[0] if pp else 1
-        if abs(c) != expect:
-            raise BasisValidationError(
-                f"degree {i}: |c_(i)| = {abs(c)}, expected {expect}"
-            )
-        top = -self.p if i in self.killed else milnor_split(i)[0]
-        if c != top:
-            raise BasisValidationError(
-                f"degree {i}: c_(i) = {c}, but the construction gives {top}"
-            )
-        if i in self.killed and not g.image.divisible_by(self.p):
-            raise BasisValidationError(
-                f"adapted generator in degree {i} is not in the mod-{self.p} kernel"
-            )
-
-    def residue(self, i: int) -> dict:
-        """D-bar_i: the base generator g_i of a killed degree i mod I_p(r).
-
-        The base solve of the adapted generator reads g'_i = -g_i + D_i,
-        D_i decomposable; the g_i coordinate is c_(i)(g'_i) / c_(i)(g_i) =
-        -p / p, the tops that ``_validate`` pins.  So g_i = D_i - g'_i is
-        D_i mod p with its lower killed degrees substituted: a dict from
-        killed-free partitions to coefficients mod p, built with its
-        generator on the first call.
-        """
-        residue = self._residues.get(i)
-        if residue is None:
-            terms = dict(self.gen(i).gen_coords(self._base)._terms)
-            del terms[codec(self.trunc)[0]((i,))]  # -g_i
-            residue = self._residues[i] = _substituted(terms, self).coeffs
-        return residue
-
     def describe(self):
         """The basis descriptor of the JSON output; builds nothing."""
-        flavor = "base" if self.p is None else "adapted"
-        return {"flavor": flavor, "p": self.p, "r": self.r}
+        return {"flavor": "base", "p": None, "r": None}
 
     def image_of_monomial(self, beta: Partition) -> BPoly:
         """Z[b] image of the generator monomial indexed by ``beta``."""
         beta = tuple(beta)
-        if self.p is not None and self.killed.isdisjoint(beta):
-            return self._base.image_of_monomial(beta)
         cached = self._mono_images.get(beta)
         if cached is None:
             cached = self.image_of_monomial(beta[1:]) * self.gen(beta[0]).image
@@ -406,26 +340,92 @@ def base_basis(trunc: int = DEFAULT_TRUNCATION) -> GeneratorBasis:
 
 
 @lru_cache(maxsize=None)
-def adapted_basis(p: int, r: int, trunc: int = DEFAULT_TRUNCATION) -> GeneratorBasis:
-    """The shared ``GeneratorBasis(trunc, p, r)`` adapted to I_p(r).
+def adapted_basis(p: int, r: int, trunc: int = DEFAULT_TRUNCATION) -> LandweberQuotient:
+    """The shared ``LandweberQuotient`` by I_p(r) at ``trunc``.
 
     p must be prime and r >= 1.  A rank whose killed degrees p^i - 1 pass
     the truncation gives the same generators as the largest one that fits.
-    The basis holds only what its killed degrees need and reads the rest
-    from ``base_basis(trunc)``.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("adapted bases need r >= 1")
-    return GeneratorBasis(trunc, p, r)
+    return LandweberQuotient(trunc, p, r)
+
+
+class LandweberQuotient:
+    """The quotient of the Lazard ring by I_p(r), p prime and r >= 1.
+
+    Each degree n = p^i - 1 <= trunc with i < r (``killed``) holds the
+    adapted generator v_i - p^n * l_n: both summands are divisible by p,
+    and as the xgcd makes c_(n)(l_n) = +p, its c_(n) is p(p^n - 1) - p^n * p
+    = -p, so the family still generates and I_p(r) is p plus these members.
+    ``geometry.n_series_coeff`` gives v_i = [t^(n+1)] [p](t) at trunc.  Only
+    degrees <= trunc are replaced, so every rank is accepted.
+
+    ``gen(i)`` builds and validates a killed degree on its first call, and
+    is ``base_basis(trunc)``'s generator in every other degree.  The
+    reduction maps each killed g_n in base coordinates to ``residue(n)``,
+    so a quotient solves nothing and holds no monomial image.
+    """
+
+    def __init__(self, trunc: int, p: int, r: int):
+        self.trunc, self.p, self.r = trunc, p, r
+        self.killed = frozenset(takewhile(lambda n: n <= trunc,
+                                          (p ** i - 1 for i in range(1, r))))
+        self._base = base_basis(trunc)
+        self._built = {}
+        self._residues = {}  # each killed degree's g_n mod I_p(r), once asked for
+        # each killed degree's ``part_field``, lowest first, and their bits
+        self._killed_fields = tuple((n, *part_field(trunc, n)) for n in sorted(self.killed))
+        self._killed_mask = sum(mask << offset for _, offset, mask, _ in self._killed_fields)
+
+    def __repr__(self):
+        return f"LandweberQuotient({self.trunc}, p={self.p}, r={self.r})"
+
+    def gen(self, i: int) -> CobordismClass:
+        """The adapted generator of degree i, built and validated once."""
+        if i not in self.killed:
+            return self._base.gen(i)
+        g = self._built.get(i)
+        if g is None:  # v_s = [t^(i+1)] [p](t) for i = p^s - 1
+            v = n_series_coeff(self.p, i + 1, self.trunc)
+            g = CobordismClass(v, dim=i) - self.p ** i * self._base.gen(i)
+            if (c := g.c_alpha((i,))) != -self.p:
+                raise BasisValidationError(
+                    f"degree {i}: c_(i) = {c}, but the construction gives {-self.p}")
+            if not g.image.divisible_by(self.p):
+                raise BasisValidationError(
+                    f"adapted generator in degree {i} is not in the mod-{self.p} kernel")
+            self._built[i] = g
+        return g
+
+    def residue(self, i: int) -> GenPoly:
+        """D-bar_i: the base generator g_i of a killed degree i mod I_p(r).
+
+        The base solve of the adapted generator reads g'_i = -g_i + D_i,
+        D_i decomposable; the g_i coordinate is c_(i)(g'_i) / c_(i)(g_i) =
+        -p / p, the tops that ``gen`` pins.  So g_i = D_i - g'_i is D_i mod
+        p with its lower killed degrees substituted: a mod-p ``GenPoly``
+        over this quotient, built with its generator on the first call.
+        """
+        residue = self._residues.get(i)
+        if residue is None:
+            terms = dict(self.gen(i).gen_coords(self._base)._terms)
+            del terms[codec(self.trunc)[0]((i,))]  # -g_i
+            residue = self._residues[i] = _substituted(terms, self)
+        return residue
+
+    def describe(self):
+        """The basis descriptor of the JSON output; builds nothing."""
+        return {"flavor": "adapted", "p": self.p, "r": self.r}
 
 
 # -- generator-coordinate polynomials ----------------------------------
 
 
 class GenPoly(SparseAlgebra):
-    """Sparse polynomial in the generators over one ``GeneratorBasis``.
+    """Sparse polynomial in the generators of one basis or quotient.
 
     Integer coordinates (``modulus`` None) or coordinates reduced mod p;
     operands must share both.  ``_terms`` is keyed by the kernel's
@@ -553,21 +553,20 @@ def reduce_mod_landweber(z: CobordismClass, p: int, r: int) -> GenPoly:
     Those coordinates come from the base ones: a replaced generator is
     g'_n = -g_n + D_n with D_n decomposable (the coefficient is
     c_(n)(g'_n) / c_(n)(g_n) = -p / p), so each killed g_n becomes D-bar_n
-    (``GeneratorBasis.residue``), and a class is solved once, in the base
+    (``LandweberQuotient.residue``), and a class is solved once, in the base
     basis, for every p and r.  The quotient map is a ring map, so a class
     that ``evaluate`` built as a product, union or scaling reduces to the
     same combination of its parts' reductions; every reduction is cached
-    on its class.  For r = 0 the quotient is the ring itself: the integer
-    base-basis coordinates, unchanged.
+    on its class under the quotient.  For r = 0 the quotient is the ring
+    itself: the integer base-basis coordinates, unchanged.
     """
     if r == 0:
         return z.gen_coords(base_basis(z.trunc))
     return _reduced(z, adapted_basis(p, r, z.trunc))
 
 
-def _reduced(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
-    p, key = basis.p, basis._memo_key
-    red = z._coords.get(key)
+def _reduced(z: CobordismClass, basis: LandweberQuotient) -> GenPoly:
+    red = z._coords.get(basis)
     if red is not None:
         return red
     if z._parts is None:
@@ -578,15 +577,15 @@ def _reduced(z: CobordismClass, basis: GeneratorBasis) -> GenPoly:
             k, inner = operands
             red = _reduced(inner, basis).scaled(k)
         elif not operands:  # the empty product is the unit, the empty union 0
-            red = GenPoly({(): 1} if kind == "prod" else {}, p, basis)
+            red = GenPoly({(): 1} if kind == "prod" else {}, basis.p, basis)
         else:
             reds = [_reduced(x, basis) for x in operands]
             red = reduce(operator.mul if kind == "prod" else operator.add, reds)
-    z._coords[key] = red
+    z._coords[basis] = red
     return red
 
 
-def _substituted(terms: dict, basis: GeneratorBasis) -> GenPoly:
+def _substituted(terms: dict, basis: LandweberQuotient) -> GenPoly:
     """Base coordinates mod p, each killed g_n replaced by ``basis.residue(n)``.
 
     ``terms`` is a packed integer term dict.  A key clear of the basis's
@@ -602,9 +601,8 @@ def _substituted(terms: dict, basis: GeneratorBasis) -> GenPoly:
     for n, offset, width, _ in fields:
         field = width << offset
         if any(key & field and not key & dead and v % p for key, v in terms.items()):
-            residue = basis.residue(n)
-            if residue:
-                residues[n] = GenPoly(residue, p, basis)._terms
+            if residue := basis.residue(n)._terms:
+                residues[n] = residue
             else:
                 dead |= field
     if dead == mask:
@@ -637,6 +635,7 @@ def c_alpha_image_gcd(alpha, basis: GeneratorBasis) -> int:
 
     The generator monomials of that weight span the piece, so the gcd of
     their c_alpha values generates the image subgroup; 0 if all vanish.
+    ``basis`` is a ``GeneratorBasis``: a quotient has no monomial images.
     """
     alpha = make(alpha)
     g = 0

@@ -30,6 +30,30 @@ def to_image(g):
     return img
 
 
+class AdaptedFamily(lz.GeneratorBasis):
+    """The integer basis whose generators are a quotient's: the reference
+    in which the reduction mod I_p(r) is the coordinates free of killed
+    degrees, reduced mod p.  Images and the solve are inherited."""
+
+    def __init__(self, quotient):
+        super().__init__(quotient.trunc)
+        self.quotient, self.killed = quotient, quotient.killed
+
+    def gen(self, i):
+        return self.quotient.gen(i)
+
+
+_FAMILIES = {}
+
+
+def adapted_family(p, r, trunc=TRUNC):
+    """The shared ``AdaptedFamily`` of ``lz.adapted_basis(p, r, trunc)``."""
+    quotient = lz.adapted_basis(p, r, trunc)
+    if quotient not in _FAMILIES:
+        _FAMILIES[quotient] = AdaptedFamily(quotient)
+    return _FAMILIES[quotient]
+
+
 # -- helpers for the generator criterion --------------------------------
 
 
@@ -203,22 +227,34 @@ def test_an_adapted_basis_shares_every_generator_it_does_not_replace(p, r):
         assert adapted.gen(i) is not base.gen(i), i
 
 
-def test_a_killed_generator_outside_the_mod_p_kernel_fails_validation(
-        fresh_bases, monkeypatch):
-    # v_2 = [t^4] [2](t) shifted by b_1^3: c_(3) is unchanged, but the
-    # adapted generator in degree 3 gets an odd coefficient
+@pytest.mark.parametrize("shift, text", [
+    # b_1^3 leaves c_(3) alone but makes a coefficient of g'_3 odd
+    ({(1, 1, 1): 1}, "adapted generator in degree 3 is not in the mod-2 kernel"),
+    # 4 b_3 keeps g'_3 even but makes its c_(3) +2, and g_3 = D_3 - g'_3 needs -2
+    ({(3,): 4}, r"degree 3: c_\(i\) = 2, but the construction gives -2"),
+], ids=["odd", "top"])
+def test_a_wrong_adapted_generator_fails_validation_when_its_degree_is_built(
+        shift, text, fresh_bases, monkeypatch):
+    # v_2 = [t^4] [2](t) shifted by ``shift``
     exact = lz.n_series_coeff
 
     def shifted(n, m, trunc):
-        shift = BPoly({(1, 1, 1): 1}, trunc) if (n, m) == (2, 4) else 0
-        return exact(n, m, trunc) + shift
+        return exact(n, m, trunc) + (BPoly(shift, trunc) if (n, m) == (2, 4) else 0)
 
     monkeypatch.setattr(lz, "n_series_coeff", shifted)
     basis = lz.adapted_basis(2, 3, TRUNC)
     assert basis.killed == {1, 3}
     assert basis.gen(1).image.divisible_by(2)  # other degrees still build
-    with pytest.raises(lz.BasisValidationError, match="degree 3 is not in the mod-2"):
+    with pytest.raises(lz.BasisValidationError, match=f"^{text}$"):
         basis.gen(3)
+
+
+def test_the_base_basis_takes_no_ideal_and_a_quotient_solves_nothing():
+    with pytest.raises(TypeError):
+        lz.GeneratorBasis(14, 2, 3)
+    quotient = lz.adapted_basis(2, 3, 14)
+    for name in ("solve", "image_of_monomial", "c_entry", "_columns", "_mono_images"):
+        assert not hasattr(quotient, name), name
 
 
 def _count_solves(monkeypatch, images=False):
@@ -318,7 +354,6 @@ def test_a_rank_five_bound_builds_no_killed_generator_above_its_class(fresh_base
     basis = report.reduced.basis
     assert basis is lz.adapted_basis(2, 5, 30) and basis.killed == {1, 3, 7, 15}
     assert sorted(basis._built) == sorted(basis._residues) == [1]
-    assert not basis._mono_images
     assert not fresh._built and not fresh._residues  # no other rank is read
 
 
@@ -430,9 +465,9 @@ def test_solve_rejects_non_lazard_input(basis):
     ({(2, 1): 9}, "weight 3: coordinate at (2, 1) is -3/2, not an integer"),
 ])
 def test_not_in_lazard_image_prints_the_reduced_quotient(terms, text):
-    # in the I_2(2)-adapted basis the weight-1 diagonal entry is -2, so
+    # in the I_2(2)-adapted family the weight-1 diagonal entry is -2, so
     # (2, 1) has diagonal 3 * -2 = -6: the sign moves to the numerator
-    basis = lz.adapted_basis(2, 2, TRUNC)
+    basis = adapted_family(2, 2)
     (alpha, c), = terms.items()
     diagonal = basis.image_of_monomial(alpha).coeff(alpha)
     assert text.split(" is ")[1] == f"{Fraction(c, diagonal)}, not an integer"
@@ -483,7 +518,7 @@ def test_adapted_basis_p2_r2():
 def test_adapted_basis_r1_is_base():
     ab = lz.adapted_basis(2, 1, TRUNC)
     base = lz.base_basis(TRUNC)
-    assert ab.killed == base.killed == frozenset()
+    assert ab.killed == frozenset()
     assert all(ab.gen(i) == base.gen(i) for i in range(1, TRUNC + 1))
 
 
@@ -535,19 +570,17 @@ def test_primality_above_the_limit_is_decided_only_for_composites():
 
 
 def test_an_adapted_basis_builds_only_its_killed_degrees(fresh_bases):
-    # every other generator and monomial image is the base basis's object
-    rank3 = lz.adapted_basis(2, 3, 14)
+    # every other generator is the base basis's object
+    rank3 = adapted_family(2, 3, 14)
     for w in range(15):
         for beta in partitions_of(w):
             rank3.image_of_monomial(beta)
-    assert sorted(rank3._built) == [1, 3]
-    assert rank3._mono_images
-    assert all(not rank3.killed.isdisjoint(beta) for beta in rank3._mono_images)
+    assert sorted(rank3.quotient._built) == [1, 3] and not rank3.quotient._residues
     assert lz.adapted_basis.cache_info().currsize == 1  # no other rank is built
 
 
 def test_a_rank_past_the_truncation_answers_like_the_largest_that_fits(fresh_bases):
-    high, low = lz.adapted_basis(3, 5, TRUNC), lz.adapted_basis(3, 3, TRUNC)
+    high, low = adapted_family(3, 5), adapted_family(3, 3)
     assert high.killed == low.killed == {2, 8}
     z = geo.evaluate(geo.Product((geo.Hyp(3, 2), geo.Proj(8))), TRUNC)
     assert z.gen_coords(high).coeffs == z.gen_coords(low).coeffs
@@ -556,7 +589,7 @@ def test_a_rank_past_the_truncation_answers_like_the_largest_that_fits(fresh_bas
     for beta in ((8,), (8, 2), (2, 2, 1)):
         assert high.image_of_monomial(beta) == low.image_of_monomial(beta)
     assert high.gen(8) == low.gen(8) and high.gen(2) == low.gen(2)
-    assert high.residue(8) == low.residue(8) != {}
+    assert high.quotient.residue(8).coeffs == low.quotient.residue(8).coeffs != {}
 
 
 def test_rank_2000_answers_like_rank_4(fresh_bases):
@@ -579,7 +612,7 @@ def test_rank_2000_answers_like_rank_4(fresh_bases):
 @pytest.mark.parametrize("p", [2, 3])
 def test_every_monomial_image_is_the_product_of_its_generators(p):
     for r in (1, 2, 3, 4):
-        basis = lz.adapted_basis(p, r, TRUNC)
+        basis = adapted_family(p, r)
         for w in range(9):
             for beta in partitions_of(w):
                 # multiplied smallest part first, the reverse of the cache's order
@@ -707,10 +740,10 @@ def test_a_composite_reduces_as_the_ring_map_of_its_parts(expr, p, r):
     reduced = lz.reduce_mod_landweber(cl, p, r)
     assert reduced == solved
     assert reduced.to_obj() == solved.to_obj()
-    # and the integer solve in the adapted basis, reduced here
-    basis = lz.adapted_basis(p, r, TRUNC)
+    # and the integer solve in the adapted family, reduced here
+    basis = adapted_family(p, r)
     coords = basis.solve(cl.image).coeffs
-    assert reduced.modulus == p and reduced.basis is basis
+    assert reduced.modulus == p and reduced.basis is basis.quotient
     assert reduced.coeffs == {beta: c % p for beta, c in coords.items()
                               if basis.killed.isdisjoint(beta) and c % p}
 
@@ -857,7 +890,7 @@ def _reductions_against_the_adapted_solve(p, r, fresh=False):
     """(constructor, reduction, the adapted solve filtered and reduced mod p)
     for every constructor of weight <= 14; ``fresh`` reduces a copy of each
     class, past any cached coordinates and reductions."""
-    basis = lz.adapted_basis(p, r, ORACLE_TRUNC)
+    basis = adapted_family(p, r, ORACLE_TRUNC)
     for e in ORACLE_CONSTRUCTORS:
         z = geo.evaluate(e, ORACLE_TRUNC)
         coords = basis.solve(z.image).coeffs
@@ -865,7 +898,7 @@ def _reductions_against_the_adapted_solve(p, r, fresh=False):
                   if basis.killed.isdisjoint(beta) and c % p}
         if fresh:
             z = geo.CobordismClass(z.image, z.dim)
-        yield e, lz.reduce_mod_landweber(z, p, r), lz.GenPoly(expect, p, basis)
+        yield e, lz.reduce_mod_landweber(z, p, r), lz.GenPoly(expect, p, basis.quotient)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -878,7 +911,7 @@ def test_the_reduction_is_the_adapted_solve_on_every_constructor_to_weight_14(p)
 
 
 def test_only_degree_8_at_p_3_has_a_nonzero_residue_to_truncation_14():
-    residues = {(p, n): lz.adapted_basis(p, 5, ORACLE_TRUNC).residue(n)
+    residues = {(p, n): lz.adapted_basis(p, 5, ORACLE_TRUNC).residue(n).coeffs
                 for p in (2, 3, 5) for n in lz.adapted_basis(p, 5, ORACLE_TRUNC).killed}
     assert sorted(residues) == [(2, 1), (2, 3), (2, 7), (3, 2), (3, 8), (5, 4)]
     assert residues.pop((3, 8)) == {(4, 4): 2, (4, 3, 1): 1, (5, 1, 1, 1): 2,
@@ -888,12 +921,12 @@ def test_only_degree_8_at_p_3_has_a_nonzero_residue_to_truncation_14():
 
 def test_a_zero_residue_in_degree_8_fails_the_oracle(monkeypatch):
     # the negative control of the oracle above: g_8 = 0 mod I_3(3) is wrong
-    residue = lz.GeneratorBasis.residue
+    residue = lz.LandweberQuotient.residue
 
     def zero_at_8(basis, i):
-        return {} if (basis.p, i) == (3, 8) else residue(basis, i)
+        return lz.GenPoly({}, 3, basis) if (basis.p, i) == (3, 8) else residue(basis, i)
 
-    monkeypatch.setattr(lz.GeneratorBasis, "residue", zero_at_8)
+    monkeypatch.setattr(lz.LandweberQuotient, "residue", zero_at_8)
     wrong = [e for e, red, expect in _reductions_against_the_adapted_solve(3, 3, fresh=True)
              if red != expect]
     assert geo.Hyp(3, 8) in wrong and len(wrong) > 10
@@ -1060,19 +1093,22 @@ SOLVE_BASES = [(None, None)] + [(p, r) for p in (2, 3) for r in (1, 2, 3)]
 
 
 def _solve_basis(p, r):
-    return lz.base_basis(TRUNC) if p is None else lz.adapted_basis(p, r, TRUNC)
+    return lz.base_basis(TRUNC) if p is None else adapted_family(p, r)
 
 
 @pytest.mark.parametrize("p, r", SOLVE_BASES)
 def test_an_adapted_basis_shares_every_killed_free_monomial_image(p, r):
-    adapted, base, shared = _solve_basis(p, r), lz.base_basis(TRUNC), 0
+    # g'_1 = -g_1 (weight 1 holds no decomposable), so its even powers agree too
+    adapted, base, shared, differ = _solve_basis(p, r), lz.base_basis(TRUNC), 0, 0
+    killed = frozenset() if p is None else adapted.killed
     for beta in (beta for w in range(TRUNC + 1) for beta in partitions_of(w)):
-        if adapted.killed.isdisjoint(beta):
-            assert adapted.image_of_monomial(beta) is base.image_of_monomial(beta), beta
+        same = adapted.image_of_monomial(beta) == base.image_of_monomial(beta)
+        if killed.isdisjoint(beta):
+            assert same, beta
             shared += 1
         else:
-            assert adapted.image_of_monomial(beta) is not base.image_of_monomial(beta), beta
-    assert shared > 0
+            differ += not same
+    assert shared > 0 and (differ > 0) == bool(killed)
 
 
 def reference_solve(basis, image):
