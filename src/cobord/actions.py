@@ -92,10 +92,9 @@ def generator_action(
     negative to the minus side, with multiplicity |coefficient|; each
     side is a disjoint union acted on componentwise, so its fixed-locus
     dimension is the max of the component dimensions, at most floor(i/q),
-    taken over the distinct components.  Both unions are built once per
-    degree and shared by every call, so ``evaluate`` meets the same
-    object again, and it evaluates a repeated component once, scaled by
-    its multiplicity.
+    taken over the distinct components.  A union is one node per value,
+    so ``evaluate`` meets the same object again, and it evaluates a
+    repeated component once, scaled by its multiplicity.
     """
     if i < 1:
         raise ValueError(f"generator degree must lie in 1..{trunc}, got {i}")
@@ -111,7 +110,9 @@ def generator_action(
 
 @lru_cache(maxsize=None)
 def _split_unions(i: int) -> tuple:
-    """(union, distinct (m, n)) of the plus and of the minus side of degree i."""
+    """(union, distinct (m, n)) of the plus and of the minus side of degree i.
+
+    Cached, which spares rebuilding degree 11's 55,082 components."""
     sides = {True: ([], []), False: ([], [])}
     for m, n, c in milnor_split(i)[1]:
         components, split = sides[c > 0]

@@ -145,14 +145,12 @@ class Record:
     class has one, then normalizes or validates them.  Two records are
     equal only if they have the same type and equal fields, equal records
     hash alike, no field can be reassigned, and the ``repr`` reads
-    ``Proj(n=3)``.  A record computes its hash once and keeps it in the
-    ``_hash`` slot, which is not a field, so a nested expression is not
-    rehashed at every level of ``evaluate``.  The hash includes the type,
-    so ``Hyp(2, 3)`` and ``Milnor(2, 3)`` do not meet in a cache.
-    ``copy``, ``deepcopy`` and ``pickle`` rebuild a record from its fields.
+    ``Proj(n=3)``; an expression is the one node of its value, compared by
+    identity (see ``Expr``).  ``copy``, ``deepcopy`` and ``pickle``
+    rebuild a record from its fields through its constructor.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
     _defaults = {}
 
     def __init__(self, *args, **kwargs):
@@ -186,16 +184,10 @@ class Record:
         return self._fields() == other._fields()
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:  # the first hash of this instance
-            h = hash((type(self), self._fields()))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((type(self), self._fields()))
 
     def __reduce__(self):
-        # the constructor assigns no field by ``__setattr__``, and ``_hash`` is
-        # left behind: string hashes differ between processes
+        # the constructor assigns no field by ``__setattr__``
         return type(self), self._fields()
 
     def __setattr__(self, name, value):
@@ -212,12 +204,34 @@ class Record:
 # -- expression AST -----------------------------------------------------
 
 
-class Expr(Record):
+class _OneNodePerValue(type):
+    def __call__(cls, *args, **kwargs):
+        node = super().__call__(*args, **kwargs)
+        return cls._by_value.setdefault((cls, *node._fields()), node)
+
+
+class Expr(Record, metaclass=_OneNodePerValue):
     """A variety expression.  ``dimension()`` is None for a disjoint union
     of mixed dimensions; ``weight()`` is the top weight of the class, the
-    largest degree any of its Chern numbers can have."""
+    largest degree any of its Chern numbers can have.
+
+    There is one node per value: a constructor given the fields of a node
+    that exists, in any spelling or through ``copy``, ``deepcopy`` or
+    ``pickle``, returns that node, so expressions compare and hash by
+    identity and a lookup in ``_by_value`` compares no fields.  Integer
+    fields (``_ints``) take only ints, checked before the lookup, where
+    2.0 or True would find the node of 2 or 1.
+    """
 
     __slots__ = ()
+    _ints = ()
+    _by_value = {}  # (type, *fields) -> the one node of that value
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __post_init__(self):
+        for name in self._ints:
+            _int(getattr(self, name))
 
     def weight(self) -> int:
         return max(self.dimension(), 0)  # 0 for an invalid negative dimension
@@ -234,7 +248,7 @@ class Point(Expr):
 
 
 class Proj(Expr):
-    __slots__ = ("n",)
+    __slots__ = _ints = ("n",)
 
     def dimension(self):
         return self.n
@@ -244,7 +258,7 @@ class Proj(Expr):
 
 
 class Hyp(Expr):
-    __slots__ = ("d", "n")
+    __slots__ = _ints = ("d", "n")
 
     def dimension(self):
         return self.n
@@ -257,7 +271,8 @@ class CompInt(Expr):
     __slots__ = ("degrees", "n")
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(self.degrees))
+        object.__setattr__(self, "degrees", tuple(map(_int, self.degrees)))
+        _int(self.n)
 
     def dimension(self):
         return self.n
@@ -267,7 +282,7 @@ class CompInt(Expr):
 
 
 class Milnor(Expr):
-    __slots__ = ("m", "n")
+    __slots__ = _ints = ("m", "n")
 
     def dimension(self):
         return self.m + self.n - 1
@@ -312,6 +327,7 @@ class DisjointUnion(Expr):
 
 class Scaled(Expr):
     __slots__ = ("k", "expr")
+    _ints = ("k",)
 
     def dimension(self):
         return self.expr.dimension()
@@ -340,51 +356,35 @@ def _array(key, val, length=None) -> list:
     return val
 
 
-_parsed = {}  # (type, *fields) -> the one node of that value ``parse_expr`` returns
-
-
-def _node(cls, *fields):
-    # a composite's fields are parsed nodes, which the key compares by
-    # identity, so a lookup calls no ``Record.__eq__``
-    key = (cls, *fields)
-    node = _parsed.get(key)
-    if node is None:
-        node = _parsed[key] = cls(*fields)
-    return node
-
-
 def parse_expr(obj) -> VarietyExpr:
     """Parse the compact JSON grammar; raises ValueError on malformed input.
 
-    Integer fields accept only JSON integers, and the array-valued
-    constructors only JSON arrays, so nothing is silently coerced.  Nodes
-    are built bottom-up, one object per value, so a factor parsed again
-    is the node ``evaluate``'s cache already holds and is found there by
-    identity.
+    Integer fields accept only JSON integers (see ``Expr``), and the
+    array-valued constructors only JSON arrays, so nothing is silently
+    coerced.  A constructor returns the one node of its value, so a
+    factor parsed again is the node ``evaluate``'s cache already holds.
     """
     if obj == "point":
-        return _node(Point)
+        return Point()
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"not a variety expression: {obj!r}")
     key, val = next(iter(obj.items()))
     if key == "proj":
-        return _node(Proj, _int(val))
+        return Proj(val)
     if key == "hyp":
-        d, n = _array(key, val, 2)
-        return _node(Hyp, _int(d), _int(n))
+        return Hyp(*_array(key, val, 2))
     if key == "milnor":
-        m, n = _array(key, val, 2)
-        return _node(Milnor, _int(m), _int(n))
+        return Milnor(*_array(key, val, 2))
     if key in ("ci", "compint"):
         degs, n = _array(key, val, 2)
-        return _node(CompInt, tuple(_int(d) for d in _array(key, degs)), _int(n))
+        return CompInt(_array(key, degs), n)
     if key == "prod":
-        return _node(Product, tuple(parse_expr(v) for v in _array(key, val)))
+        return Product([parse_expr(v) for v in _array(key, val)])
     if key == "disj":
-        return _node(DisjointUnion, tuple(parse_expr(v) for v in _array(key, val)))
+        return DisjointUnion([parse_expr(v) for v in _array(key, val)])
     if key == "scale":
         k, e = _array(key, val, 2)
-        return _node(Scaled, _int(k), parse_expr(e))
+        return Scaled(_int(k), parse_expr(e))  # k is reported before e is parsed
     raise ValueError(f"unknown constructor {key!r}")
 
 
@@ -568,7 +568,7 @@ def _evaluate(expr: VarietyExpr, trunc: int) -> CobordismClass:
         if not expr.degrees or any(d < 1 for d in expr.degrees) or expr.n < 0:
             raise ValueError("complete intersection needs degrees >= 1 and n >= 0")
         if list(expr.degrees) != sorted(expr.degrees):  # one class per degree multiset
-            return evaluate(_node(CompInt, tuple(sorted(expr.degrees)), expr.n), trunc)
+            return evaluate(CompInt(sorted(expr.degrees), expr.n), trunc)
         return CobordismClass(_ci_image(expr.degrees, expr.n, trunc), dim=expr.n)
     if isinstance(expr, Milnor):
         if not (0 <= expr.m <= expr.n) or expr.n < 1:
@@ -612,19 +612,13 @@ def _built(kind: str, operands: tuple, dim, trunc: int) -> CobordismClass:
 # -- check reports --------------------------------------------------------
 
 
-class CheckReport:
-    """The (name, ok, detail) entries of a check suite; true iff all passed."""
+class CheckReport(Record):
+    """The (name, ok, detail) entries of a check suite; true iff all passed.
 
-    def __init__(self, entries: list):
-        self.entries = entries
+    ``entries`` is a list that a suite may extend, so a report has no hash.
+    """
 
-    def __eq__(self, other):
-        if type(other) is not CheckReport:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self):
-        return f"CheckReport(entries={self.entries!r})"
+    __slots__ = ("entries",)
 
     @property
     def ok(self):

@@ -38,7 +38,7 @@ from functools import lru_cache, reduce
 from itertools import takewhile
 
 from . import _backend
-from .geometry import (CobordismClass, Milnor, _check_truncation, _node, evaluate,
+from .geometry import (CobordismClass, Milnor, _check_truncation, evaluate,
                        n_series_coeff)
 from .partitions import Partition, codec, full_key, make, part_field, partitions_of
 from .series import BPoly, DEFAULT_TRUNCATION, SparseAlgebra
@@ -205,7 +205,7 @@ class GeneratorBasis:
         _check_truncation(i, self.trunc)
         image = BPoly.zero(trunc=self.trunc)
         for m, n, c in milnor_split(i)[1]:
-            image = image + evaluate(_node(Milnor, m, n), self.trunc).image.scaled(c)
+            image = image + evaluate(Milnor(m, n), self.trunc).image.scaled(c)
         g = CobordismClass(image, dim=i)
         c, pp, top = g.c_alpha((i,)), prime_power(i + 1), milnor_split(i)[0]
         expect = pp[0] if pp else 1

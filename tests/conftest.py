@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from cobord import fgl, lazard
@@ -28,6 +31,15 @@ def _embed(f, slot, vars=("x", "y")):
 @pytest.fixture(scope="session")
 def embed():
     return _embed
+
+
+def sweep_inputs():
+    """``perfbench/inputs.py``, the seeded inputs of the benchmark workloads."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # -- references that only the tests compare against ------------------------

@@ -1,6 +1,4 @@
-import importlib.util
 import itertools
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +10,7 @@ from cobord import lazard as lz
 from cobord.lazard import NEG_INF
 from cobord.partitions import full_key, partitions_of, pi_q, refines
 from cobord.series import BPoly
+from conftest import sweep_inputs
 
 TRUNC = 12
 
@@ -340,14 +339,6 @@ def test_product_law_on_hand_cases(x, y, exps, expected):
 # -- the packed scan against the partition loop on lib-sweep reductions ------
 
 
-def _sweep_inputs():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _partition_scan(reduced, q):
     """The q-degree and certificate by pi_q and ``full_key`` over partitions."""
     bound, best = NEG_INF, None
@@ -360,7 +351,7 @@ def _partition_scan(reduced, q):
 
 
 def test_the_bound_scan_is_the_partition_loop_on_lib_sweep_round_0():
-    inputs, trunc, checked = _sweep_inputs(), 14, 0
+    inputs, trunc, checked = sweep_inputs(), 14, 0
     for p, rank in itertools.product(inputs.PRIMES, inputs.RANKS):
         for n in range(1, trunc + 1):  # the sweep's set-up
             bd.fixed_dim_lower_bound(geo.evaluate(geo.Proj(n), trunc),

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -473,3 +475,24 @@ def test_a_strong_pseudoprime_to_the_first_twelve_prime_bases_is_not_a_prime(cap
     code, out, err = run(["fixedpoint", '{"proj":2}', "--p", str(psi_12),
                           "--group", "1"], capsys)
     assert (code, out, err) == (1, "", f"error: {psi_12} is not prime\n")
+
+
+# -- the installed script ------------------------------------------------------
+
+
+def test_the_cobord_script_prints_what_the_module_prints(capsys, monkeypatch):
+    # pyproject.toml read by a regex: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    found = re.search(r'^\[project\.scripts\]\s*^cobord\s*=\s*"([\w.]+):(\w+)"\s*$',
+                      text, re.M)
+    assert found, "no cobord entry under [project.scripts]"
+    module, name = found.groups()
+    argv = ["bound", '{"hyp":[3,4]}', "--p", "2", "--group", "1"]
+    monkeypatch.setattr(sys, "argv", ["cobord", *argv])
+    code = getattr(importlib.import_module(module), name)()  # as the script calls it
+    out = capsys.readouterr()
+    src = str(Path(cli.__file__).parents[1])
+    res = subprocess.run([sys.executable, "-m", "cobord.cli", *argv],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+    assert (code, out.out.encode(), out.err) == (0, res.stdout, "")
+    assert res.returncode == 0 and b'"lower_bound":2' in res.stdout

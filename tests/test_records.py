@@ -1,6 +1,7 @@
 """The value classes built on ``geometry.Record``: equality by type and
 fields, hashing, immutability, the dataclass-style repr, keyword
-construction, defaults and the normalizing ``__post_init__`` hooks."""
+construction, defaults, the normalizing ``__post_init__`` hooks and the
+one node per expression value."""
 
 import copy
 import os
@@ -45,6 +46,9 @@ SAMPLES = {
 }
 
 
+EXPRS = [name for name, (make, _) in SAMPLES.items() if isinstance(make(), geo.Expr)]
+
+
 def test_every_converted_class_is_a_record():
     classes = {cls.__name__ for cls in (
         geo.Point, geo.Proj, geo.Hyp, geo.CompInt, geo.Milnor, geo.Product,
@@ -58,7 +62,7 @@ def test_every_converted_class_is_a_record():
 def test_equal_values_are_equal_and_hash_alike(name):
     make, _ = SAMPLES[name]
     a, b = make(), make()
-    assert a is not b
+    assert (a is b) == (name in EXPRS)  # one node per expression value
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
@@ -170,7 +174,17 @@ def test_check_report_stays_a_mutable_unhashable_holder():
         hash(report)
 
 
-# -- the hash memo -----------------------------------------------------------
+def test_every_spelling_of_an_expression_value_is_its_one_node():
+    assert geo.Proj(3) is geo.Proj(n=3) is geo.parse_expr({"proj": 3})
+    a = geo.Hyp(3, 4)
+    assert geo.Product([a]) is geo.Product((a,)) is geo.Product(factors=[a])
+    assert geo.CompInt([2, 3], 4) is geo.CompInt((2, 3), 4)
+    assert geo.DisjointUnion([a, a]) is geo.parse_expr({"disj": [{"hyp": [3, 4]}] * 2})
+    assert geo.CompInt((3, 2), 4) is not geo.CompInt((2, 3), 4)  # the order is a field
+    assert geo.Hyp(3, 4) is not geo.Milnor(3, 4)
+
+
+# -- hashing ---------------------------------------------------------------
 
 
 HASHABLE = [name for name in SAMPLES if name != "BoundReport"]  # a GenPoly field
@@ -189,52 +203,29 @@ def _count_fields(monkeypatch):
 
 
 @pytest.mark.parametrize("name", HASHABLE)
-def test_equal_records_built_apart_hash_alike_once_the_hash_is_kept(name):
+def test_equal_records_built_apart_hash_alike(name):
     make, _ = SAMPLES[name]
     a, b = make(), make()
     first = hash(a)
     assert hash(a) == first == hash(b) == hash(make())
-    assert first == hash((type(a), a._fields()))
+    if name in EXPRS:  # one node per value, hashed by identity
+        assert first == object.__hash__(a)
+    else:
+        assert first == hash((type(a), a._fields()))
 
 
-@pytest.mark.parametrize("name", HASHABLE)
-def test_a_record_reads_its_fields_for_the_first_hash_only(name, monkeypatch):
-    calls = _count_fields(monkeypatch)
-    record = SAMPLES[name][0]()
-    hashes = {hash(record) for _ in range(5)}
-    assert len(hashes) == 1 and calls[id(record)] == 1
-    assert set(calls.values()) == {1}  # nested records, too
-
-
-@pytest.mark.parametrize("name", HASHABLE)
-def test_the_kept_hash_is_not_a_field(name):
-    make, text = SAMPLES[name]
-    hashed, fresh = make(), make()
-    hash(hashed)
-    assert repr(hashed) == text == repr(fresh) and "_hash" not in repr(hashed)
-    assert hashed == fresh and fresh == hashed
-    assert "_hash" not in type(hashed).__slots__
-    if hasattr(hashed, "to_obj"):
-        assert hashed.to_obj() == fresh.to_obj()
-    with pytest.raises(AttributeError):
-        hashed._hash = 0
-    with pytest.raises(AttributeError):
-        del hashed._hash
-
-
-def test_evaluate_hashes_each_node_of_a_three_level_composite_once(monkeypatch):
+def test_evaluate_reads_no_field_to_hash_a_three_level_composite(monkeypatch):
     geo.evaluate.cache_clear()
     leaves = (geo.Proj(2), geo.Hyp(3, 3), geo.Milnor(2, 3), geo.CompInt((2, 2), 1))
     products = (geo.Product(leaves[:2]), geo.Product(leaves[2:]))
     expr = geo.DisjointUnion((geo.Scaled(-2, products[0]), products[1]))
-    nodes = (expr, expr.parts[0], *products, *leaves)
     calls = _count_fields(monkeypatch)
     try:
         cl = geo.evaluate(expr, TRUNC)
     finally:
         geo.evaluate.cache_clear()
     assert cl.dim == 5
-    assert calls == {id(node): 1 for node in nodes}
+    assert calls == {}
 
 
 # -- copy, deepcopy and pickle -------------------------------------------
@@ -259,16 +250,19 @@ ROUTES = {
 @pytest.mark.parametrize("name", COPIED)
 def test_a_record_survives_copy_deepcopy_and_pickle(name, route):
     original = COPIED[name]()
-    hash(original)  # keep the hash, which a copy must not carry
     copied = ROUTES[route](original)
     assert type(copied) is type(original)
     assert copied == original and original == copied
-    with pytest.raises(AttributeError):
-        copied._hash
     assert hash(copied) == hash(original) == hash(COPIED[name]())
     assert repr(copied) == repr(original)
     with pytest.raises(AttributeError):
         copied.p = 5
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_copy_deepcopy_and_pickle_return_the_one_node_of_an_expression(route):
+    original = COPIED["nested expression"]()
+    assert ROUTES[route](original) is original
 
 
 def test_a_pickled_record_hashes_afresh_in_a_process_with_other_string_hashes():
