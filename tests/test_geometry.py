@@ -297,8 +297,8 @@ def test_an_integer_field_rejects_a_bool_or_float_even_when_its_int_node_exists(
 
 
 def test_a_float_hypersurface_leaves_the_integer_class_alone(capsys):
-    # a float field once shared the integer node's cache entry, so a later
-    # query printed float coefficients
+    # a float field must not reach the integer node's cache entry, where a
+    # later query would read float coefficients
     with pytest.raises(ValueError, match=r"^expected an integer, got 2\.0$"):
         geo.evaluate(geo.Hyp(2.0, 3), 3)
     assert cli.main(["bound", '{"hyp":[2,3]}', "--group", "1"]) == 0
