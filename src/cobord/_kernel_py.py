@@ -11,7 +11,7 @@ one-term factor needs no pair loop, and through ``mul_into`` that step
 made cold constructor evaluations measurably slower.  ``lazard.GenPoly``
 is keyed by the same packed ints, so its products are ``mul_terms`` calls
 too.  Only ``MPoly`` keys are tuples, so its monomial products are
-``SparseAlgebra._mul``'s; its BPoly coefficients still multiply here.
+``MPoly._mul``'s; its BPoly coefficients still multiply here.
 
 Every key ``mul_into`` inserts is one canonical int per key value and
 truncation, so the images a process retains share their key objects

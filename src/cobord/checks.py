@@ -40,7 +40,7 @@ def formal_inverse(ctx: fgl.FglContext) -> TruncSeries:
 
     for k in range(2, ctx.cap + 1):
         acc = {}
-        for (a, c), f in ctx.fgl_sum.coeffs.items():
+        for (a, c), f in ctx.fgl_sum.terms.items():
             if a <= k and (a, c) != (0, 1):
                 _backend.mul_into(acc, f._terms, power(c, k - a), trunc)
         inv[k] = {key: -v for key, v in acc.items()}
@@ -128,7 +128,7 @@ def fgl_laws(p: int, trunc: int) -> CheckReport:
     ctx = fgl.context(trunc)
     F = ctx.fgl_sum
     unit = all(F.coeff((i, 0)) == (1 if i == 1 else 0) for i in range(ctx.cap + 1))
-    sym = all(F.coeff((i, j)) == F.coeff((j, i)) for (i, j) in F.coeffs)
+    sym = all(F.coeff((i, j)) == F.coeff((j, i)) for (i, j) in F.terms)
     checks = [("unit law F(x,0)=x", unit), ("symmetry", sym)]
     deg = min(6, trunc)
     xyz = ("x", "y", "z")

@@ -113,8 +113,8 @@ def cmd_class(args) -> int:
     for k, v in cl.image.sorted_terms():
         lines.append(f"  c_{list(k)} = {v}")
     lines.append("generator coordinates:")
-    for beta in coords.support():
-        lines.append(f"  {list(beta)}: {coords.coeff(beta)}")
+    for beta, c in coords.sorted_terms():
+        lines.append(f"  {list(beta)}: {c}")
     _emit(obj, args.format, lines)
     return 0
 
@@ -187,15 +187,15 @@ def cmd_chern_bound(args) -> int:
 def cmd_actions(args) -> int:
     group = _parse_group(args)
     witnesses, trunc = [], args.trunc  # a guard only: no class or basis is built
+    if [args.generator, args.landweber, args.family].count(None) != 2:
+        raise ValueError("pick one of --generator, --landweber, --family")
     if args.generator is not None:
         witnesses.extend(actions_mod.generator_action(args.generator, group, trunc))
     elif args.landweber is not None:
         witnesses.append(actions_mod.landweber_variety(args.landweber, group, trunc))
-    elif args.family is not None:
+    else:
         witnesses.extend(
             actions_mod.filtration_family(args.family, group, args.max_dim, trunc))
-    else:
-        raise ValueError("pick one of --generator, --landweber, --family")
     obj = {"witnesses": [w.to_obj() for w in witnesses]}
     lines = []
     for w in witnesses:
@@ -317,6 +317,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         # TruncationError and NotInLazardImage are ValueErrors too
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:  # from the JSON decoder, the parser or evaluate
+        print("error: expression nested too deeply", file=sys.stderr)
         return 1
 
 

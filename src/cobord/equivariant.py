@@ -26,10 +26,6 @@ def char_label(g: Character) -> str:
     return ",".join(str(x) for x in g)
 
 
-def char_from_label(s: str) -> Character:
-    return tuple(int(x) for x in s.split(","))
-
-
 def is_trivial(g: Character) -> bool:
     return not any(g)
 
@@ -64,15 +60,16 @@ class MPoly(SparseAlgebra):
     def _shape(self):
         return self.kind
 
-    def _mul_keys(self, a, b):
-        return tuple(sorted(a + b))
+    def _mul(self, y):
+        # Monomial keys form a cancellative monoid, so the products of one
+        # left monomial have distinct keys and merge as one dict.
+        out = {}
+        for ka, va in self._terms.items():
+            _backend.iadd_terms(out, {tuple(sorted(ka + kb)): va * vb for kb, vb in y.items()})
+        return out
 
     def _mono(self, key):
         return "*".join(f"{self.kind}[{i},{char_label(g)}]" for i, g in key)
-
-    @property
-    def terms(self) -> dict:
-        return self._terms
 
     @classmethod
     def zero(cls, kind="a", trunc=DEFAULT_TRUNCATION):
@@ -89,19 +86,6 @@ class MPoly(SparseAlgebra):
     def coeff(self, key) -> BPoly:
         key = tuple(sorted(tuple(v) for v in key))
         return self._terms.get(key, BPoly.zero(trunc=self.trunc))
-
-    def homogeneous_degree(self):
-        """Degree when homogeneous: -(sum of a-indices + coefficient weight)."""
-        degs = set()
-        for key, coeff in self._terms.items():
-            base = sum(i for i, _ in key)
-            for w in coeff.weights():
-                degs.add(-(base + w))
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
 
     def to_obj(self):
         out = []
@@ -151,7 +135,7 @@ def q_class(E: SplitBundleDescriptor, trunc: int = DEFAULT_TRUNCATION) -> MPoly:
             c1 = c1 + TruncSeries.variable(name, names, dim, trunc) * k
         powers = enumerate(c1.powers(dim))
         result = result * MPoly({((i, g),): c for i, c in powers}, "a", trunc)
-    return MPoly({key: chow._shell({e: c for e, c in chow.coeffs.items()
+    return MPoly({key: chow._shell({e: c for e, c in chow.terms.items()
                                     if all(map(le, e, E.base))})
                   for key, chow in result.terms.items()}, "a", trunc)
 
@@ -165,7 +149,7 @@ def push_class(E: SplitBundleDescriptor, trunc: int = DEFAULT_TRUNCATION) -> MPo
     terms = {}
     for key, chow in q_class(E, trunc).terms.items():
         terms[key] = BPoly.zero(trunc=trunc)
-        for exps, coeff in chow.coeffs.items():
+        for exps, coeff in chow.terms.items():
             for nj, ej in zip(E.base, exps):
                 coeff = coeff * evaluate(Proj(nj - ej), trunc).image
             terms[key] = terms[key] + coeff

@@ -48,7 +48,8 @@ class CobordismClass:
     Generator coordinates are computed lazily per ``lazard.GeneratorBasis``
     and cached under the basis itself; the triangular solve asserts
     integrality, which certifies that the image really lies in the Lazard
-    subring.  ``gen_coords`` is always that integer solve.
+    subring.  ``gen_coords`` is always that integer solve.  Classes have no
+    arithmetic: they combine through expressions or through their images.
 
     ``evaluate`` records how it built a ``Product``, ``DisjointUnion`` or
     ``Scaled`` class in ``_parts``: ("prod", factors), ("sum", parts) or
@@ -100,27 +101,6 @@ class CobordismClass:
         if basis not in self._coords:
             self._coords[basis] = basis.solve(self.image)
         return self._coords[basis]
-
-    def __add__(self, other):
-        dim = self.dim if self.dim == other.dim else None
-        return CobordismClass(self.image + other.image, dim)
-
-    def __sub__(self, other):
-        dim = self.dim if self.dim == other.dim else None
-        return CobordismClass(self.image - other.image, dim)
-
-    def __neg__(self):
-        return CobordismClass(-self.image, self.dim)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CobordismClass(self.image.scaled(other), self.dim)
-        dim = None
-        if self.dim is not None and other.dim is not None:
-            dim = self.dim + other.dim
-        return CobordismClass(self.image * other.image, dim)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, CobordismClass):

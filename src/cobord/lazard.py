@@ -40,8 +40,8 @@ from itertools import takewhile
 from . import _backend
 from .geometry import (CobordismClass, Milnor, _check_truncation, evaluate,
                        n_series_coeff)
-from .partitions import Partition, codec, full_key, make, part_field, partitions_of
-from .series import BPoly, DEFAULT_TRUNCATION, SparseAlgebra
+from .partitions import Partition, codec, make, part_field, partitions_of
+from .series import BPoly, DEFAULT_TRUNCATION, PackedPoly, SparseAlgebra, packed_terms
 
 NEG_INF = float("-inf")
 
@@ -390,7 +390,7 @@ class LandweberQuotient:
         g = self._built.get(i)
         if g is None:  # v_s = [t^(i+1)] [p](t) for i = p^s - 1
             v = n_series_coeff(self.p, i + 1, self.trunc)
-            g = CobordismClass(v, dim=i) - self.p ** i * self._base.gen(i)
+            g = CobordismClass(v - self._base.gen(i).image.scaled(self.p ** i), dim=i)
             if (c := g.c_alpha((i,))) != -self.p:
                 raise BasisValidationError(
                     f"degree {i}: c_(i) = {c}, but the construction gives {-self.p}")
@@ -424,30 +424,19 @@ class LandweberQuotient:
 # -- generator-coordinate polynomials ----------------------------------
 
 
-class GenPoly(SparseAlgebra):
+class GenPoly(PackedPoly):
     """Sparse polynomial in the generators of one basis or quotient.
 
     Integer coordinates (``modulus`` None) or coordinates reduced mod p;
-    operands must share both.  ``_terms`` is keyed by the kernel's
-    canonical ``codec(trunc)`` ints, as a BPoly is, so a product is one
-    kernel call and one pass mod p.  The constructor (which drops terms
-    above the truncation), ``coeffs``, ``support()``, ``coeff()`` and
-    ``to_obj()`` speak partitions.
+    operands must share both.  Its keys are a BPoly's, so a product is one
+    kernel call and one pass mod p.
     """
 
     __slots__ = ("modulus", "basis")
+    _letter = "g"
 
-    def __init__(self, coeffs, modulus, basis):
-        trunc = basis.trunc
-        pack, canonical = codec(trunc)[0], _backend._layout(trunc)[1].setdefault
-        clean = {}
-        for beta, c in coeffs.items():
-            if modulus is not None:
-                c %= modulus
-            if c and sum(beta) <= trunc:
-                key = pack(beta)
-                clean[canonical(key, key)] = c
-        self._terms = clean
+    def __init__(self, terms, modulus, basis):
+        self._terms = packed_terms(terms, basis.trunc, modulus)
         self.modulus = modulus
         self.basis = basis
 
@@ -474,39 +463,13 @@ class GenPoly(SparseAlgebra):
             return other._terms
         return SparseAlgebra._operand(self, other)
 
-    def _mul(self, y):
-        return _backend.mul_terms(self._terms, y, self.basis.trunc)
-
-    def _mono(self, key):
-        return "*".join(f"g{i}" for i in codec(self.trunc)[1](key))
-
     @property
     def trunc(self) -> int:
         return self.basis.trunc
 
-    @property
-    def coeffs(self) -> dict:
-        unpack = codec(self.trunc)[1]
-        return {unpack(k): c for k, c in self._terms.items()}
-
-    def support(self):
-        return sorted(self.coeffs, key=full_key)
-
-    def coeff(self, beta) -> int:
-        if sum(beta) > self.trunc:
-            return 0
-        return self._terms.get(codec(self.trunc)[0](beta), 0)
-
     def to_obj(self):
-        coeffs = self.coeffs
-        return {
-            "modulus": self.modulus,
-            "basis": self.basis.describe(),
-            "terms": [
-                {"partition": list(beta), "coeff": str(coeffs[beta])}
-                for beta in sorted(coeffs, key=full_key)
-            ],
-        }
+        return {"modulus": self.modulus, "basis": self.basis.describe(),
+                "terms": self._term_list()}
 
 
 # -- decomposability ----------------------------------------------------

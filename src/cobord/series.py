@@ -5,8 +5,9 @@
 negation, scaling, comparison and repr defined once.  Its subclasses are
 ``BPoly`` and ``TruncSeries`` here, ``lazard.GenPoly`` and
 ``equivariant.MPoly``; each supplies only its hooks and its own product.
-``BPoly`` and ``GenPoly`` share one monomial representation, the packed
-ints of ``partitions.codec``, and multiply in the kernel.
+``BPoly`` and ``GenPoly`` are ``PackedPoly``s: one monomial representation,
+the packed ints of ``partitions.codec`` made by ``packed_terms``, and one
+product, in the kernel.  ``BPoly`` and ``TruncSeries`` share one inverse.
 
 ``BPoly`` is a sparse polynomial in generators b_1, b_2, ... with deg(b_i)
 = -i.  The monomial b_alpha = b_{a_1}...b_{a_n} is the partition
@@ -65,9 +66,10 @@ class SparseAlgebra:
       when ``c`` is not a constant of this ring (the default);
     - ``_scalars``: the types that ``*`` and ``scaled`` multiply
       coefficientwise;
-    - ``_mul_keys(a, b)``: the product of two monomials, None when the
-      truncation kills it; or ``_mul(terms)`` for a whole product;
+    - ``_mul(terms)``: the term dict of a product;
     - ``_mono(key)``: the monomial as text, "" for the unit, for repr.
+
+    ``terms`` is the term dict itself; ``PackedPoly`` reads it by partition.
     """
 
     __slots__ = ("_terms",)
@@ -131,19 +133,6 @@ class SparseAlgebra:
             return self.scaled(other)
         return NotImplemented
 
-    def _mul(self, y):
-        # Monomial keys form a cancellative monoid, so the products of one
-        # left monomial have distinct keys and merge as one dict.
-        out = {}
-        for ka, va in self._terms.items():
-            row = {}
-            for kb, vb in y.items():
-                key = self._mul_keys(ka, kb)
-                if key is not None:
-                    row[key] = va * vb
-            _backend.iadd_terms(out, row)
-        return out
-
     def __pow__(self, n: int):
         one = self._lift(1)
         if one is NotImplemented:
@@ -165,6 +154,10 @@ class SparseAlgebra:
     def __bool__(self):
         return bool(self._terms)
 
+    @property
+    def terms(self) -> dict:
+        return self._terms
+
     def __eq__(self, other):
         try:
             terms = self._operand(other)
@@ -184,22 +177,86 @@ class SparseAlgebra:
         return " + ".join(bits) + tail
 
 
-class BPoly(SparseAlgebra):
-    """Sparse graded polynomial with exact integer coefficients.
+def packed_terms(terms, trunc, modulus=None):
+    """A partition-keyed dict as a term dict of the kernel's canonical
+    ``codec(trunc)`` ints, each coefficient reduced mod ``modulus`` if one
+    is given; zero coefficients and partitions heavier than ``trunc`` go."""
+    pack, canonical = codec(trunc)[0], _backend._layout(trunc)[1].setdefault
+    out = {}
+    for alpha, c in terms.items():
+        if modulus is not None:
+            c %= modulus
+        if c and sum(alpha) <= trunc:
+            key = pack(alpha)
+            out[canonical(key, key)] = c
+    return out
 
-    ``_terms`` is keyed by ``codec(trunc)``; ``terms`` is a partition-keyed copy.
+
+class PackedPoly(SparseAlgebra):
+    """Integer polynomial in generators x_1, x_2, ..., named ``_letter``.
+
+    ``_terms`` is keyed by the kernel's canonical ``codec(trunc)`` ints
+    (``packed_terms``), so a product is one kernel call; ``terms``,
+    ``coeff``, ``sorted_terms`` and the JSON term list speak partitions.
     """
 
+    __slots__ = ()
+
+    def _mul(self, y):
+        return _backend.mul_terms(self._terms, y, self.trunc)
+
+    def _mono(self, key):
+        return "*".join(f"{self._letter}{i}" for i in codec(self.trunc)[1](key))
+
+    @property
+    def terms(self) -> dict:
+        """A partition-keyed copy of ``_terms``."""
+        unpack = codec(self.trunc)[1]
+        return {unpack(k): v for k, v in self._terms.items()}
+
+    def coeff(self, alpha) -> int:
+        if sum(alpha) > self.trunc:
+            return 0
+        return self._terms.get(codec(self.trunc)[0](alpha), 0)
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: full_key(kv[0]))
+
+    def _term_list(self):
+        return [{"partition": list(k), "coeff": str(v)} for k, v in self.sorted_terms()]
+
+
+def _inverse(self):
+    """Multiplicative inverse of an element whose constant coefficient c0
+    is a unit: an int +-1, or a BPoly with an inverse.
+
+    The tail x - c0 is nilpotent under truncation, so the geometric series
+    1/x = c0^-1 * sum_k (-c0^-1 (x - c0))^k ends at its first zero term.
+    """
+    (unit,) = self._lift(1)  # the key of the unit monomial
+    c0 = self._terms.get(unit, 0)
+    if not isinstance(c0, int):
+        c0_inv = c0.inverse()
+    elif c0 in (1, -1):
+        c0_inv = c0
+    else:
+        raise ZeroDivisionError(f"constant coefficient {c0} is not a unit")
+    tail = self - c0
+    result = term = self._shell({unit: c0_inv})
+    while term:
+        term = (term * tail) * -c0_inv
+        result = result + term
+    return result
+
+
+class BPoly(PackedPoly):
+    """Sparse graded polynomial with exact integer coefficients."""
+
     __slots__ = ("trunc",)
+    _letter = "b"
 
     def __init__(self, terms=None, trunc=DEFAULT_TRUNCATION):
-        pack = codec(trunc)[0]
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff and sum(key) <= trunc:
-                    clean[pack(key)] = coeff
-        self._terms = clean
+        self._terms = packed_terms(terms or {}, trunc)
         self.trunc = trunc
 
     @classmethod
@@ -218,18 +275,9 @@ class BPoly(SparseAlgebra):
             return {0: c} if c else {}  # the unit monomial packs to 0
         return NotImplemented
 
-    def _mul(self, y):
-        return _backend.mul_terms(self._terms, y, self.trunc)
-
-    __mul__ = SparseAlgebra.__mul__  # an own entry, timed per class by perfbench
-
-    def _mono(self, key):
-        return "*".join(f"b{i}" for i in codec(self.trunc)[1](key))
-
-    @property
-    def terms(self) -> dict:
-        unpack = codec(self.trunc)[1]
-        return {unpack(k): v for k, v in self._terms.items()}
+    # own entries, so that perfbench's tracer times them per class
+    __mul__ = SparseAlgebra.__mul__
+    inverse = _inverse
 
     @classmethod
     def zero(cls, trunc=DEFAULT_TRUNCATION):
@@ -242,11 +290,6 @@ class BPoly(SparseAlgebra):
     @classmethod
     def one(cls, trunc=DEFAULT_TRUNCATION):
         return cls.const(1, trunc)
-
-    def coeff(self, alpha) -> int:
-        if sum(alpha) > self.trunc:
-            return 0
-        return self._terms.get(codec(self.trunc)[0](alpha), 0)
 
     def weights(self) -> set[int]:
         shift = codec(self.trunc)[2]
@@ -261,24 +304,6 @@ class BPoly(SparseAlgebra):
             raise ValueError(f"not homogeneous, weights {sorted(ws)}")
         return ws.pop()
 
-    def inverse(self) -> "BPoly":
-        """Multiplicative inverse in the weight-truncated ring.
-
-        Requires the constant coefficient to be a unit, +-1; the
-        positive-weight part is nilpotent under truncation.
-        """
-        c0 = self.coeff(())
-        if c0 not in (1, -1):
-            raise ZeroDivisionError(f"constant coefficient {c0} is not a unit")
-        tail = self - c0
-        result = term = BPoly.const(c0, self.trunc)
-        for _ in range(self.trunc):
-            term = (term * tail).scaled(-c0)
-            if term.is_zero():
-                break
-            result = result + term
-        return result
-
     def divisible_by(self, k: int) -> bool:
         return all(v % k == 0 for v in self._terms.values())
 
@@ -290,17 +315,9 @@ class BPoly(SparseAlgebra):
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: full_key(kv[0]))
-
     def to_obj(self):
-        return {
-            "modulus": None,  # integers; only GenPoly coordinates carry p
-            "terms": [
-                {"partition": list(k), "coeff": str(v)}
-                for k, v in self.sorted_terms()
-            ],
-        }
+        # integers; only GenPoly coordinates carry p
+        return {"modulus": None, "terms": self._term_list()}
 
 
 class TruncSeries(SparseAlgebra):
@@ -357,10 +374,6 @@ class TruncSeries(SparseAlgebra):
             f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, exps) if e
         )
 
-    @property
-    def coeffs(self) -> dict:
-        return self._terms
-
     @classmethod
     def zero(cls, vars, total_cap, trunc=DEFAULT_TRUNCATION):
         return cls(vars, total_cap, {}, trunc)
@@ -399,19 +412,7 @@ class TruncSeries(SparseAlgebra):
     # own entries, so that perfbench's tracer times them per class
     __mul__ = SparseAlgebra.__mul__
     __pow__ = SparseAlgebra.__pow__
-
-    def inverse(self) -> "TruncSeries":
-        """Inverse of a series whose constant coefficient is a unit."""
-        c0 = self.coeff((0,) * len(self.vars))
-        c0_inv = c0.inverse()
-        tail = self - c0
-        result = term = self.constant(c0_inv)
-        for _ in range(self.total_cap):
-            term = (term * tail) * (-c0_inv)
-            if term.is_zero():
-                break
-            result = result + term
-        return result
+    inverse = _inverse
 
     def truncate_total(self, k: int) -> "TruncSeries":
         """Copy with the total-degree cap lowered to ``k``."""

@@ -23,7 +23,7 @@ def _embed(f, slot, vars=("x", "y")):
     """Reindex a one-variable series onto one slot of a variable tuple."""
     n = len(vars)
     coeffs = {}
-    for (k,), c in f.coeffs.items():
+    for (k,), c in f.terms.items():
         coeffs[tuple(k if i == slot else 0 for i in range(n))] = c
     return TruncSeries(vars, f.total_cap, coeffs, trunc=f.trunc)
 
@@ -62,7 +62,7 @@ def graded_degree(series):
     None for the zero series; raises ValueError if there is no such d.
     """
     degree = None
-    for exps, c in series.coeffs.items():
+    for exps, c in series.terms.items():
         d = sum(exps) - c.homogeneous_weight()
         if degree is None:
             degree = d

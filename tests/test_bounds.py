@@ -342,7 +342,7 @@ def test_product_law_on_hand_cases(x, y, exps, expected):
 def _partition_scan(reduced, q):
     """The q-degree and certificate by pi_q and ``full_key`` over partitions."""
     bound, best = NEG_INF, None
-    coeffs = reduced.coeffs
+    coeffs = reduced.terms
     for beta in coeffs:
         level = pi_q(beta, q)
         if level > bound or level == bound and full_key(beta) < full_key(best):

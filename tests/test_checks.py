@@ -163,7 +163,7 @@ def unpack(series, width, count):
     each coefficient split into balanced digits, lowest slot first."""
     slots = [{} for _ in range(count)]
     half, full = 1 << (width - 1), 1 << width
-    for e, c in series.coeffs.items():
+    for e, c in series.terms.items():
         for k, v in c._terms.items():
             for slot in slots:
                 d = v & (full - 1)
@@ -177,7 +177,7 @@ def unpack(series, width, count):
 
 
 def max_bits(series):
-    return max((abs(v).bit_length() for s in series for c in s.coeffs.values()
+    return max((abs(v).bit_length() for s in series for c in s.terms.values()
                 for v in c._terms.values()), default=0)
 
 

@@ -109,6 +109,37 @@ def test_actions_requires_mode(capsys):
     assert err == "error: pick one of --generator, --landweber, --family\n"
 
 
+@pytest.mark.parametrize("modes", [
+    ["--generator", "3", "--landweber", "1"],
+    ["--landweber", "1", "--family", "0"],
+    ["--generator", "3", "--family", "0"],
+    ["--generator", "3", "--landweber", "1", "--family", "0"],
+])
+def test_actions_refuses_a_second_mode(modes, capsys):
+    code, out, err = run(["actions", *modes, "--p", "2", "--group", "1,1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: pick one of --generator, --landweber, --family\n"
+
+
+@pytest.mark.parametrize("depth", [300, 5000])
+def test_a_deeply_nested_expression_is_a_one_line_error(depth, capsys):
+    # the JSON decoder, the parser or evaluate runs out of stack: at 5,000
+    # the decoder on every supported Python, at 300 it depends on the stack
+    text = '{"prod":[' * depth + '"point"' + ']}' * depth
+    code, out, err = run(["bound", text, "--p", "2", "--group", "1"], capsys)
+    if depth == 5000 or code:
+        assert (code, out, err) == (1, "", "error: expression nested too deeply\n")
+    else:
+        point = run(["bound", "point", "--p", "2", "--group", "1"], capsys)
+        assert (code, out, err) == (0, point[1].replace('"point"', text, 1), "")
+    # the failed query leaves this process answering like a fresh one
+    argv = ["bound", '{"prod":[{"hyp":[3,4]},{"proj":2}]}', "--p", "2", "--group", "1"]
+    fresh = subprocess.run([sys.executable, "-m", "cobord.cli", *argv], capture_output=True,
+                           text=True, env=dict(os.environ,
+                                               PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert run(argv, capsys) == (0, fresh.stdout, "") and fresh.returncode == 0
+
+
 def test_invalid_json_is_an_error(capsys):
     code, out, err = run(["class", "{broken"], capsys)
     assert code == 1

@@ -43,7 +43,7 @@ def test_group_law_axioms(ctx):
         assert F.coeff((0, i)) == (
             BPoly.one(trunc=TRUNC) if i == 1 else BPoly.zero(trunc=TRUNC)
         )
-    for (i, j) in F.coeffs:
+    for (i, j) in F.terms:
         assert F.coeff((i, j)) == F.coeff((j, i))
 
 

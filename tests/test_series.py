@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobord import fgl
-from cobord.series import BPoly, CoefficientError, TruncSeries
+from cobord.partitions import codec
+from cobord.series import BPoly, CoefficientError, TruncSeries, packed_terms
 from conftest import b_gen, exp_series, graded_degree
 
 N = 10
@@ -90,6 +91,13 @@ def test_pow_and_inverse():
     assert ((-one() + b(2)).inverse() * (-one() + b(2))) == one()
     with pytest.raises(ZeroDivisionError):
         b(1).inverse()
+
+
+def test_packed_terms_reduces_then_drops_zero_and_heavy_terms():
+    pack = codec(N)[0]
+    terms = {(3, 1): 7, (2,): 6, (): -1, (6, 5): 1, (1,): 0}  # (6, 5) is heavier than N
+    assert packed_terms(terms, N) == {pack((3, 1)): 7, pack((2,)): 6, 0: -1}
+    assert packed_terms(terms, N, 3) == {pack((3, 1)): 1, 0: 2}
 
 
 def test_bpoly_json():
@@ -195,6 +203,19 @@ def test_series_inverse():
     s = t + 1
     assert (s * s.inverse()).coeff((0,)) == one()
     assert (s * s.inverse()) == t.constant(1)
+    assert (1 - t).inverse() == sum((t ** k for k in range(N + 1)), t.constant(0))
+    x, y = (TruncSeries.variable(v, ("x", "y"), 6, trunc=N) for v in "xy")
+    for unit in (t - 1, t.constant(one() + b(1)) + t * b(2), 1 + x * b(1) - 3 * x * y,
+                 x.constant(-one() + b(2)) + y * y):  # constants -1, 1 + b_1, 1, -1 + b_2
+        inv = unit.inverse()
+        assert unit * inv == inv * unit == unit.constant(1), unit
+    for c in (2, b(1)):
+        with pytest.raises(ZeroDivisionError, match="is not a unit"):
+            (t + c).inverse()
+    with pytest.raises(ZeroDivisionError, match="constant coefficient 0 is not a unit"):
+        t.inverse()
+    with pytest.raises(ZeroDivisionError, match="constant coefficient 2 is not a unit"):
+        BPoly.const(2, trunc=N).inverse()
 
 
 def horner_compose(f, g):

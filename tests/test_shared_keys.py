@@ -10,6 +10,7 @@ import pytest
 
 from cobord import _backend, actions, bounds, geometry, lazard
 from cobord.partitions import partitions_of
+from cobord.series import BPoly
 
 
 def test_two_independent_products_share_their_key_objects():
@@ -23,6 +24,18 @@ def test_two_independent_products_share_their_key_objects():
     out = dict(first)
     _backend.mul_into(out, x, y, 12)
     assert all(objects[key] is key for key in out)
+
+
+def test_polynomials_built_from_partitions_hold_the_kernel_s_key_objects():
+    # ``packed_terms`` stores each key through the kernel's canonical table
+    trunc = 14
+    canonical = _backend._layout(trunc)[1]
+    alphas = [alpha for n in (12, 13, 14) for alpha in partitions_of(n)]
+    terms = {alpha: 5 for alpha in alphas}
+    for poly in (BPoly(terms, trunc), lazard.GenPoly(terms, 3, lazard.base_basis(trunc))):
+        keys = list(poly._terms)
+        assert len(keys) == len(alphas) and min(keys) > 256  # above the small-int cache
+        assert all(canonical.get(key) is key for key in keys), type(poly)
 
 
 @pytest.fixture
