@@ -110,7 +110,7 @@ class _Levels(dict):
     __slots__ = ("unpack", "q")
 
     def __init__(self, trunc: int, q: int):
-        self.unpack, self.q = codec(trunc)[1], q
+        self.unpack, self.q = codec(trunc).unpack, q
 
     def __missing__(self, key):
         beta = self.unpack(key)
@@ -140,9 +140,9 @@ def chern_bound(
         )
     p, r, q = group.p, group.rank, group.order
     c = z.c_alpha(alpha)
-    if r == 0:
-        return pi_q(alpha, q) if c != 0 else None
-    if c % p != 0:
+    if c == 0:  # 0 lies in p times every value group
+        return None
+    if r == 0 or c % p:
         return pi_q(alpha, q)
     if in_admissible_class(alpha, p, r):
         gcd_val = c_alpha_image_gcd(alpha, base_basis(z.trunc))

@@ -76,7 +76,7 @@ class FglContext:
         """
         if self._sum is None:
             trunc, cap = self.trunc, self.cap
-            pack = codec(trunc)[0]
+            units = codec(trunc).units
             # powers[k][m]: the terms of [t^m] L_k, for k <= m <= cap
             powers = [{0: {0: 1}}] + [
                 {m: log_power_coeff(k, m, trunc)._terms for m in range(k, cap + 1)}
@@ -86,7 +86,7 @@ class FglContext:
             for i in range(cap + 1):
                 d_i = {}  # y-exponent -> terms of D_i(y), up to y^(cap - i)
                 for j in range(max(1 - i, 0), cap - i + 1):
-                    b = {pack((i + j - 1,)): comb(i + j, i)}  # b_0 packs to 0
+                    b = {units[i + j - 1]: comb(i + j, i)}  # b_0 packs to 0
                     for c, lj in powers[j].items():
                         if c <= cap - i:
                             _backend.mul_into(d_i.setdefault(c, {}), b, lj, trunc)

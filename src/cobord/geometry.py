@@ -375,11 +375,11 @@ def _merged(triples, trunc) -> dict:
     """The term dict of sum c * b^beta * row over (key, c, row) triples.
 
     ``key`` is the packed key of the monomial b^beta, so each product adds
-    it to every row key (``_one_part_keys`` has those of the single b_i;
-    0 is the unit).  A key new to the sum is stored as the kernel's
-    canonical int of its value, as ``_backend.mul_into`` stores it.
+    it to every row key (``codec(trunc).units`` has those of the single
+    b_i; 0 is the unit).  A key new to the sum is stored as its
+    ``codec(trunc).canonical`` int, as ``_backend.mul_into`` stores it.
     """
-    canonical = _backend._layout(trunc)[1].setdefault
+    canonical = codec(trunc).canonical.setdefault
     out = {}
     get = out.get
     for part, c, row in triples:
@@ -397,13 +397,6 @@ def _merged(triples, trunc) -> dict:
                 else:
                     del out[kk]
     return out
-
-
-@lru_cache(maxsize=None)
-def _one_part_keys(trunc: int) -> tuple:
-    """The packed key of (i,) for i = 0..trunc, 0 for b_0."""
-    pack = codec(trunc)[0]
-    return tuple(pack((i,)) for i in range(trunc + 1))
 
 
 def _divided(row: dict, j: int, what: str) -> dict:
@@ -427,7 +420,7 @@ def _power_rows(k: int, trunc: int) -> tuple:
     rows are shared by every caller, so they are read only, and their keys
     are the kernel's canonical ints, which ``_merged`` stores.
     """
-    parts = _one_part_keys(trunc)
+    parts = codec(trunc).units
     rows = [{0: 1}]
     for j in range(1, min(k - 1, trunc) + 1):
         acc = _merged(((parts[i], (1 - k) * i - j, rows[j - i]) for i in range(1, j + 1)),
@@ -453,7 +446,7 @@ def n_series_coeff(n: int, m: int, trunc: int) -> BPoly:
     [n](t) = exp(n log t) = sum_k n^k b_(k-1) (log t)^k, one merge and
     one exact division; only the k with a row m - k contribute.
     """
-    rows, parts = _power_rows(m, trunc), _one_part_keys(trunc)
+    rows, parts = _power_rows(m, trunc), codec(trunc).units
     acc = _merged(((parts[k - 1], k * n ** k, rows[m - k])
                    for k in range(m - len(rows) + 1, m + 1)), trunc)
     return BPoly._raw(_divided(acc, m, f"[t^{m}] [{n}](t)"), trunc)
@@ -474,7 +467,7 @@ def _ci_image(degrees: tuple, n: int, trunc: int) -> BPoly:
     every term of line j with row n - j, one (monomial, coefficient, row)
     triple each.
     """
-    parts = _one_part_keys(trunc)
+    parts = codec(trunc).units
     first, *rest = degrees
     top = math.prod(degrees)
     lines = [{parts[j]: top * first ** j} for j in range(n + 1)]
@@ -494,7 +487,7 @@ def _milnor_image(m: int, n: int, trunc: int) -> BPoly:
     # with row c of A^(n+1) and b_k C(k+1, m-a), where k = m+n-1-a-c.
     rows_m = _power_rows(m + 1, trunc)
     rows_n = _power_rows(n + 1, trunc)
-    parts, top = _one_part_keys(trunc), m + n - 1
+    parts, top = codec(trunc).units, m + n - 1
     out = {}
     for a in range(m + 1):
         partner = _merged(

@@ -40,7 +40,7 @@ from itertools import takewhile
 from . import _backend
 from .geometry import (CobordismClass, Milnor, _check_truncation, evaluate,
                        n_series_coeff)
-from .partitions import Partition, codec, make, part_field, partitions_of
+from .partitions import Partition, codec, make, partitions_of
 from .series import BPoly, DEFAULT_TRUNCATION, PackedPoly, SparseAlgebra, packed_terms
 
 NEG_INF = float("-inf")
@@ -254,13 +254,13 @@ class GeneratorBasis:
             _check_truncation(max(image.weights(), default=0), self.trunc)
             image = BPoly(image.terms, self.trunc)
         trunc = self.trunc
-        shift = codec(trunc)[2]
+        shift = codec(trunc).shift
         by_weight = {}
         for key, c in image._terms.items():
             by_weight.setdefault(key >> shift, {})[key] = c
         coords = {}
         for n in sorted(by_weight):
-            index = _place_table(n, trunc)[0]
+            index = _place_table(n, trunc)[1]
             residual = [0] * len(index)
             for key, c in by_weight[n].items():
                 residual[index[key]] = c
@@ -298,9 +298,8 @@ class GeneratorBasis:
         16), which iterates as ints, else a ``memoryview`` of 2-byte places
         while p(n) < 2^16 and of 4-byte places above.
         """
-        alpha, key = _packed_partitions(n, self.trunc)[j]
-        _, fmt, encoded = _place_table(n, self.trunc)
-        image = self.image_of_monomial(alpha)._terms
+        keys, _, fmt, encoded = _place_table(n, self.trunc)
+        key, image = keys[j], self.image_of_monomial(partitions_of(n)[j])._terms
         places = b"".join(map(encoded.__getitem__, image))
         column = (key, image[key], memoryview(places).cast(fmt) if fmt else places, image)
         self._columns[n][j] = column
@@ -308,29 +307,22 @@ class GeneratorBasis:
 
 
 @lru_cache(maxsize=None)
-def _packed_partitions(n: int, trunc: int) -> tuple:
-    """(alpha, packed key) for each partition of n, in ``partitions_of``
-    order; each key is the kernel's canonical int of its value."""
-    pack, canonical = codec(trunc)[0], _backend._layout(trunc)[1].setdefault
-    return tuple((alpha, canonical(key, key))
-                 for alpha, key in zip(partitions_of(n), map(pack, partitions_of(n))))
-
-
-@lru_cache(maxsize=None)
 def _place_table(n: int, trunc: int) -> tuple:
-    """(index, format, encoded) of weight n: ``index`` maps a packed key to
-    its place in ``partitions_of(n)``, and ``encoded`` to that place as
-    the native bytes of ``memoryview`` format ``format``: 2 bytes ("H")
-    while p(n) < 2^16 and 4 ("I") above, or 1 byte while p(n) < 2^8 (to
-    weight 16), where the format is None because bytes iterate as ints."""
-    index = {k: j for j, (_, k) in enumerate(_packed_partitions(n, trunc))}
+    """(keys, index, format, encoded) of weight n: the canonical ``codec``
+    key of each partition in ``partitions_of(n)`` order, each key's place
+    there, and that place as native bytes of ``memoryview`` format: 2 bytes
+    ("H") while p(n) < 2^16 and 4 ("I") above, or 1 byte while p(n) < 2^8
+    (to weight 16), where the format is None because bytes iterate as ints."""
+    layout = codec(trunc)
+    keys = tuple(layout.canonical.setdefault(k, k) for k in map(layout.pack, partitions_of(n)))
+    index = {k: j for j, k in enumerate(keys)}
     if len(index) < 1 << 8:
         fmt, width = None, 1
     elif len(index) < 1 << 16:
         fmt, width = "H", 2
     else:
         fmt, width = "I", 4
-    return index, fmt, {k: j.to_bytes(width, sys.byteorder) for k, j in index.items()}
+    return keys, index, fmt, {k: j.to_bytes(width, sys.byteorder) for k, j in index.items()}
 
 
 @lru_cache(maxsize=None)
@@ -376,8 +368,9 @@ class LandweberQuotient:
         self._base = base_basis(trunc)
         self._built = {}
         self._residues = {}  # each killed degree's g_n mod I_p(r), once asked for
-        # each killed degree's ``part_field``, lowest first, and their bits
-        self._killed_fields = tuple((n, *part_field(trunc, n)) for n in sorted(self.killed))
+        layout = codec(trunc)  # each killed degree's field and unit, lowest first
+        self._killed_fields = tuple((n, *layout.fields[n], layout.units[n])
+                                    for n in sorted(self.killed))
         self._killed_mask = sum(mask << offset for _, offset, mask, _ in self._killed_fields)
 
     def __repr__(self):
@@ -412,7 +405,7 @@ class LandweberQuotient:
         residue = self._residues.get(i)
         if residue is None:
             terms = dict(self.gen(i).gen_coords(self._base)._terms)
-            del terms[codec(self.trunc)[0]((i,))]  # -g_i
+            del terms[codec(self.trunc).units[i]]  # -g_i
             residue = self._residues[i] = _substituted(terms, self)
         return residue
 
@@ -598,10 +591,13 @@ def c_alpha_image_gcd(alpha, basis: GeneratorBasis) -> int:
 
     The generator monomials of that weight span the piece, so the gcd of
     their c_alpha values generates the image subgroup; 0 if all vanish.
+    The scan stops once the gcd is 1.
     ``basis`` is a ``GeneratorBasis``: a quotient has no monomial images.
     """
     alpha = make(alpha)
     g = 0
     for beta in partitions_of(sum(alpha)):
         g = math.gcd(g, basis.c_entry(alpha, beta))
+        if g == 1:
+            break
     return g

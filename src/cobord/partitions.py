@@ -60,46 +60,48 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(sorted(gen(n, n), key=sort_key))
 
 
-@lru_cache(maxsize=None)
-def codec(n: int):
-    """``(pack, unpack, shift)``: packed-int keys for partitions of weight <= n.
+class Codec:
+    """Packed-int keys of partitions of weight <= n, and the layout's tables.
 
-    Monagan & Pearce's packed exponents: a multiplicity field per part size
-    i, (n // i).bit_length() bits wide, and the weight from bit ``shift``
-    up.  No field carries up to weight n, where pack(a) + pack(b) ==
-    pack(union(a, b)).  Keys order by weight; a part 0 packs to 0, like b_0.
-    ``unpack`` keeps the partition of each key it has read, so a key is
-    unpacked once per process.
+    Monagan & Pearce's packed exponents: part i has a multiplicity field
+    ``fields[i]`` = (offset, mask), (n // i).bit_length() bits wide, and the
+    weight lies from bit ``shift`` up.  No field carries up to weight n,
+    where pack(a) + pack(b) == pack(union(a, b)), so keys order by weight
+    and a key sum is heavier than n iff it reaches ``limit``.  ``units[i]``
+    is pack((i,)), 0 for a part 0 like b_0.  ``unpack`` keeps the partition
+    of each key it has read.  ``canonical`` maps a key value to the one int
+    object that every term dict of this truncation stores for it.
     """
-    units, fields, shift = [0], [], 0
-    for i in range(1, n + 1):
-        width = (n // i).bit_length()
-        units.append(1 << shift)
-        fields.insert(0, (i, shift, (1 << width) - 1))
-        shift += width
-    units = [u | i << shift for i, u in enumerate(units)]
 
-    def pack(alpha) -> int:
-        return sum(units[i] for i in alpha)
+    __slots__ = ("pack", "unpack", "shift", "limit", "units", "fields", "canonical")
 
-    unpacked = {}  # key -> its partition, one tuple per key read
+    def __init__(self, n: int):
+        units, fields, shift = [0], [(0, 0)], 0
+        for i in range(1, n + 1):
+            width = (n // i).bit_length()
+            units.append(1 << shift)
+            fields.append((shift, (1 << width) - 1))
+            shift += width
+        units = tuple(u | i << shift for i, u in enumerate(units))
+        descending = [(i, *fields[i]) for i in range(n, 0, -1)]
 
-    def unpack(key: int) -> Partition:
-        alpha = unpacked.get(key)
-        if alpha is None:
-            alpha = unpacked[key] = tuple(i for i, off, mask in fields
-                                          for _ in range(key >> off & mask))
-        return alpha
+        def pack(alpha) -> int:
+            return sum(units[i] for i in alpha)
 
-    return pack, unpack, shift
+        unpacked = {}  # key -> its partition, one tuple per key read
+
+        def unpack(key: int) -> Partition:
+            alpha = unpacked.get(key)
+            if alpha is None:
+                alpha = unpacked[key] = tuple(i for i, off, mask in descending
+                                              for _ in range(key >> off & mask))
+            return alpha
+
+        self.pack, self.unpack, self.shift, self.limit = pack, unpack, shift, (n + 1) << shift
+        self.units, self.fields, self.canonical = units, tuple(fields), {}
 
 
-def part_field(n: int, i: int) -> tuple:
-    """(offset, mask, key) of part i in ``codec(n)`` keys: a key holds i
-    ``key >> offset & mask`` times, and each copy adds ``key``, pack((i,))."""
-    pack, _, shift = codec(n)
-    key = pack((i,))
-    return (key & ((1 << shift) - 1)).bit_length() - 1, (1 << (n // i).bit_length()) - 1, key
+codec = lru_cache(maxsize=None)(Codec)
 
 
 def _sub_multisets(alpha: Partition):

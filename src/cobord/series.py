@@ -178,10 +178,10 @@ class SparseAlgebra:
 
 
 def packed_terms(terms, trunc, modulus=None):
-    """A partition-keyed dict as a term dict of the kernel's canonical
+    """A partition-keyed dict as a term dict of the canonical
     ``codec(trunc)`` ints, each coefficient reduced mod ``modulus`` if one
     is given; zero coefficients and partitions heavier than ``trunc`` go."""
-    pack, canonical = codec(trunc)[0], _backend._layout(trunc)[1].setdefault
+    pack, canonical = codec(trunc).pack, codec(trunc).canonical.setdefault
     out = {}
     for alpha, c in terms.items():
         if modulus is not None:
@@ -195,7 +195,7 @@ def packed_terms(terms, trunc, modulus=None):
 class PackedPoly(SparseAlgebra):
     """Integer polynomial in generators x_1, x_2, ..., named ``_letter``.
 
-    ``_terms`` is keyed by the kernel's canonical ``codec(trunc)`` ints
+    ``_terms`` is keyed by the canonical ``codec(trunc)`` ints
     (``packed_terms``), so a product is one kernel call; ``terms``,
     ``coeff``, ``sorted_terms`` and the JSON term list speak partitions.
     """
@@ -206,18 +206,18 @@ class PackedPoly(SparseAlgebra):
         return _backend.mul_terms(self._terms, y, self.trunc)
 
     def _mono(self, key):
-        return "*".join(f"{self._letter}{i}" for i in codec(self.trunc)[1](key))
+        return "*".join(f"{self._letter}{i}" for i in codec(self.trunc).unpack(key))
 
     @property
     def terms(self) -> dict:
         """A partition-keyed copy of ``_terms``."""
-        unpack = codec(self.trunc)[1]
+        unpack = codec(self.trunc).unpack
         return {unpack(k): v for k, v in self._terms.items()}
 
     def coeff(self, alpha) -> int:
         if sum(alpha) > self.trunc:
             return 0
-        return self._terms.get(codec(self.trunc)[0](alpha), 0)
+        return self._terms.get(codec(self.trunc).pack(alpha), 0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: full_key(kv[0]))
@@ -292,7 +292,7 @@ class BPoly(PackedPoly):
         return cls.const(1, trunc)
 
     def weights(self) -> set[int]:
-        shift = codec(self.trunc)[2]
+        shift = codec(self.trunc).shift
         return {k >> shift for k in self._terms}
 
     def homogeneous_weight(self):

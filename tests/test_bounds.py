@@ -113,6 +113,31 @@ def test_chern_bound_requires_admissible_partition():
     assert bd.chern_bound(y2, (3,), g23) is None
 
 
+def test_a_zero_chern_number_bounds_nothing_without_a_gcd(monkeypatch):
+    # 0 lies in p times every value group, so no gcd can change the answer;
+    # at weight 30 the gcd would scan 5,604 monomial images
+    def no_gcd(*args):
+        raise AssertionError("c_alpha_image_gcd called")
+
+    monkeypatch.setattr(lz, "c_alpha_image_gcd", no_gcd)
+    monkeypatch.setattr(bd, "c_alpha_image_gcd", no_gcd)
+    assert bd.chern_bound(geo.evaluate(geo.Hyp(3, 4), 30), (30,), G2) is None
+
+
+def test_the_image_gcd_stops_once_it_reaches_one(monkeypatch):
+    # c_(5)(P^5) = -6 is even, and c_(5)(g_5) = 1 already makes the gcd 1
+    calls = []
+    c_entry = lz.GeneratorBasis.c_entry
+
+    def counted(self, alpha, beta):
+        calls.append(beta)
+        return c_entry(self, alpha, beta)
+
+    monkeypatch.setattr(lz.GeneratorBasis, "c_entry", counted)
+    assert bd.chern_bound(cls(geo.Proj(5)), (5,), G2) is None
+    assert calls == [(5,)]
+
+
 def test_main_bound_refines_chern_bounds():
     exprs = [
         geo.Proj(2),

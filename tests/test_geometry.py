@@ -848,7 +848,7 @@ def lines_times_rows(degrees, n, trunc):
     """The earlier ``_ci_image``, as an oracle through the kernel alone: the
     lines of (prod d_i) prod_i L(d_i h) built by folding in every degree,
     then each line multiplied by its row of A^(n+c+1)."""
-    pack = codec(trunc)[0]
+    pack = codec(trunc).pack
     lines = [{0: math.prod(degrees)}] + [{} for _ in range(n)]
     for d in degrees:
         factor = [{pack((t,)): d ** t} for t in range(n + 1)]  # [h^t] L(d h)

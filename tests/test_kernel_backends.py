@@ -29,7 +29,7 @@ def test_backend_binds_the_pure_kernel():
 
 def test_pack_unpack_round_trips_every_partition():
     for n in CODEC_NS:
-        pack, unpack, shift = codec(n)
+        pack, unpack, shift = codec(n).pack, codec(n).unpack, codec(n).shift
         keys = set()
         for alpha in partitions_upto(n):
             key = pack(alpha)
@@ -42,9 +42,8 @@ def test_pack_unpack_round_trips_every_partition():
 def test_pack_is_additive_below_the_truncation():
     rng = random.Random(7)
     for n in CODEC_NS:
-        pack, unpack, shift = codec(n)
+        pack, unpack, limit = codec(n).pack, codec(n).unpack, codec(n).limit
         pool = partitions_upto(n)
-        limit = (n + 1) << shift
         for _ in range(300):
             a, b = rng.choice(pool), rng.choice(pool)
             total = pack(a) + pack(b)
@@ -56,15 +55,35 @@ def test_pack_is_additive_below_the_truncation():
                 assert total >= limit
 
 
+def test_the_codec_s_tables_agree_with_its_keys():
+    # every table of the layout against pack and the partitions themselves
+    for n in range(41):
+        layout = codec(n)
+        assert len(layout.units) == len(layout.fields) == n + 1 and layout.units[0] == 0
+        for i in range(1, n + 1):
+            assert layout.units[i] == layout.pack((i,))
+        for w in range(min(n + 1, 12) + 1):
+            for alpha in partitions_of(w):
+                if alpha and alpha[0] > n:
+                    continue  # a part heavier than n has no field
+                key = layout.pack(alpha)
+                assert (key < layout.limit) == (w <= n)
+                if w > n:
+                    continue
+                assert layout.unpack(key) == alpha and key >> layout.shift == w
+                for i, (offset, mask) in enumerate(layout.fields):
+                    assert key >> offset & mask == alpha.count(i)
+
+
 def test_pack_ignores_order_and_the_unit_part():
-    pack = codec(12)[0]
+    pack = codec(12).pack
     assert pack((1, 3, 2)) == pack((3, 2, 1))
     assert pack((0,)) == pack(()) == 0
 
 
 def test_packed_order_is_weight_order():
     for n in CODEC_NS:
-        pack = codec(n)[0]
+        pack = codec(n).pack
         by_key = sorted(partitions_upto(n), key=pack)
         assert [sum(alpha) for alpha in by_key] == sorted(map(sum, by_key))
 
@@ -128,7 +147,7 @@ def test_packed_mul_into_matches_the_tuple_kernel(out, x, y, trunc):
     out = {k: v for k, v in out.items() if sum(k) <= trunc}
     x = {k: v for k, v in x.items() if sum(k) <= trunc}
     y = {k: v for k, v in y.items() if sum(k) <= trunc}
-    pack, unpack, _ = codec(trunc)
+    pack, unpack = codec(trunc).pack, codec(trunc).unpack
     packed = _kernel_py.mul_into(
         {pack(k): v for k, v in out.items()},
         {pack(k): v for k, v in x.items()},
@@ -163,7 +182,7 @@ def test_mul_into_matches_all_pairs_filtered_by_weight(out, x, y, trunc, heavy_f
     y = {k: v for k, v in y.items() if sum(k) <= trunc}
     if heavy_first:
         y = dict(sorted(y.items(), key=lambda kv: -sum(kv[0])))
-    pack, unpack, _ = codec(trunc)
+    pack, unpack = codec(trunc).pack, codec(trunc).unpack
     packed = _kernel_py.mul_into(
         {pack(k): v for k, v in out.items()},
         {pack(k): v for k, v in x.items()},
@@ -175,7 +194,7 @@ def test_mul_into_matches_all_pairs_filtered_by_weight(out, x, y, trunc, heavy_f
 
 def test_mul_into_cuts_crossing_pairs_and_cancels_into_out():
     # b_2 * b_1 crosses weight 2 and is listed first; b_1 * b_1 cancels out's term
-    pack = codec(2)[0]
+    pack = codec(2).pack
     acc = {pack((1, 1)): -1, pack((2,)): 5}
     assert _kernel_py.mul_into(acc, {pack((1,)): 1},
                                {pack((2,)): 1, pack((1,)): 1}, 2) is acc
@@ -185,7 +204,7 @@ def test_mul_into_cuts_crossing_pairs_and_cancels_into_out():
 
 
 def test_cancellation_removes_keys():
-    pack = codec(12)[0]
+    pack = codec(12).pack
     acc = _kernel_py.mul_into(
         {pack((2, 1)): 7, pack((1, 1)): -1}, {pack((1,)): 1}, {pack((1,)): 1}, 12
     )

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from cobord import actions as ac
 from cobord import bounds as bd
-from cobord import _backend, cli, fgl, partitions
+from cobord import cli, fgl, partitions
 from cobord import geometry as geo
 from cobord import lazard as lz
-from cobord.partitions import partitions_of, pi_q, refines, union
+from cobord.partitions import codec, partitions_of, pi_q, refines, union
 from cobord.series import BPoly
 from conftest import b_gen
 
@@ -1019,7 +1019,7 @@ def test_packed_gen_poly_arithmetic_is_the_partition_tuple_arithmetic(case):
     assert g.scaled(k).terms == _tuple_clean({b: c * k for b, c in x.items()}, modulus)
     assert (-g).terms == _tuple_clean({b: -c for b, c in x.items()}, modulus)
     # every stored key is the kernel's canonical int of its value
-    canonical = _backend._layout(trunc)[1]
+    canonical = codec(trunc).canonical
     for poly in (g, h, g * h, g + h, g.scaled(k)):
         assert all(canonical.get(key) is key for key in poly._terms)
 
@@ -1248,14 +1248,14 @@ def test_a_column_keeps_one_byte_per_entry_in_the_order_of_its_image():
                 continue
             built += 1
             key, diagonal, at, image = column
-            alpha, packed = lz._packed_partitions(n, ORACLE_TRUNC)[j]
-            assert alpha == partitions_of(n)[j] and key is packed
+            alpha, keys = partitions_of(n)[j], lz._place_table(n, ORACLE_TRUNC)[0]
+            assert key is keys[j] and key == codec(ORACLE_TRUNC).pack(alpha)
             assert image is basis.image_of_monomial(alpha)._terms
             assert diagonal == basis.c_entry(alpha, alpha) != 0
             assert type(at) is bytes and len(at) == len(image)  # p(n) < 256 to weight 16
-            keys = [lz._packed_partitions(n, ORACLE_TRUNC)[i][1] for i in at]
-            assert keys == list(image)
-            unsorted += keys != sorted(keys) and keys != sorted(keys, reverse=True)
+            placed = [keys[i] for i in at]
+            assert placed == list(image)
+            unsorted += placed != sorted(placed) and placed != sorted(placed, reverse=True)
     assert built > 0
     assert unsorted > 0  # dict order is not a sorted order, so alignment matters
 
@@ -1263,8 +1263,8 @@ def test_a_column_keeps_one_byte_per_entry_in_the_order_of_its_image():
 def test_a_solve_at_weight_17_reads_two_byte_places(fresh_bases):
     # p(16) = 231 and p(17) = 297
     trunc = 17
-    assert [lz._place_table(n, trunc)[1] for n in (0, 16, 17)] == [None, None, "H"]
-    index, fmt, encoded = lz._place_table(trunc, trunc)
+    assert [lz._place_table(n, trunc)[2] for n in (0, 16, 17)] == [None, None, "H"]
+    keys, index, fmt, encoded = lz._place_table(trunc, trunc)
     assert all(memoryview(encoded[k]).cast(fmt).tolist() == [j] for k, j in index.items())
     basis = lz.base_basis(trunc)
     image = geo.evaluate(geo.Hyp(2, trunc), trunc).image
@@ -1273,8 +1273,7 @@ def test_a_solve_at_weight_17_reads_two_byte_places(fresh_bases):
     assert wide
     for key, _, at, column in wide:
         assert at.format == "H" and at.nbytes == 2 * len(column)
-        keys = [lz._packed_partitions(trunc, trunc)[i][1] for i in at]
-        assert keys == list(column), key
+        assert [keys[i] for i in at] == list(column), key
 
 
 def test_a_second_solve_at_a_weight_builds_no_column(fresh_bases, monkeypatch):

@@ -94,7 +94,7 @@ def test_pow_and_inverse():
 
 
 def test_packed_terms_reduces_then_drops_zero_and_heavy_terms():
-    pack = codec(N)[0]
+    pack = codec(N).pack
     terms = {(3, 1): 7, (2,): 6, (): -1, (6, 5): 1, (1,): 0}  # (6, 5) is heavier than N
     assert packed_terms(terms, N) == {pack((3, 1)): 7, pack((2,)): 6, 0: -1}
     assert packed_terms(terms, N, 3) == {pack((3, 1)): 1, 0: 2}

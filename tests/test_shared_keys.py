@@ -9,7 +9,7 @@ import itertools
 import pytest
 
 from cobord import _backend, actions, bounds, geometry, lazard
-from cobord.partitions import partitions_of
+from cobord.partitions import codec, partitions_of
 from cobord.series import BPoly
 
 
@@ -29,7 +29,7 @@ def test_two_independent_products_share_their_key_objects():
 def test_polynomials_built_from_partitions_hold_the_kernel_s_key_objects():
     # ``packed_terms`` stores each key through the kernel's canonical table
     trunc = 14
-    canonical = _backend._layout(trunc)[1]
+    canonical = codec(trunc).canonical
     alphas = [alpha for n in (12, 13, 14) for alpha in partitions_of(n)]
     terms = {alpha: 5 for alpha in alphas}
     for poly in (BPoly(terms, trunc), lazard.GenPoly(terms, 3, lazard.base_basis(trunc))):
@@ -85,7 +85,7 @@ def test_the_cached_chow_rows_hold_the_kernel_s_key_objects():
     geometry._power_rows.cache_clear()
     try:
         rows = [row for k in range(2, 14) for row in geometry._power_rows(k, trunc)[1:]]
-        canonical = _backend._layout(trunc)[1]
+        canonical = codec(trunc).canonical
         keys = [key for row in rows for key in row]
         assert len(keys) > 500
         assert all(canonical.get(key) is key for key in keys)
@@ -97,7 +97,7 @@ def test_a_complete_intersection_image_holds_the_kernel_s_key_objects():
     # ``_ci_image`` is one ``_merged`` pass, which stores canonical keys as
     # the kernel's products do
     trunc = 13
-    canonical = _backend._layout(trunc)[1]
+    canonical = codec(trunc).canonical
     for degrees in ((3,), (2, 5), (2, 2, 3)):
         keys = list(geometry._ci_image(degrees, trunc, trunc)._terms)
         assert len(keys) > 50
@@ -106,8 +106,8 @@ def test_a_complete_intersection_image_holds_the_kernel_s_key_objects():
 
 def test_reduction_keys_are_the_kernel_s_canonical_ints(sweep_bases):
     # solve, the reduction and GenPoly arithmetic store the objects of
-    # ``_backend._layout(trunc)[1]``, the keys of every BPoly image
-    canonical = _backend._layout(14)[1]
+    # ``codec(trunc).canonical``, the keys of every BPoly image
+    canonical = codec(14).canonical
     expr = geometry.Product((geometry.Hyp(3, 4), geometry.Milnor(2, 5)))
     cl = geometry.evaluate(expr, 14)
     polys = [cl.gen_coords(lazard.base_basis(14))]
