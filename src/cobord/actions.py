@@ -41,6 +41,11 @@ class GroupDescriptor(Record):
     def order(self) -> int:
         return self.p ** sum(self.exponents)
 
+    def capped_order(self, top: int) -> int:
+        """q, or a power of p above ``top`` if q is larger: x // q and x % q,
+        all that ``pi_q`` and ``milnor_fixed_dim`` read, agree for x <= top."""
+        return self.p ** min(sum(self.exponents), top.bit_length())
+
     def to_obj(self):
         return {"p": self.p, "exponents": list(self.exponents)}
 
@@ -99,7 +104,7 @@ def generator_action(
     if i < 1:
         raise ValueError(f"generator degree must lie in 1..{trunc}, got {i}")
     _check_truncation(i, trunc)
-    q = group.order
+    q = group.capped_order(i + 1)  # m, n <= i + 1
     return tuple(
         ActionWitness(union, group,
                       max((milnor_fixed_dim(m, n, q) for m, n in split), default=NEG_INF),
@@ -164,7 +169,7 @@ def filtration_family(
             f"level and dimension budget must be >= 0, got {d} and {max_dim}"
         )
     _check_truncation(max_dim, trunc)
-    q = group.order
+    q = group.capped_order(max_dim)
     candidates = []
     for i in range(1, max_dim + 1):
         for w in _signed_factors(i, group, trunc):

@@ -87,7 +87,7 @@ def fixed_dim_lower_bound(z: CobordismClass, group: GroupDescriptor) -> BoundRep
     terms = reduced._terms
     bound, certificate = NEG_INF, None
     if terms:  # the q-degree, and its least partition as the certificate
-        levels = _levels(reduced.trunc, group.order)
+        levels = _levels(reduced.trunc, group.capped_order(reduced.trunc))
         key = max(terms, key=levels.__getitem__)
         bound, beta = levels[key][0], levels[key][3]
         certificate = (beta, terms[key])
@@ -138,7 +138,7 @@ def chern_bound(
             f"partition weight {sum(alpha)} exceeds truncation {z.trunc}; "
             "raise the truncation"
         )
-    p, r, q = group.p, group.rank, group.order
+    p, r, q = group.p, group.rank, group.capped_order(z.trunc)
     c = z.c_alpha(alpha)
     if c == 0:  # 0 lies in p times every value group
         return None

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -33,11 +34,12 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(obj, fmt, table_lines):
+def _emit(obj, fmt, table):
+    # ``table()`` builds the table lines, for that format only
     if fmt == "json":
         sys.stdout.write(_dump(obj))
     else:
-        for line in table_lines:
+        for line in table():
             print(line)
 
 
@@ -91,6 +93,14 @@ def _fmt_bound(b):
     return "-inf" if b == NEG_INF else str(b)
 
 
+def _order_text(group) -> str:
+    # an order with more digits than ``str`` prints is refused unbuilt
+    limit = sys.get_int_max_str_digits()
+    if limit and sum(group.exponents) * math.log10(group.p) > limit:
+        raise ValueError(f"the group order has more than {limit} digits")
+    return str(group.order)
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -109,13 +119,11 @@ def cmd_class(args) -> int:
         "gen_coords": coords.to_obj(),
         "basis": basis.describe(),
     }
-    lines = [f"dimension: {cl.dim}", "chern numbers:"]
-    for k, v in cl.image.sorted_terms():
-        lines.append(f"  c_{list(k)} = {v}")
-    lines.append("generator coordinates:")
-    for beta, c in coords.sorted_terms():
-        lines.append(f"  {list(beta)}: {c}")
-    _emit(obj, args.format, lines)
+    _emit(obj, args.format, lambda: [
+        f"dimension: {cl.dim}", "chern numbers:",
+        *(f"  c_{list(k)} = {v}" for k, v in cl.image.sorted_terms()),
+        "generator coordinates:",
+        *(f"  {list(beta)}: {c}" for beta, c in coords.sorted_terms())])
     return 0
 
 
@@ -126,17 +134,21 @@ def cmd_bound(args) -> int:
     report = bounds_mod.fixed_dim_lower_bound(cl, group)
     obj = {"expr": expr.to_obj()}
     obj.update(report.to_obj())
-    lines = [
-        f"class: {expr.to_obj()!r} (dim {report.class_dim})",
-        f"group: p={group.p} exponents={list(group.exponents)} "
-        f"(order {group.order}, rank {group.rank})",
-        f"in rank ideal: {'yes' if report.in_ideal else 'no'}",
-        f"fixed-locus lower bound: {_fmt_bound(report.lower_bound)}",
-    ]
-    if report.certificate:
-        beta, coeff = report.certificate
-        lines.append(f"certifying monomial: {list(beta)} (coefficient {coeff})")
-    _emit(obj, args.format, lines)
+
+    def table():
+        lines = [
+            f"class: {expr.to_obj()!r} (dim {report.class_dim})",
+            f"group: p={group.p} exponents={list(group.exponents)} "
+            f"(order {_order_text(group)}, rank {group.rank})",
+            f"in rank ideal: {'yes' if report.in_ideal else 'no'}",
+            f"fixed-locus lower bound: {_fmt_bound(report.lower_bound)}",
+        ]
+        if report.certificate:
+            beta, coeff = report.certificate
+            lines.append(f"certifying monomial: {list(beta)} (coefficient {coeff})")
+        return lines
+
+    _emit(obj, args.format, table)
     return 0
 
 
@@ -155,7 +167,7 @@ def cmd_fixedpoint(args) -> int:
         if forced
         else "no fixed point is forced (a fixed-point-free action may exist)"
     )
-    _emit(obj, args.format, [verdict])
+    _emit(obj, args.format, lambda: [verdict])
     return 0
 
 
@@ -180,7 +192,7 @@ def cmd_chern_bound(args) -> int:
         if bound is not None
         else f"partition {list(alpha)} certifies no bound"
     )
-    _emit(obj, args.format, [line])
+    _emit(obj, args.format, lambda: [line])
     return 0
 
 
@@ -197,13 +209,9 @@ def cmd_actions(args) -> int:
         witnesses.extend(
             actions_mod.filtration_family(args.family, group, args.max_dim, trunc))
     obj = {"witnesses": [w.to_obj() for w in witnesses]}
-    lines = []
-    for w in witnesses:
-        lines.append(
-            f"{w.provenance}: {w.variety.to_obj()!r}  fixed_dim="
-            f"{_fmt_bound(w.fixed_dim)}"
-        )
-    _emit(obj, args.format, lines)
+    _emit(obj, args.format, lambda: [
+        f"{w.provenance}: {w.variety.to_obj()!r}  fixed_dim={_fmt_bound(w.fixed_dim)}"
+        for w in witnesses])
     return 0
 
 

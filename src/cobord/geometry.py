@@ -26,8 +26,7 @@ Lagrange inversion reads [t^m] (log t)^k and [t^m] [n](t) off A^m
 from __future__ import annotations
 
 import math
-import operator
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Union
 
 from . import _backend
@@ -45,62 +44,68 @@ class TruncationError(ValueError):
 class CobordismClass:
     """A class in the Lazard ring: its Z[b] image plus dimension metadata.
 
-    Generator coordinates are computed lazily per ``lazard.GeneratorBasis``
-    and cached under the basis itself; the triangular solve asserts
-    integrality, which certifies that the image really lies in the Lazard
-    subring.  ``gen_coords`` is always that integer solve.  Classes have no
-    arithmetic: they combine through expressions or through their images.
-
-    ``evaluate`` records how it built a ``Product``, ``DisjointUnion`` or
-    ``Scaled`` class in ``_parts``: ("prod", factors), ("sum", parts) or
-    ("scale", (k, class)), over the classes it evaluated for them (a
-    union's part repeated k times enters once, scaled by k); every
-    other class has None and holds its image from the start.  A class
-    with parts builds its ``image``, the product, sum or ``scaled(k)`` of
-    its parts' images, on first read and caches it, so a caller that only
-    bounds never builds it.  Reduction modulo a Landweber ideal is a ring
-    map, so ``lazard.reduce_mod_landweber`` combines the reductions of
-    those parts instead of solving the class, and caches each reduction
-    in ``_coords`` under its quotient, beside the integer coordinates.  Any
-    other class is reduced from its base coordinates, each killed g_n
-    becoming D-bar_n: the adapted generator is -g_n plus a decomposable,
-    its c_(n) being -p against +p, so one base solve serves every p and r.
+    A class holds its image from the start, or has the ``parts`` that
+    ``evaluate`` gives a ``Product``, ``DisjointUnion`` or ``Scaled``:
+    ("prod", factors) or the combination ("sum", ((k, class), ...)), where
+    a scaling is one term and a union's part repeated k times one term
+    with k.  Its maps to Z[b] and to generator coordinates are ring maps,
+    so ``_fold`` combines the parts' values for both: for ``image`` on its
+    first read, so a caller that only bounds never builds it, and for
+    ``gen_coords`` in any basis, cached there.  A class without parts
+    reads ``basis.leaf_coords``: a ``lazard.GeneratorBasis`` solves its
+    image, and integrality certifies that it lies in the Lazard subring; a
+    ``lazard.LandweberQuotient`` replaces each killed g_n in the base
+    coordinates by D-bar_n.  Classes have no arithmetic: they combine
+    through expressions or through their images.
     """
 
     __slots__ = ("_image", "dim", "trunc", "_coords", "_parts")
 
-    def __init__(self, image: BPoly, dim=None):
+    def __init__(self, image: BPoly = None, dim=None, parts=None, trunc=None):
         self._image = image
         self.dim = dim
-        self.trunc = image.trunc
+        self.trunc = image.trunc if trunc is None else trunc
         self._coords = {}
-        self._parts = None
+        self._parts = parts
 
     @property
     def image(self) -> BPoly:
         if self._image is None:
-            kind, operands = self._parts
-            if kind == "prod":
-                self._image = reduce(operator.mul, (f.image for f in operands),
-                                     BPoly.one(trunc=self.trunc))
-            elif kind == "sum":
-                self._image = sum((part.image for part in operands),
-                                  BPoly.zero(trunc=self.trunc))
-            else:
-                k, inner = operands
-                self._image = inner.image.scaled(k)
+            self._image = self._fold(lambda part: part.image,
+                                     lambda: BPoly.one(trunc=self.trunc))
         return self._image
+
+    def gen_coords(self, basis):
+        coords = self._coords.get(basis)
+        if coords is None:
+            if self._parts is None:
+                coords = basis.leaf_coords(self)
+            else:
+                coords = self._fold(lambda part: part.gen_coords(basis), basis.unit)
+            self._coords[basis] = coords
+        return coords
+
+    def _fold(self, value, unit):
+        # unit() is called only for no parts: the empty product, or 0 * it
+        kind, parts = self._parts
+        if not parts:
+            return unit() if kind == "prod" else unit().scaled(0)
+        total = None
+        if kind == "prod":
+            for part in parts:
+                term = value(part)
+                total = term if total is None else total * term
+            return total
+        for k, part in parts:
+            term = value(part) if k == 1 else value(part).scaled(k)
+            total = term if total is None else total + term
+        return total
 
     def c_alpha(self, alpha) -> int:
         return self.image.coeff(alpha)
 
     def is_zero(self) -> bool:
         return self.image.is_zero()
-
-    def gen_coords(self, basis):
-        if basis not in self._coords:
-            self._coords[basis] = basis.solve(self.image)
-        return self._coords[basis]
 
     def __eq__(self, other):
         if not isinstance(other, CobordismClass):
@@ -513,10 +518,9 @@ def evaluate(expr: VarietyExpr, trunc: int = DEFAULT_TRUNCATION) -> CobordismCla
     """Hurewicz image (all Chern numbers) of a variety expression.
 
     One class per (expression, truncation), however the truncation is
-    spelled.  A ``Product``, ``DisjointUnion`` or ``Scaled`` class builds
-    its image on first read (see ``CobordismClass``); every error is still
-    raised here.  A union holds each distinct part once, a part repeated
-    k times as k times its class.
+    spelled.  A ``Product``, ``DisjointUnion`` or ``Scaled`` class has
+    parts and builds its image on first read (see ``CobordismClass``);
+    every error is still raised here.
     """
     return _evaluate(expr, trunc)
 
@@ -555,31 +559,20 @@ def _evaluate(expr: VarietyExpr, trunc: int) -> CobordismClass:
             weights = [f.image.weights() for f in factors]
             if all(weights):
                 _check_truncation(sum(map(max, weights)), trunc)
-        return _built("prod", factors, dim, trunc)
+        return CobordismClass(None, dim, ("prod", factors), trunc)
     if isinstance(expr, DisjointUnion):
-        counts = {}  # a part repeated k times enters once, as k times its class
+        counts = {}  # a part repeated k times is one term with k
         for part in expr.parts:
             counts[part] = counts.get(part, 0) + 1
-        operands = []
-        for part, k in counts.items():
-            cl = evaluate(part, trunc)
-            operands.append(cl if k == 1 else _built("scale", (k, cl), cl.dim, trunc))
-        return _built("sum", tuple(operands), dim, trunc)
+        terms = tuple([(k, evaluate(part, trunc)) for part, k in counts.items()])
+        return CobordismClass(None, dim, ("sum", terms), trunc)
     if isinstance(expr, Scaled):
-        return _built("scale", (expr.k, evaluate(expr.expr, trunc)), dim, trunc)
+        return CobordismClass(None, dim, ("sum", ((expr.k, evaluate(expr.expr, trunc)),)), trunc)
     raise TypeError(f"not a variety expression: {expr!r}")
 
 
 evaluate.cache_info = _evaluate.cache_info
 evaluate.cache_clear = _evaluate.cache_clear
-
-
-def _built(kind: str, operands: tuple, dim, trunc: int) -> CobordismClass:
-    """A class with no image yet, built from ``operands`` (see ``CobordismClass``)."""
-    cl = CobordismClass.__new__(CobordismClass)
-    cl._image, cl.dim, cl.trunc, cl._coords = None, dim, trunc, {}
-    cl._parts = (kind, operands)
-    return cl
 
 
 # -- check reports --------------------------------------------------------

@@ -24,23 +24,23 @@ c_(k)(g'_k) / c_(k)(g_k) = -p / p), so the reduction replaces each such
 g_k in a class's base coordinates by D-bar_k, D_k mod p with the lower
 killed degrees substituted: one base solve serves every quotient.  A
 quotient holds only its killed generators and their D-bar, and reads
-every other generator from the base basis.  ``CobordismClass`` lives in
-``geometry``, which creates every class; it is imported here, so
+every other generator from the base basis.  Both give the ``unit`` and
+a partless class's ``leaf_coords``, which ``CobordismClass`` folds.
+``CobordismClass`` lives in ``geometry``; it is imported here, so
 ``lazard.CobordismClass`` resolves.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import takewhile
 
 from . import _backend
 from .geometry import (CobordismClass, Milnor, _check_truncation, evaluate,
                        n_series_coeff)
-from .partitions import Partition, codec, make, partitions_of
+from .partitions import Partition, codec, make, partitions_of, refines
 from .series import BPoly, DEFAULT_TRUNCATION, PackedPoly, SparseAlgebra, packed_terms
 
 NEG_INF = float("-inf")
@@ -220,6 +220,12 @@ class GeneratorBasis:
     def describe(self):
         """The basis descriptor of the JSON output; builds nothing."""
         return {"flavor": "base", "p": None, "r": None}
+
+    def unit(self) -> GenPoly:
+        return GenPoly._raw({0: 1}, None, self)  # the unit packs to 0
+
+    def leaf_coords(self, z: CobordismClass) -> GenPoly:
+        return self.solve(z.image)
 
     def image_of_monomial(self, beta: Partition) -> BPoly:
         """Z[b] image of the generator monomial indexed by ``beta``."""
@@ -413,6 +419,12 @@ class LandweberQuotient:
         """The basis descriptor of the JSON output; builds nothing."""
         return {"flavor": "adapted", "p": self.p, "r": self.r}
 
+    def unit(self) -> GenPoly:
+        return GenPoly._raw({0: 1}, self.p, self)
+
+    def leaf_coords(self, z: CobordismClass) -> GenPoly:
+        return _substituted(z.gen_coords(self._base)._terms, self)
+
 
 # -- generator-coordinate polynomials ----------------------------------
 
@@ -490,18 +502,13 @@ def is_indecomposable_mod_p(z: CobordismClass, p: int) -> bool:
 
 
 def in_landweber_ideal(z: CobordismClass, p: int, n: int) -> bool:
-    """Membership of z in I_p(n) for n >= 0.
-
-    I_p(0) = 0; for n >= 1 a class belongs iff its reduction modulo
-    I_p(n) vanishes.
-    """
-    if n == 0:
-        return z.is_zero()
+    """Membership of z in I_p(n) for n >= 0: its reduction vanishes."""
     return reduce_mod_landweber(z, p, n).is_zero()
 
 
 def reduce_mod_landweber(z: CobordismClass, p: int, r: int) -> GenPoly:
-    """The class of z in the quotient by I_p(r), in adapted coordinates.
+    """The class of z in the quotient by I_p(r): ``z.gen_coords`` in
+    ``adapted_basis(p, r)``, or for r = 0 in the integer base basis.
 
     For r >= 1 the ideal is generated by p and the replaced generators of
     the I_p(r)-adapted basis, so in adapted coordinates the monomials
@@ -510,35 +517,10 @@ def reduce_mod_landweber(z: CobordismClass, p: int, r: int) -> GenPoly:
     g'_n = -g_n + D_n with D_n decomposable (the coefficient is
     c_(n)(g'_n) / c_(n)(g_n) = -p / p), so each killed g_n becomes D-bar_n
     (``LandweberQuotient.residue``), and a class is solved once, in the base
-    basis, for every p and r.  The quotient map is a ring map, so a class
-    that ``evaluate`` built as a product, union or scaling reduces to the
-    same combination of its parts' reductions; every reduction is cached
-    on its class under the quotient.  For r = 0 the quotient is the ring
-    itself: the integer base-basis coordinates, unchanged.
+    basis, for every p and r.  A product, union or scaling that
+    ``evaluate`` built folds its parts' coordinates instead.
     """
-    if r == 0:
-        return z.gen_coords(base_basis(z.trunc))
-    return _reduced(z, adapted_basis(p, r, z.trunc))
-
-
-def _reduced(z: CobordismClass, basis: LandweberQuotient) -> GenPoly:
-    red = z._coords.get(basis)
-    if red is not None:
-        return red
-    if z._parts is None:
-        red = _substituted(z.gen_coords(base_basis(basis.trunc))._terms, basis)
-    else:
-        kind, operands = z._parts
-        if kind == "scale":
-            k, inner = operands
-            red = _reduced(inner, basis).scaled(k)
-        elif not operands:  # the empty product is the unit, the empty union 0
-            red = GenPoly({(): 1} if kind == "prod" else {}, basis.p, basis)
-        else:
-            reds = [_reduced(x, basis) for x in operands]
-            red = reduce(operator.mul if kind == "prod" else operator.add, reds)
-    z._coords[basis] = red
-    return red
+    return z.gen_coords(base_basis(z.trunc) if r == 0 else adapted_basis(p, r, z.trunc))
 
 
 def _substituted(terms: dict, basis: LandweberQuotient) -> GenPoly:
@@ -591,12 +573,17 @@ def c_alpha_image_gcd(alpha, basis: GeneratorBasis) -> int:
 
     The generator monomials of that weight span the piece, so the gcd of
     their c_alpha values generates the image subgroup; 0 if all vanish.
-    The scan stops once the gcd is 1.
+    Only the beta that alpha refines are read, since c_alpha(g^beta) = 0
+    for the others, and the scan stops once the gcd is 1.
     ``basis`` is a ``GeneratorBasis``: a quotient has no monomial images.
     """
     alpha = make(alpha)
     g = 0
     for beta in partitions_of(sum(alpha)):
+        if len(beta) > len(alpha):  # so are all later ones: none is refined
+            break
+        if len(beta) > 1 and (beta[0] < alpha[0] or not refines(alpha, beta)):
+            continue
         g = math.gcd(g, basis.c_entry(alpha, beta))
         if g == 1:
             break

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +137,31 @@ def test_the_image_gcd_stops_once_it_reaches_one(monkeypatch):
     monkeypatch.setattr(lz.GeneratorBasis, "c_entry", counted)
     assert bd.chern_bound(cls(geo.Proj(5)), (5,), G2) is None
     assert calls == [(5,)]
+
+
+def test_the_image_gcd_reads_only_monomials_that_alpha_refines(monkeypatch):
+    # c_(7)(P^7) = 8 and c_(7)(g_7) = 2: the gcd stays 2, and c_(7) vanishes
+    # on the 14 decomposable monomials of weight 7, which are not read
+    calls = []
+    c_entry = lz.GeneratorBasis.c_entry
+
+    def counted(self, alpha, beta):
+        calls.append(beta)
+        return c_entry(self, alpha, beta)
+
+    monkeypatch.setattr(lz.GeneratorBasis, "c_entry", counted)
+    assert bd.chern_bound(cls(geo.Proj(7)), (7,), G2) is None
+    assert calls == [(7,)]
+
+
+def test_the_image_gcd_is_the_gcd_over_every_monomial():
+    basis = lz.base_basis(TRUNC)
+    for n in range(9):
+        for alpha in partitions_of(n):
+            every = 0
+            for beta in partitions_of(n):
+                every = math.gcd(every, basis.c_entry(alpha, beta))
+            assert lz.c_alpha_image_gcd(alpha, basis) == every, alpha
 
 
 def test_main_bound_refines_chern_bounds():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cobord import cli, fgl, geometry, lazard
+from cobord import actions, cli, fgl, geometry, lazard
 
 
 def run(argv, capsys):
@@ -527,3 +527,35 @@ def test_the_cobord_script_prints_what_the_module_prints(capsys, monkeypatch):
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True)
     assert (code, out.out.encode(), out.err) == (0, res.stdout, "")
     assert res.returncode == 0 and b'"lower_bound":2' in res.stdout
+
+
+HUGE = "99999999999999999999"  # 2^HUGE has about 3 * 10^19 digits
+
+
+@pytest.fixture
+def unbuildable_order(monkeypatch):
+    """Make reading ``GroupDescriptor.order`` fail, as building 2^HUGE would."""
+    def refuse(group):
+        raise AssertionError(f"built the order of {group!r}")
+
+    monkeypatch.setattr(actions.GroupDescriptor, "order", property(refuse))
+
+
+def test_a_huge_group_exponent_answers_as_any_exponent_above_the_weight(
+        unbuildable_order, capsys):
+    # pi_q and milnor_fixed_dim read q only through x // q and x % q
+    for argv in (["bound", '{"proj":2}'], ["chern-bound", '{"proj":2}', "--alpha", "2"],
+                 ["actions", "--generator", "2"], ["actions", "--family", "1"]):
+        huge = run([*argv, "--p", "2", "--group", HUGE], capsys)
+        assert huge[0] == 0 and huge[2] == "", argv
+        small = run([*argv, "--p", "2", "--group", "3"], capsys)
+        assert huge[1] == small[1].replace('"exponents":[3]', f'"exponents":[{HUGE}]'), argv
+    assert '"lower_bound":0' in run(["bound", '{"proj":2}', "--group", HUGE], capsys)[1]
+
+
+@pytest.mark.parametrize("exponent", ["20000", HUGE])
+def test_an_order_too_long_to_print_is_a_one_line_error(exponent, unbuildable_order, capsys):
+    code, out, err = run(["bound", '{"proj":2}', "--group", exponent, "--format", "table"],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: the group order has more than {sys.get_int_max_str_digits()} digits\n"

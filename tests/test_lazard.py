@@ -864,6 +864,53 @@ def test_a_heavy_mixed_dimension_product_fails_in_evaluate(fresh_classes):
     assert fits.dim is None and max(fits.image.weights()) == 12
 
 
+# one of each composite kind: a mixed-dimension factor, a repeated part, a
+# scaling by -3 and by 0, a nesting, and the empty product and union
+FOLD_CASES = [
+    geo.Product((geo.Proj(2), geo.Hyp(3, 4))),
+    geo.Product((geo.DisjointUnion((geo.Point(), geo.Proj(3))), geo.Milnor(2, 3))),
+    geo.DisjointUnion((geo.Proj(3), geo.Hyp(2, 3), geo.Proj(3), geo.Proj(3))),
+    geo.Scaled(-3, geo.Milnor(2, 5)),
+    geo.Scaled(0, geo.Proj(4)),
+    NESTED,
+    geo.Product(()),
+    geo.DisjointUnion(()),
+]
+
+
+@pytest.mark.parametrize("expr", FOLD_CASES, ids=lambda e: str(e.to_obj()))
+def test_integer_coordinates_fold_the_parts_to_the_solve_of_the_image(
+        fresh_classes, expr):
+    cl, base = cls(expr), lz.base_basis(TRUNC)
+    coords = cl.gen_coords(base)
+    assert cl._image is None  # the fold reads its parts' coordinates only
+    image = _eager_image(expr)
+    expect = base.solve(image)  # the image solved as one class without parts
+    assert coords == expect and coords.to_obj() == expect.to_obj()
+    assert coords.modulus is None and coords.basis is base
+    for p in (2, 3):
+        assert lz.reduce_mod_landweber(cl, p, 0) is coords
+        assert lz.in_landweber_ideal(cl, p, 0) == image.is_zero()
+        reduced = lz.reduce_mod_landweber(geo.CobordismClass(image), p, 2)
+        assert lz.reduce_mod_landweber(cl, p, 2).to_obj() == reduced.to_obj()
+
+
+def test_a_product_s_coordinates_solve_nothing_at_its_own_weight(
+        fresh_bases, fresh_classes):
+    product = geo.evaluate(geo.Product((geo.Hyp(3, 9), geo.Proj(9))), 18)
+    basis = lz.base_basis(18)
+    coords = product.gen_coords(basis)
+    assert 18 not in basis._columns and product._image is None
+    assert coords == basis.solve(product.image)
+
+
+def test_reducing_a_product_mod_the_zero_ideal_builds_no_image(fresh_classes):
+    product = cls(geo.Product((geo.Proj(2), geo.Hyp(3, 4))))
+    reduced = lz.reduce_mod_landweber(product, 2, 0)
+    assert product._image is None
+    assert reduced == lz.base_basis(TRUNC).solve(product.image)
+
+
 def test_every_spelling_of_the_default_truncation_is_one_class(
         fresh_bases, fresh_classes, monkeypatch):
     solved = _count_solves(monkeypatch)
