@@ -8,7 +8,7 @@ them; the acceptance tests call the same functions.
 
 from __future__ import annotations
 
-from . import _backend, actions, bounds, fgl, geometry, lazard
+from . import actions, bounds, fgl, geometry, lazard
 from .geometry import CheckReport, CobordismClass
 from .lazard import NEG_INF
 from .series import BPoly, TruncSeries
@@ -19,34 +19,12 @@ def _report(checks) -> CheckReport:
 
 
 def formal_inverse(ctx: fgl.FglContext) -> TruncSeries:
-    """The series i(t) with F(t, i(t)) = 0, solved degree by degree.
+    """The series i(t) with F(t, i(t)) = 0: i(t) = exp(-log t).
 
-    As F = x + y + ..., i_k = -sum f_ac [t^(k-a)] i^c over the other
-    coefficients f_ac of F.  [t^m] i^c is final once i is known through
-    degree m - c + 1, so one table of them fills as i grows.
+    F(x, y) = exp(log x + log y) and exp is the compositional inverse of
+    log (Ravenel, Complex Cobordism, Appendix A2).
     """
-    trunc = ctx.trunc
-    inv = {1: {0: -1}}  # degree k -> packed terms of i_k
-    table = {}  # (c, m) -> packed terms of [t^m] i^c
-
-    def power(c, m):
-        if c == 0:
-            return {0: 1} if m == 0 else {}
-        if (c, m) not in table:
-            table[c, m] = acc = {}
-            for j in range(1, m - c + 2):
-                _backend.mul_into(acc, inv[j], power(c - 1, m - j), trunc)
-        return table[c, m]
-
-    for k in range(2, ctx.cap + 1):
-        acc = {}
-        for (a, c), f in ctx.fgl_sum.terms.items():
-            if a <= k and (a, c) != (0, 1):
-                _backend.mul_into(acc, f._terms, power(c, k - a), trunc)
-        inv[k] = {key: -v for key, v in acc.items()}
-    return ctx.t_var()._shell(
-        {(k,): BPoly._raw(terms, trunc) for k, terms in inv.items() if terms}
-    )
+    return ctx.log.comp_inverse().compose(-ctx.log)
 
 
 def _packed(series, width):

@@ -582,7 +582,7 @@ def c_alpha_image_gcd(alpha, basis: GeneratorBasis) -> int:
     for beta in partitions_of(sum(alpha)):
         if len(beta) > len(alpha):  # so are all later ones: none is refined
             break
-        if len(beta) > 1 and (beta[0] < alpha[0] or not refines(alpha, beta)):
+        if not refines(alpha, beta):
             continue
         g = math.gcd(g, basis.c_entry(alpha, beta))
         if g == 1:

@@ -104,51 +104,32 @@ class Codec:
 codec = lru_cache(maxsize=None)(Codec)
 
 
-def _sub_multisets(alpha: Partition):
-    """Distinct sub-multisets of ``alpha``, each paired with its complement.
-
-    Parts are grouped by value so a sub-multiset is emitted exactly once.
-    """
-    distinct = []
-    for x in alpha:
-        if distinct and distinct[-1][0] == x:
-            distinct[-1][1] += 1
-        else:
-            distinct.append([x, 1])
-
-    def rec(idx, chosen, left):
-        if idx == len(distinct):
-            yield tuple(chosen), tuple(left)
-            return
-        val, count = distinct[idx]
-        for take in range(count + 1):
-            yield from rec(
-                idx + 1, chosen + [val] * take, left + [val] * (count - take)
-            )
-
-    yield from rec(0, [], [])
-
-
 @lru_cache(maxsize=None)
 def refines(alpha: Partition, beta: Partition) -> bool:
     """True iff ``alpha``'s parts group into blocks summing to ``beta``'s parts.
 
-    Exact multiset-partition search: peel off the largest part of ``beta``,
-    try every distinct sub-multiset of ``alpha`` with that sum, recurse.
+    A bin fill: place ``alpha``'s parts, largest first, into bins of
+    ``beta``'s sizes.  Bins with equal room left are interchangeable, so
+    each part tries only one of them.
     """
     if sum(alpha) != sum(beta):
         return False
-    if not beta:
-        return not alpha
-    target, rest = beta[0], beta[1:]
-    seen = set()
-    for chosen, left in _sub_multisets(alpha):
-        if sum(chosen) != target or chosen in seen:
-            continue
-        seen.add(chosen)
-        if refines(left, rest):
+    room = list(beta)
+
+    def fill(i):
+        if i == len(alpha):
             return True
-    return False
+        part, tried = alpha[i], set()
+        for j, left in enumerate(room):
+            if left >= part and left not in tried:
+                tried.add(left)
+                room[j] = left - part
+                if fill(i + 1):
+                    return True
+                room[j] = left
+        return False
+
+    return fill(0)
 
 
 def pi_q(alpha: Partition, q: int) -> int:

@@ -50,6 +50,32 @@ def b_gen(i, trunc):
     return BPoly.one(trunc) if i == 0 else BPoly({(i,): 1}, trunc)
 
 
+def sub_multisets(alpha):
+    """Distinct sub-multisets of the partition ``alpha``, each paired with
+    its complement.
+
+    Parts are grouped by value so a sub-multiset is emitted exactly once.
+    """
+    distinct = []
+    for x in alpha:
+        if distinct and distinct[-1][0] == x:
+            distinct[-1][1] += 1
+        else:
+            distinct.append([x, 1])
+
+    def rec(idx, chosen, left):
+        if idx == len(distinct):
+            yield tuple(chosen), tuple(left)
+            return
+        val, count = distinct[idx]
+        for take in range(count + 1):
+            yield from rec(
+                idx + 1, chosen + [val] * take, left + [val] * (count - take)
+            )
+
+    yield from rec(0, [], [])
+
+
 def exp_series(ctx):
     """exp(t) = t + b_1 t^2 + b_2 t^3 + ... in the variable space of ``ctx``."""
     coeffs = {(k,): b_gen(k - 1, ctx.trunc) for k in range(1, ctx.trunc + 2)}

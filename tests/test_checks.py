@@ -57,6 +57,19 @@ def add_to_inverse(monkeypatch, k):
     monkeypatch.setattr(checks, "formal_inverse", perturbed)
 
 
+def add_to_exp(monkeypatch, k):
+    """exp(t), the compositional inverse of log that i(t) = exp(-log t)
+    is read from, gains the term t^k."""
+    comp_inverse = TruncSeries.comp_inverse
+
+    def perturbed(f):
+        g = comp_inverse(f)
+        return g + g._shell({(k,): BPoly.one(trunc=f.trunc)})
+
+    fresh_context(monkeypatch)
+    monkeypatch.setattr(TruncSeries, "comp_inverse", perturbed)
+
+
 def milnor_one_lower(monkeypatch):
     fixed_dim = actions.milnor_fixed_dim
     monkeypatch.setattr(actions, "milnor_fixed_dim", lambda m, n, q: fixed_dim(m, n, q) - 1)
@@ -145,9 +158,12 @@ INV = "[-n](t) = i([n](t)) for 1 <= n <= 4"
 
 @pytest.mark.parametrize("perturb, params, failing", [
     (add_to_inverse, {"k": 5}, [INV]),
+    # i(t) = exp(-log t) is read from comp_inverse, so a wrong exp(t) must
+    # fail the inverse check and no other
+    (add_to_exp, {"k": 5}, [INV]),
     (add_term, {"n": 0, "k": 3}, [COMP]),
     (add_term, {"n": -16, "k": 13}, [COMP]),
-], ids=["inverse", "zero-series", "expected-only"])
+], ids=["inverse", "exp", "zero-series", "expected-only"])
 def test_the_slot_split_fails_only_the_check_of_the_differing_slot(
         perturb, params, failing, monkeypatch):
     perturb(monkeypatch, **params)

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from cobord import _backend, actions, bounds, cli, fgl, lazard
 from cobord import geometry as geo
-from cobord.partitions import _sub_multisets, codec, partitions_of
+from cobord.partitions import codec, partitions_of
 from cobord.series import BPoly, TruncSeries
-from conftest import b_gen, sweep_inputs
+from conftest import b_gen, sub_multisets, sweep_inputs
 
 TRUNC = 12
 
@@ -23,7 +23,7 @@ def cls(expr):
 def convolve_coeff(x, y, alpha):
     """Independent product oracle: sum of c_beta(x) c_gamma(y) over the
     distinct splittings beta cup gamma = alpha."""
-    return sum(x.coeff(beta) * y.coeff(gamma) for beta, gamma in _sub_multisets(alpha))
+    return sum(x.coeff(beta) * y.coeff(gamma) for beta, gamma in sub_multisets(alpha))
 
 
 def euler_like_checks(expr, trunc=TRUNC):

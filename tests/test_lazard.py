@@ -12,7 +12,7 @@ from cobord import geometry as geo
 from cobord import lazard as lz
 from cobord.partitions import codec, partitions_of, pi_q, refines, union
 from cobord.series import BPoly
-from conftest import b_gen
+from conftest import b_gen, sub_multisets
 
 TRUNC = 12
 
@@ -388,10 +388,8 @@ def test_c_entry_matches_convolution_oracle(basis):
         if not beta:
             return 1 if not alpha else 0
         total = 0
-        from cobord.partitions import _sub_multisets
-
         seen = set()
-        for chosen, left in _sub_multisets(alpha):
+        for chosen, left in sub_multisets(alpha):
             if sum(chosen) != beta[0] or (chosen, left) in seen:
                 continue
             seen.add((chosen, left))

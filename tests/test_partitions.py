@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from cobord.partitions import (
@@ -9,6 +11,7 @@ from cobord.partitions import (
     sort_key,
     union,
 )
+from conftest import sub_multisets
 
 
 def partition_count(n, _cache={0: 1}):
@@ -110,6 +113,27 @@ def test_refines_reflexive_transitive_to_weight_10():
             for c in parts:
                 if (b, c) in rel:
                     assert (a, c) in rel, (a, b, c)
+
+
+@lru_cache(maxsize=None)
+def refines_by_search(alpha, beta):
+    """Reference refinement: peel off beta's largest part, try every distinct
+    sub-multiset of alpha with that sum, recurse on the complements."""
+    if not beta:
+        return not alpha
+    return any(
+        sum(chosen) == beta[0] and refines_by_search(left, beta[1:])
+        for chosen, left in sub_multisets(alpha)
+    )
+
+
+def test_refines_matches_the_sub_multiset_search_to_weight_12():
+    pairs = [(a, b) for n in range(13) for a in partitions_of(n)
+             for b in partitions_of(n)]
+    assert len(pairs) == 12648
+    for a, b in pairs:
+        assert refines(a, b) == refines_by_search(a, b), (a, b)
+    assert not refines((2, 1), (2,))  # unequal weights never refine
 
 
 def test_refinement_length_law():
