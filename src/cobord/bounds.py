@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional
 
 from .actions import GroupDescriptor
 from .geometry import CobordismClass, Record, TruncationError
@@ -123,7 +122,7 @@ _levels = lru_cache(maxsize=None)(_Levels)
 
 def chern_bound(
     z: CobordismClass, alpha: Partition, group: GroupDescriptor
-) -> Optional[int]:
+) -> int | None:
     """Single-partition bound pi_q(alpha), when a Chern-number test fires.
 
     First the cheap test: c_alpha not divisible by p.  Then the higher

@@ -263,8 +263,16 @@ def _add_common(sub, group_flag=True):
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a one-line ``error:`` for an argv error, exit code 2;
+    its subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cobord",
         description="Exact Lazard-ring calculator: Chern numbers, Landweber "
         "ideals, and fixed-locus dimension bounds for diagonalizable p-group "

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Union
 
 from . import _backend
 from .partitions import codec
@@ -324,7 +323,7 @@ class Scaled(Expr):
         return {"scale": [self.k, self.expr.to_obj()]}
 
 
-VarietyExpr = Union[Point, Proj, Hyp, CompInt, Milnor, Product, DisjointUnion, Scaled]
+VarietyExpr = Point | Proj | Hyp | CompInt | Milnor | Product | DisjointUnion | Scaled
 
 
 def _int(x) -> int:
@@ -531,12 +530,10 @@ def _evaluate(expr: VarietyExpr, trunc: int) -> CobordismClass:
     dim = expr.dimension()
     if dim is not None:
         _check_truncation(dim, trunc)
-    if isinstance(expr, Point):
-        return CobordismClass(BPoly.one(trunc=trunc), dim=0)
-    if isinstance(expr, Proj):
-        if expr.n < 0:
+    if isinstance(expr, (Point, Proj)):  # a point is P^0
+        if dim < 0:
             raise ValueError("projective space needs n >= 0")
-        return CobordismClass(_proj_image(expr.n, trunc), dim=expr.n)
+        return CobordismClass(_proj_image(dim, trunc), dim=dim)
     if isinstance(expr, Hyp):
         if expr.d < 1 or expr.n < 0:
             raise ValueError("hypersurface needs degree >= 1 and n >= 0")

@@ -33,7 +33,7 @@ a partless class's ``leaf_coords``, which ``CobordismClass`` folds.
 from __future__ import annotations
 
 import math
-import sys
+from array import array
 from functools import lru_cache
 from itertools import takewhile
 
@@ -270,9 +270,6 @@ class GeneratorBasis:
             residual = [0] * len(index)
             for key, c in by_weight[n].items():
                 residual[index[key]] = c
-            if n == 0:
-                coords[0] = residual[0]  # the unit packs to 0
-                continue
             columns = self._columns.get(n)
             if columns is None:
                 columns = self._columns[n] = [None] * len(index)
@@ -298,37 +295,28 @@ class GeneratorBasis:
 
         key is the packed key of alpha = ``partitions_of(n)[j]``, image the
         term dict of its monomial image and diagonal its coefficient at
-        alpha.  ``places``
-        holds each image key's place, aligned with the dict's iteration
-        order: a bytes object of 1-byte places while p(n) < 2^8 (to weight
-        16), which iterates as ints, else a ``memoryview`` of 2-byte places
-        while p(n) < 2^16 and of 4-byte places above.
+        alpha.  ``places`` holds each image key's place, aligned with the
+        dict's iteration order, in an ``array`` of ``_place_table``'s type.
         """
-        keys, _, fmt, encoded = _place_table(n, self.trunc)
+        keys, index, code = _place_table(n, self.trunc)
         key, image = keys[j], self.image_of_monomial(partitions_of(n)[j])._terms
-        places = b"".join(map(encoded.__getitem__, image))
-        column = (key, image[key], memoryview(places).cast(fmt) if fmt else places, image)
+        column = (key, image[key], array(code, map(index.__getitem__, image)), image)
         self._columns[n][j] = column
         return column
 
 
 @lru_cache(maxsize=None)
 def _place_table(n: int, trunc: int) -> tuple:
-    """(keys, index, format, encoded) of weight n: the canonical ``codec``
-    key of each partition in ``partitions_of(n)`` order, each key's place
-    there, and that place as native bytes of ``memoryview`` format: 2 bytes
-    ("H") while p(n) < 2^16 and 4 ("I") above, or 1 byte while p(n) < 2^8
-    (to weight 16), where the format is None because bytes iterate as ints."""
+    """(keys, index, code) of weight n: the canonical ``codec`` key of each
+    partition in ``partitions_of(n)`` order, each key's place there, and
+    the smallest unsigned ``array`` typecode that holds every place: "B"
+    while p(n) < 2^8 (to weight 16), "H" while p(n) < 2^16 (to weight 43)
+    and "I" above."""
     layout = codec(trunc)
     keys = tuple(layout.canonical.setdefault(k, k) for k in map(layout.pack, partitions_of(n)))
     index = {k: j for j, k in enumerate(keys)}
-    if len(index) < 1 << 8:
-        fmt, width = None, 1
-    elif len(index) < 1 << 16:
-        fmt, width = "H", 2
-    else:
-        fmt, width = "I", 4
-    return keys, index, fmt, {k: j.to_bytes(width, sys.byteorder) for k, j in index.items()}
+    code = "B" if len(index) < 1 << 8 else "H" if len(index) < 1 << 16 else "I"
+    return keys, index, code
 
 
 @lru_cache(maxsize=None)
@@ -543,8 +531,6 @@ def _substituted(terms: dict, basis: LandweberQuotient) -> GenPoly:
                 residues[n] = residue
             else:
                 dead |= field
-    if dead == mask:
-        return GenPoly._raw(out, p, basis)
     products = {}
     for key, c in terms.items():
         if not key & mask or key & dead or not c % p:

@@ -10,10 +10,10 @@ lower triangular, and ``codec``, the packed-int keys of every term dict.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable, Tuple
 
-Partition = Tuple[int, ...]
+Partition = tuple[int, ...]
 
 
 def make(parts: Iterable[int]) -> Partition:
@@ -104,7 +104,6 @@ class Codec:
 codec = lru_cache(maxsize=None)(Codec)
 
 
-@lru_cache(maxsize=None)
 def refines(alpha: Partition, beta: Partition) -> bool:
     """True iff ``alpha``'s parts group into blocks summing to ``beta``'s parts.
 

@@ -115,16 +115,17 @@ def test_no_module_imports_inside_a_function():
 
 
 def test_a_cold_process_imports_neither_dataclasses_nor_fractions():
-    # measured against the interpreter's own start, so a module that site
-    # loads through a .pth file is not counted
+    # without site (-S), so no .pth hook preloads a module; measured against
+    # the interpreter's own start
     probe = ("import sys; before = set(sys.modules); "
              "import cobord.cli, cobord.checks; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
-                            text=True, env=dict(os.environ, PYTHONPATH=path)).stdout.split()
+    loaded = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path)).stdout.split()
     assert {"cobord.cli", "cobord.checks", "cobord.geometry"} <= set(loaded)
-    assert set(loaded) & {"dataclasses", "inspect", "fractions", "decimal"} == set()
+    assert set(loaded) & {"dataclasses", "inspect", "fractions", "decimal", "typing"} == set()
 
 
 def test_the_function_import_scan_sees_nested_imports():

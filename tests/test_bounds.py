@@ -416,3 +416,70 @@ def test_the_bound_scan_is_the_partition_loop_on_lib_sweep_round_0():
             assert (report.lower_bound, report.certificate) == expect, q
             checked += report.certificate is not None
     assert checked > 500
+
+
+# -- Boardman's floor under the Z/2 bound -----------------------------------
+#
+# A smooth involution on a closed m-manifold that does not bound has a fixed
+# component of dimension at least 2m/5 (J. M. Boardman, "On manifolds with
+# involution", Bull. AMS 73, 1967).  The Stiefel-Whitney numbers of a
+# complex n-fold are its Chern numbers mod 2, so it does not bound iff some
+# coefficient of its image is odd; every Z/2 action on it then fixes a
+# component of complex dimension at least ceil(2n/5).  The bound of such a
+# class is realized by an action, so it is at least that floor; a class
+# below it would be a finding about the bound, not a reason to relax this.
+
+BOARDMAN = 12
+BOARDMAN_LEAVES = (
+    [geo.Proj(n) for n in range(BOARDMAN + 1)]
+    + [geo.Hyp(d, n) for d in range(2, 8) for n in range(1, BOARDMAN + 1)]
+    + [geo.Milnor(m, n) for n in range(1, BOARDMAN + 1) for m in range(n + 1)
+       if m + n - 1 <= BOARDMAN]
+)
+
+
+def over_boardman_floor(expr):
+    """bound(z, Z/2) - ceil(2n/5) for a class z of dimension n with an odd
+    Chern number, or None when every Chern number is even."""
+    z = geo.evaluate(expr, BOARDMAN)
+    if all(v % 2 == 0 for v in z.image._terms.values()):
+        return None
+    return bd.fixed_dim_lower_bound(z, G2).lower_bound - -(-2 * z.dim // 5)
+
+
+def test_no_class_with_an_odd_chern_number_bounds_below_boardmans_floor():
+    positive = [e for e in BOARDMAN_LEAVES if e.dimension()]
+    exprs = list(BOARDMAN_LEAVES)
+    exprs += [geo.Product((x, y)) for x, y in itertools.combinations_with_replacement(positive, 2)
+              if x.dimension() + y.dimension() <= BOARDMAN]
+    for x, y in itertools.combinations(positive, 2):
+        if x.dimension() == y.dimension():
+            exprs += [geo.DisjointUnion((x, y)), geo.DisjointUnion((x, geo.Scaled(-1, y)))]
+    margins = {e: m for e in exprs if (m := over_boardman_floor(e)) is not None}
+    assert [e for e, m in margins.items() if m < 0] == []
+    # enough classes have an odd Chern number, and many meet the floor exactly
+    assert len(margins) > 500 and sum(m == 0 for m in margins.values()) > 100
+
+
+@st.composite
+def boardman_classes(draw, max_dim=BOARDMAN, depth=2):
+    """A constructor, or a product, signed union or scaling of such classes,
+    of dimension at most ``max_dim``."""
+    kind = draw(st.sampled_from(["leaf", "product", "union", "scale"] if depth else ["leaf"]))
+    if kind == "product" and max_dim >= 2:
+        x = draw(boardman_classes(max_dim - 1, depth - 1))
+        return geo.Product((x, draw(boardman_classes(max_dim - x.dimension(), depth - 1))))
+    x = draw(st.sampled_from([e for e in BOARDMAN_LEAVES if e.dimension() <= max_dim]))
+    if kind == "union":
+        y = draw(st.sampled_from([e for e in BOARDMAN_LEAVES if e.dimension() == x.dimension()]))
+        return geo.DisjointUnion((x, geo.Scaled(draw(st.sampled_from([1, -1, 3])), y)))
+    if kind == "scale":
+        return geo.Scaled(draw(st.integers(-5, 5).filter(bool)), x)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(boardman_classes())
+def test_a_random_class_with_an_odd_chern_number_meets_boardmans_floor(expr):
+    margin = over_boardman_floor(expr)
+    assert margin is None or margin >= 0, expr

@@ -210,10 +210,6 @@ def assert_packed_compose_is_exact(fs, g):
     got = checks._packed(fs, width).compose(g)
     assert unpack(got, width, len(fs)) == expected
     assert checks._slot_width(fs, [g], expected) == width
-    assert checks._mismatched_slots(got - checks._packed(expected, width), width) == set()
-    for j in range(len(fs)):  # one slot off by one term: only that slot differs
-        off = expected[:j] + [expected[j] + 1] + expected[j + 1:]
-        assert checks._mismatched_slots(got - checks._packed(off, width), width) == {j}
 
 
 @pytest.mark.parametrize("trunc", [0, 1, 2, 6, 12])

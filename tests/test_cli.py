@@ -1,13 +1,16 @@
 import importlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobord import actions, cli, fgl, geometry, lazard
 
@@ -559,3 +562,110 @@ def test_an_order_too_long_to_print_is_a_one_line_error(exponent, unbuildable_or
                          capsys)
     assert (code, out) == (1, "")
     assert err == f"error: the group order has more than {sys.get_int_max_str_digits()} digits\n"
+
+
+# -- argv errors and a fuzz over every query command --------------------------
+
+
+def run_argv(argv):
+    """(exit code, stdout, stderr) of ``cli.main``, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", '{"proj":2}', "--p", "x"], "argument --p: invalid int value: 'x'"),
+    (["bound"], "the following arguments are required: expr"),
+    (["sphere", '{"proj":2}'], "argument command: invalid choice: 'sphere'"),
+    (["bound", '{"proj":2}', "--size", "3"], "unrecognized arguments: --size 3"),
+    (["class", '{"proj":2}', "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+], ids=["ill-typed", "missing-expr", "unknown-command", "unknown-flag", "bad-choice"])
+def test_an_argv_error_is_one_line_with_exit_code_2(argv, message):
+    code, out, err = run_argv(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_help_still_prints_the_usage():
+    code, out, err = run_argv(["bound", "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: cobord bound ") and "--group GROUP" in out
+
+
+NUMBERS = st.one_of(st.integers(-2, 6), st.sampled_from([10 ** 20, -(10 ** 20)]))
+JUNK = st.sampled_from([True, None, 1.5, "3", [], {}])
+LEAVES = st.one_of(
+    st.just("point"),
+    st.builds(lambda n: {"proj": n}, NUMBERS),
+    st.builds(lambda d, n: {"hyp": [d, n]}, NUMBERS, NUMBERS),
+    st.builds(lambda ds, n: {"ci": [ds, n]}, st.lists(NUMBERS, max_size=3), NUMBERS),
+    st.builds(lambda m, n: {"milnor": [m, n]}, NUMBERS, NUMBERS),
+    st.builds(lambda k, v: {k: v},
+              st.sampled_from(["proj", "hyp", "ci", "milnor", "scale", "sphere"]), JUNK),
+)
+EXPRS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.builds(lambda xs: {"prod": xs}, st.lists(inner, max_size=3)),
+    st.builds(lambda xs: {"disj": xs}, st.lists(inner, max_size=3)),
+    st.builds(lambda k, x: {"scale": [k, x]}, NUMBERS, inner),
+), max_leaves=4)
+# the expression as JSON text, sometimes cut off
+EXPR_TEXT = st.builds(lambda e, cut: json.dumps(e)[:cut], EXPRS,
+                      st.none() | st.integers(0, 30))
+
+
+def mostly(good, bad):
+    """Values of ``good``, with one draw in ten from ``bad``."""
+    return st.integers(0, 9).flatmap(lambda i: good if i else bad)
+
+
+FLAG_INT = mostly(st.integers(-1, 8).map(str), st.sampled_from(["x", "2.5", "", HUGE]))
+NUMBER_LIST = st.lists(FLAG_INT, max_size=3).map(",".join)
+GROUP_FLAGS = {"--p": mostly(st.sampled_from(["2", "3", "5"]),
+                             st.sampled_from(["4", "1", "0", "-3", "x", "1000000007"])),
+               "--group": NUMBER_LIST,
+               "--format": mostly(st.sampled_from(["json", "table"]), st.just("xml")),
+               "--trunc": mostly(st.sampled_from(["0", "3", "8", "12"]),
+                                 st.sampled_from(["-1", "x"]))}
+COMMANDS = {
+    "class": (True, {k: GROUP_FLAGS[k] for k in ("--format", "--trunc")}),
+    "bound": (True, GROUP_FLAGS),
+    "fixedpoint": (True, GROUP_FLAGS),
+    "chern-bound": (True, dict(GROUP_FLAGS, **{"--alpha": NUMBER_LIST})),
+    "actions": (False, dict(GROUP_FLAGS, **{f: FLAG_INT for f in (
+        "--generator", "--landweber", "--family", "--max-dim")})),
+}
+
+
+@st.composite
+def query_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    takes_expr, flags = COMMANDS[command]
+    argv = [command]
+    if takes_expr and draw(st.integers(0, 9)):  # now and then the expr is missing
+        argv.append(draw(st.just("point") | EXPR_TEXT))
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True))
+    if command == "chern-bound" and draw(st.integers(0, 9)):  # --alpha is required
+        chosen.append("--alpha")
+    for flag in dict.fromkeys(chosen):
+        argv += [flag, draw(flags[flag])]
+    if not draw(st.integers(0, 19)):
+        argv.append("--size")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(query_argv())
+def test_every_query_is_an_answer_or_one_error_line(argv):
+    code, out, err = run_argv(argv)  # anything but SystemExit propagates
+    if code == 0:
+        assert err == "" and out.endswith("\n"), argv
+        if "table" not in argv:
+            assert out.count("\n") == 1 and isinstance(json.loads(out), dict), argv
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert code in ((2,) if "--size" in argv else (1, 2)), argv

@@ -1,6 +1,9 @@
 import math
+import random
 import sys
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1297,7 +1300,9 @@ def test_a_column_keeps_one_byte_per_entry_in_the_order_of_its_image():
             assert key is keys[j] and key == codec(ORACLE_TRUNC).pack(alpha)
             assert image is basis.image_of_monomial(alpha)._terms
             assert diagonal == basis.c_entry(alpha, alpha) != 0
-            assert type(at) is bytes and len(at) == len(image)  # p(n) < 256 to weight 16
+            # p(n) < 256 to weight 16
+            assert type(at) is array and (at.typecode, at.itemsize) == ("B", 1)
+            assert len(at) == len(image)
             placed = [keys[i] for i in at]
             assert placed == list(image)
             unsorted += placed != sorted(placed) and placed != sorted(placed, reverse=True)
@@ -1308,16 +1313,17 @@ def test_a_column_keeps_one_byte_per_entry_in_the_order_of_its_image():
 def test_a_solve_at_weight_17_reads_two_byte_places(fresh_bases):
     # p(16) = 231 and p(17) = 297
     trunc = 17
-    assert [lz._place_table(n, trunc)[2] for n in (0, 16, 17)] == [None, None, "H"]
-    keys, index, fmt, encoded = lz._place_table(trunc, trunc)
-    assert all(memoryview(encoded[k]).cast(fmt).tolist() == [j] for k, j in index.items())
+    assert [lz._place_table(n, trunc)[2] for n in (0, 16, 17)] == ["B", "B", "H"]
+    keys, index, _ = lz._place_table(trunc, trunc)
+    assert all(keys[j] is k for k, j in index.items())
     basis = lz.base_basis(trunc)
     image = geo.evaluate(geo.Hyp(2, trunc), trunc).image
     assert to_image(basis.solve(image)) == image
     wide = [column for column in basis._columns[trunc] if column is not None]
     assert wide
     for key, _, at, column in wide:
-        assert at.format == "H" and at.nbytes == 2 * len(column)
+        assert type(at) is array and (at.typecode, at.itemsize) == ("H", 2)
+        assert len(at) == len(column)
         assert [keys[i] for i in at] == list(column), key
 
 
@@ -1341,3 +1347,125 @@ def test_a_second_solve_at_a_weight_builds_no_column(fresh_bases, monkeypatch):
     assert met > 0
     basis.solve(other)
     assert len(calls) == met
+
+
+# -- Hattori-Stong: membership in the Lazard image, decided another way ------
+#
+# An element x of Z[b] of weight n is the image of a stably complex manifold
+# iff all its K-theory characteristic numbers are integers (A. Hattori, 1966;
+# R. E. Stong, *Notes on Cobordism Theory*, 1968).  In this package's
+# convention they are the coefficients of x at b_k -> a_k(t), a polynomial
+# in t_1..t_n, where 1 + sum_k a_k y^k = ((1 - e^(-y))/y) (1 + sum_j t_j
+# (e^y - 1)^j).  The oracle shares no code with ``solve``; t = 0 alone is
+# the Todd genus.
+
+HS_TRUNC = 8
+
+
+@lru_cache(maxsize=None)
+def hs_letters():
+    """a_0, ..., a_HS_TRUNC, each {t-monomial: Fraction}: a_k is affine in
+    the t_j, a monomial the tuple of its t indices."""
+    n = HS_TRUNC
+    expm1 = [Fraction(0)] + [Fraction(1, math.factorial(k)) for k in range(1, n + 1)]
+    twisted = [{(): Fraction(1)}] + [{} for _ in range(n)]  # 1 + sum_j t_j (e^y - 1)^j
+    power = [Fraction(1)] + [Fraction(0)] * n
+    for j in range(1, n + 1):  # power is (e^y - 1)^j, whose lowest term is y^j
+        power = [sum(power[i] * expm1[l - i] for i in range(l + 1)) for l in range(n + 1)]
+        for l in range(j, n + 1):
+            twisted[l][(j,)] = power[l]
+    letters = []
+    for k in range(n + 1):  # times (1 - e^(-y))/y = sum_i (-1)^i y^i / (i + 1)!
+        a = {}
+        for i in range(k + 1):
+            for m, c in twisted[k - i].items():
+                a[m] = a.get(m, 0) + Fraction((-1) ** i, math.factorial(i + 1)) * c
+        letters.append(a)
+    return letters
+
+
+@lru_cache(maxsize=None)
+def hs_numbers(alpha):
+    """b^alpha at b_k -> a_k(t), as {t-monomial: Fraction}."""
+    out = {(): Fraction(1)}
+    for k in alpha:
+        nxt = {}
+        for m1, c1 in out.items():
+            for m2, c2 in hs_letters()[k].items():
+                m = tuple(sorted(m1 + m2))
+                nxt[m] = nxt.get(m, 0) + c1 * c2
+        out = nxt
+    return out
+
+
+def hattori_stong_integral(terms):
+    """True iff every K-theory number of sum_alpha c_alpha b^alpha is an integer."""
+    total = {}
+    for alpha, c in terms.items():
+        for m, v in hs_numbers(alpha).items():
+            total[m] = total.get(m, 0) + c * v
+    return all(v.denominator == 1 for v in total.values())
+
+
+def solve_accepts(terms):
+    try:
+        lz.base_basis(HS_TRUNC).solve(BPoly(terms, HS_TRUNC))
+    except lz.NotInLazardImage:
+        return False
+    return True
+
+
+def lattice_point(rng, n):
+    """A random integer combination of the generator monomials of weight n."""
+    basis, terms = lz.base_basis(HS_TRUNC), {}
+    for beta in partitions_of(n):
+        k = rng.randint(-3, 3)
+        for alpha, v in basis.image_of_monomial(beta).terms.items():
+            terms[alpha] = terms.get(alpha, 0) + k * v
+    return terms
+
+
+def test_hattori_stong_and_solve_agree_on_membership_to_weight_8():
+    rng, seen = random.Random(19), set()
+    for n in range(1, HS_TRUNC + 1):
+        parts = partitions_of(n)
+        for kind in ("lattice", "off by one", "uniform"):
+            for _ in range(5):
+                if kind == "uniform":
+                    terms = {alpha: rng.randint(-3, 3) for alpha in parts}
+                else:
+                    terms = lattice_point(rng, n)
+                if kind == "off by one":
+                    alpha = rng.choice(parts)
+                    terms[alpha] = terms.get(alpha, 0) + rng.choice((-1, 1))
+                inside = solve_accepts(terms)
+                assert hattori_stong_integral(terms) == inside, (kind, terms)
+                seen.add((kind, inside))
+    assert {("lattice", True), ("off by one", False), ("uniform", False)} <= seen
+
+
+def test_hattori_stong_rejects_every_fraction_of_a_generator_monomial():
+    # g^beta / d, d > 1 dividing every Chern number of g^beta, is integral in
+    # Z[b] but not in the Lazard ring, whose generator monomials are a Z-basis
+    rng, basis, tried = random.Random(7), lz.base_basis(HS_TRUNC), 0
+    for n in range(1, HS_TRUNC + 1):
+        for beta in partitions_of(n):
+            image = basis.image_of_monomial(beta).terms
+            content = math.gcd(*image.values())
+            for d in range(2, content + 1):
+                if content % d:
+                    continue
+                terms = lattice_point(rng, n)
+                for alpha, v in image.items():
+                    terms[alpha] = terms.get(alpha, 0) + v // d
+                assert not solve_accepts(terms), (beta, d)
+                assert not hattori_stong_integral(terms), (beta, d)
+                tried += 1
+    assert tried > 300
+
+
+def test_every_constructor_image_to_weight_8_passes_hattori_stong():
+    for e in SOLVE_CONSTRUCTORS:
+        if e.dimension() <= HS_TRUNC:
+            image = geo.evaluate(e, HS_TRUNC).image
+            assert hattori_stong_integral(image.terms), e
